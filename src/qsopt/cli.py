@@ -13,12 +13,6 @@ from typing import Optional
 
 import click
 
-from .baselines import (
-    double_greedy,
-    random_permutation_greedy,
-    randomized_bidirectional_greedy,
-    randomized_local_search,
-)
 from .checkers import (
     is_local_max,
     is_local_min,
@@ -30,7 +24,7 @@ from .checkers import (
 from .errors import CapExceeded, ConfigError, InternalInvariantError
 from .exact import exact_opt
 from .functions import instantiate, load_spec
-from .harness import ExperimentConfig, reduction_rate, run_experiment
+from .harness import BASELINES, ExperimentConfig, baseline_runner, reduction_rate, run_experiment
 from .maximize import u_prefix, uqsfmax
 from .minimize import min_lattice, uqsfmin
 from .sets import IntervalLattice, SubsetBits, format_set, lattice_free_count, parse_set
@@ -97,13 +91,16 @@ def check(state: CliState, spec_path: str, prop: str) -> None:
             click.echo(f"{name}: holds=false witness: {verdict.witness.describe()}")
 
 
-def _write_min_trace(path: str, trace) -> None:
+def _write_trace(path: str, trace, values: tuple[str, ...]) -> None:
+    """One CSV row per iteration; ``values`` names the step's value fields."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "added", "removed", "value", "eval_calls"])
+        writer.writerow(["t", "added", "removed", *values, "eval_calls"])
         for step in trace.steps:
             writer.writerow(
-                [step.t, format_set(step.added), format_set(step.removed), repr(step.value), step.eval_calls]
+                [step.t, format_set(step.added), format_set(step.removed)]
+                + [repr(getattr(step, v)) for v in values]
+                + [step.eval_calls]
             )
 
 
@@ -127,7 +124,7 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
             raise ConfigError(str(exc)) from exc
     result, trace = uqsfmin(oracle, x0)
     if trace_path:
-        _write_min_trace(trace_path, trace)
+        _write_trace(trace_path, trace, ("value",))
     state.say(f"start={format_set(x0)} result={format_set(result)}")
     state.say(
         f"value={oracle.value(result)!r} iterations={trace.iterations} "
@@ -145,20 +142,7 @@ def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
     # endpoint local-maximality is informational; skip the 2n extra evals at large n
     lattice, trace = uqsfmax(oracle, report_local_max=spec.n <= 2048)
     if trace_path:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "added", "removed", "fx", "fy", "eval_calls"])
-            for step in trace.steps:
-                writer.writerow(
-                    [
-                        step.t,
-                        format_set(step.added),
-                        format_set(step.removed),
-                        repr(step.fx),
-                        repr(step.fy),
-                        step.eval_calls,
-                    ]
-                )
+        _write_trace(trace_path, trace, ("fx", "fy"))
     free = lattice_free_count(lattice)
     state.say(
         f"lower_local_max={trace.lower_is_local_max} upper_local_max={trace.upper_is_local_max} "
@@ -171,7 +155,7 @@ def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
 
 
 @cli.command()
-@click.option("--alg", type=click.Choice(["rp", "rls", "rg", "dg"]), required=True)
+@click.option("--alg", type=click.Choice(list(BASELINES)), required=True)
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--seed", "algo_seed", type=int, default=0, show_default=True)
@@ -187,13 +171,7 @@ def baseline(
 ) -> None:
     """Run a maximization baseline; rls interprets --trials as restarts."""
     oracle, _spec = _load_oracle(state, spec_path)
-    runners = {
-        "rp": lambda F: random_permutation_greedy(F, trials, algo_seed),
-        "rls": lambda F: randomized_local_search(F, trials, algo_seed),
-        "rg": lambda F: randomized_bidirectional_greedy(F, trials, algo_seed),
-        "dg": lambda F: double_greedy(F, list(range(1, F.n + 1))),
-    }
-    runner = runners[alg]
+    runner = baseline_runner(alg, trials, trials, algo_seed)
     if prefilter:
         result = u_prefix(oracle, runner)
         state.say(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from statistics import mean, median
 from typing import Optional
@@ -33,11 +33,6 @@ from .sets import (
     IntervalLattice,
     SubsetBits,
     lattice_free_count,
-)
-
-RUN_CSV_HEADER = (
-    "family,n,seed,algorithm,direction,value,exact_value,ratio,"
-    "reduction_rate,iterations,eval_calls,wall_ms"
 )
 
 EXPERIMENTS = ("reduction", "ratio", "timing")
@@ -101,19 +96,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config {path} is not a JSON object")
-        known = {
-            "experiment",
-            "families",
-            "sizes",
-            "trials",
-            "master_seed",
-            "algorithms",
-            "enumeration_cap",
-            "baseline_trials",
-            "ls_restarts",
-            "format",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
@@ -138,41 +121,16 @@ class RunRow:
     wall_ms: Optional[float] = None
 
     def to_csv(self) -> str:
-        def fmt(v):
-            return "" if v is None else (repr(v) if isinstance(v, float) else str(v))
-
         return ",".join(
-            [
-                self.family,
-                str(self.n),
-                str(self.seed),
-                self.algorithm,
-                self.direction,
-                fmt(self.value),
-                fmt(self.exact_value),
-                fmt(self.ratio),
-                fmt(self.reduction_rate),
-                fmt(self.iterations),
-                fmt(self.eval_calls),
-                fmt(self.wall_ms),
-            ]
+            "" if v is None else (repr(v) if isinstance(v, float) else str(v))
+            for v in self.to_dict().values()
         )
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "seed": self.seed,
-            "algorithm": self.algorithm,
-            "direction": self.direction,
-            "value": self.value,
-            "exact_value": self.exact_value,
-            "ratio": self.ratio,
-            "reduction_rate": self.reduction_rate,
-            "iterations": self.iterations,
-            "eval_calls": self.eval_calls,
-            "wall_ms": self.wall_ms,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+RUN_CSV_HEADER = ",".join(f.name for f in fields(RunRow))
 
 
 @dataclass
@@ -237,32 +195,13 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
     def summary_csv(self) -> str:
-        head = (
-            "family,n,algorithm,direction,runs,mean_rate,min_rate,max_rate,"
-            "mean_ratio,mean_value,mean_eval_calls,mean_wall_ms,median_wall_ms"
-        )
-        lines = [head]
+        names = [f.name for f in fields(CellAggregate)]
+        split = names.index("runs") + 1  # the cell key and run count, then the statistics
+        lines = [",".join(names)]
         for agg in self.aggregates():
             d = agg.to_dict()
-            cols = [
-                d["family"],
-                str(d["n"]),
-                d["algorithm"],
-                d["direction"],
-                str(d["runs"]),
-            ]
-            for key in (
-                "mean_rate",
-                "min_rate",
-                "max_rate",
-                "mean_ratio",
-                "mean_value",
-                "mean_eval_calls",
-                "mean_wall_ms",
-                "median_wall_ms",
-            ):
-                v = d[key]
-                cols.append("" if v is None else repr(float(v)))
+            cols = [str(d[k]) for k in names[:split]]
+            cols += ["" if d[k] is None else repr(float(d[k])) for k in names[split:]]
             lines.append(",".join(cols))
         return "\n".join(lines) + "\n"
 
@@ -313,16 +252,28 @@ def _instance_spec(family: str, size: dict, seed: int) -> FunctionSpec:
     return FunctionSpec(family, size["n"], seed, params)
 
 
-def _baseline_runner(name: str, cfg: ExperimentConfig, algo_seed: int):
-    base = {
-        "rp": lambda F: random_permutation_greedy(F, cfg.baseline_trials, algo_seed),
-        "rls": lambda F: randomized_local_search(F, cfg.ls_restarts, algo_seed),
-        "rg": lambda F: randomized_bidirectional_greedy(F, cfg.baseline_trials, algo_seed),
-        "dg": lambda F: double_greedy(F, list(range(1, F.n + 1))),
-    }
-    if name in base:
-        return base[name], False
-    inner = base[name[1:]]
+#: Maximization baselines by name, called as ``run(F, trials, restarts, seed)``:
+#: ``trials`` repeats ``rp``/``rg``, ``restarts`` restarts ``rls``, ``dg`` is
+#: deterministic. Each entry looks its baseline up at call time.
+BASELINES = {
+    "rp": lambda F, trials, restarts, seed: random_permutation_greedy(F, trials, seed),
+    "rls": lambda F, trials, restarts, seed: randomized_local_search(F, restarts, seed),
+    "rg": lambda F, trials, restarts, seed: randomized_bidirectional_greedy(F, trials, seed),
+    "dg": lambda F, trials, restarts, seed: double_greedy(F, list(range(1, F.n + 1))),
+}
+
+
+def baseline_runner(name: str, trials: int, restarts: int, seed: int):
+    """The baseline ``name`` as a one-argument callable on an oracle."""
+    run = BASELINES[name]
+    return lambda F: run(F, trials, restarts, seed)
+
+
+def _algorithm_runner(name: str, cfg: ExperimentConfig, algo_seed: int):
+    """Runner for a plain or ``u``-prefixed algorithm name, and whether it is reduced."""
+    if name in BASELINES:
+        return baseline_runner(name, cfg.baseline_trials, cfg.ls_restarts, algo_seed), False
+    inner = baseline_runner(name[1:], cfg.baseline_trials, cfg.ls_restarts, algo_seed)
     return (lambda F: u_prefix(F, inner)), True
 
 
@@ -336,173 +287,108 @@ def _exact_max(oracle, n: int, cap: int) -> float:
     return value
 
 
-def run_reduction_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Per cell and trial: run both reductions, record rates, calls, wall time."""
-    report = RunReport("reduction")
-    for fi, family in enumerate(cfg.families):
-        for si, size in enumerate(cfg.sizes):
-            for trial in range(cfg.trials):
-                seed = _derived_seed(cfg.master_seed, fi, si, trial, 0)
-                try:
-                    oracle = instantiate(_instance_spec(family, size, seed))
-                    n = oracle.n
-
-                    t0 = time.perf_counter()
-                    lat_min, (up, down) = min_lattice(oracle)
-                    ms_min = (time.perf_counter() - t0) * 1000.0
-                    report.rows.append(
-                        RunRow(
-                            family,
-                            n,
-                            seed,
-                            "uqsfmin",
-                            "min",
-                            value=min(oracle.value(lat_min.lower), oracle.value(lat_min.upper)),
-                            reduction_rate=reduction_rate(lat_min, n),
-                            iterations=up.iterations + down.iterations,
-                            eval_calls=up.total_calls + down.total_calls,
-                            wall_ms=ms_min,
-                        )
-                    )
-
-                    t0 = time.perf_counter()
-                    lat_max, trace = uqsfmax(oracle)
-                    ms_max = (time.perf_counter() - t0) * 1000.0
-                    report.rows.append(
-                        RunRow(
-                            family,
-                            n,
-                            seed,
-                            "uqsfmax",
-                            "max",
-                            value=max(oracle.value(lat_max.lower), oracle.value(lat_max.upper)),
-                            reduction_rate=reduction_rate(lat_max, n),
-                            iterations=trace.iterations,
-                            eval_calls=trace.total_calls,
-                            wall_ms=ms_max,
-                        )
-                    )
-                except QsoptError as exc:
-                    report.failures.append(
-                        {"family": family, "size": size, "trial": trial, "error": str(exc)}
-                    )
-    return report
+def _timed(fn, *args):
+    t0 = time.perf_counter()
+    result = fn(*args)
+    return result, (time.perf_counter() - t0) * 1000.0
 
 
-def run_ratio_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Ratios against the exact maximum; plain and reduced variants share seeds.
+def _reduction_rows(cfg: ExperimentConfig, oracle, family: str, seed: int, algo_seed: int):
+    """Both reductions on one instance: rates, iterations, calls, wall time."""
+    n = oracle.n
+    (lat_min, (up, down)), ms = _timed(min_lattice, oracle)
+    yield RunRow(
+        family,
+        n,
+        seed,
+        "uqsfmin",
+        "min",
+        value=min(oracle.value(lat_min.lower), oracle.value(lat_min.upper)),
+        reduction_rate=reduction_rate(lat_min, n),
+        iterations=up.iterations + down.iterations,
+        eval_calls=up.total_calls + down.total_calls,
+        wall_ms=ms,
+    )
+    (lat_max, trace), ms = _timed(uqsfmax, oracle)
+    yield RunRow(
+        family,
+        n,
+        seed,
+        "uqsfmax",
+        "max",
+        value=max(oracle.value(lat_max.lower), oracle.value(lat_max.upper)),
+        reduction_rate=reduction_rate(lat_max, n),
+        iterations=trace.iterations,
+        eval_calls=trace.total_calls,
+        wall_ms=ms,
+    )
 
-    Rows where the exact maximum is not strictly positive keep their value but
-    leave the ratio blank: a ratio of signed quantities would be meaningless.
+
+def _baseline_rows(cfg: ExperimentConfig, oracle, family: str, seed: int, algo_seed: int):
+    """Every configured baseline on one instance; plain and reduced variants share seeds.
+
+    ``ratio`` adds the exact maximum, the ratio and the reduced variants'
+    iterations. Rows where the exact maximum is not strictly positive keep
+    their value but leave the ratio blank: a ratio of signed quantities would
+    be meaningless.
     """
-    report = RunReport("ratio")
-    for fi, family in enumerate(cfg.families):
-        for si, size in enumerate(cfg.sizes):
-            for trial in range(cfg.trials):
-                seed = _derived_seed(cfg.master_seed, fi, si, trial, 0)
-                algo_seed = _derived_seed(cfg.master_seed, fi, si, trial, 1)
-                try:
-                    oracle = instantiate(_instance_spec(family, size, seed))
-                    n = oracle.n
-                    exact_value = _exact_max(oracle, n, cfg.enumeration_cap)
-                    for name in cfg.algorithms:
-                        runner, is_u = _baseline_runner(name, cfg, algo_seed)
-                        t0 = time.perf_counter()
-                        result = runner(oracle)
-                        ms = (time.perf_counter() - t0) * 1000.0
-                        if is_u:
-                            rate = reduction_rate(result.lattice, n)
-                            iters = result.trace.iterations
-                            calls = result.trace.total_calls + (
-                                result.inner.oracle_calls if result.inner else 0
-                            )
-                        else:
-                            rate = None
-                            iters = None
-                            calls = result.oracle_calls
-                        ratio = result.value / exact_value if exact_value > 0.0 else None
-                        report.rows.append(
-                            RunRow(
-                                family,
-                                n,
-                                seed,
-                                name,
-                                "max",
-                                value=result.value,
-                                exact_value=exact_value,
-                                ratio=ratio,
-                                reduction_rate=rate,
-                                iterations=iters,
-                                eval_calls=calls,
-                                wall_ms=ms,
-                            )
-                        )
-                except QsoptError as exc:
-                    report.failures.append(
-                        {"family": family, "size": size, "trial": trial, "error": str(exc)}
-                    )
-    return report
-
-
-def run_timing_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Wall-clock per algorithm; one unmeasured warmup run per cell."""
-    report = RunReport("timing")
-    for fi, family in enumerate(cfg.families):
-        for si, size in enumerate(cfg.sizes):
-            warm_seed = _derived_seed(cfg.master_seed, fi, si, 0, 0)
-            warm_algo = _derived_seed(cfg.master_seed, fi, si, 0, 1)
-            try:
-                warm_oracle = instantiate(_instance_spec(family, size, warm_seed))
-                for name in cfg.algorithms:
-                    runner, _ = _baseline_runner(name, cfg, warm_algo)
-                    runner(warm_oracle)
-            except QsoptError as exc:
-                report.failures.append(
-                    {"family": family, "size": size, "trial": "warmup", "error": str(exc)}
-                )
-                continue
-            for trial in range(cfg.trials):
-                seed = _derived_seed(cfg.master_seed, fi, si, trial, 0)
-                algo_seed = _derived_seed(cfg.master_seed, fi, si, trial, 1)
-                try:
-                    oracle = instantiate(_instance_spec(family, size, seed))
-                    n = oracle.n
-                    for name in cfg.algorithms:
-                        runner, is_u = _baseline_runner(name, cfg, algo_seed)
-                        t0 = time.perf_counter()
-                        result = runner(oracle)
-                        ms = (time.perf_counter() - t0) * 1000.0
-                        rate = reduction_rate(result.lattice, n) if is_u else None
-                        calls = (
-                            result.trace.total_calls
-                            + (result.inner.oracle_calls if result.inner else 0)
-                            if is_u
-                            else result.oracle_calls
-                        )
-                        report.rows.append(
-                            RunRow(
-                                family,
-                                n,
-                                seed,
-                                name,
-                                "max",
-                                value=result.value,
-                                reduction_rate=rate,
-                                eval_calls=calls,
-                                wall_ms=ms,
-                            )
-                        )
-                except QsoptError as exc:
-                    report.failures.append(
-                        {"family": family, "size": size, "trial": trial, "error": str(exc)}
-                    )
-    return report
+    n = oracle.n
+    with_exact = cfg.experiment == "ratio"
+    exact_value = _exact_max(oracle, n, cfg.enumeration_cap) if with_exact else None
+    for name in cfg.algorithms:
+        runner, is_u = _algorithm_runner(name, cfg, algo_seed)
+        result, ms = _timed(runner, oracle)
+        row = RunRow(family, n, seed, name, "max", value=result.value, wall_ms=ms)
+        if is_u:
+            row.reduction_rate = reduction_rate(result.lattice, n)
+            row.eval_calls = result.trace.total_calls + (
+                result.inner.oracle_calls if result.inner else 0
+            )
+        else:
+            row.eval_calls = result.oracle_calls
+        if with_exact:
+            row.exact_value = exact_value
+            row.ratio = result.value / exact_value if exact_value > 0.0 else None
+            row.iterations = result.trace.iterations if is_u else None
+        yield row
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    runner = {
-        "reduction": run_reduction_experiment,
-        "ratio": run_ratio_experiment,
-        "timing": run_timing_experiment,
-    }[cfg.experiment]
-    return runner(cfg)
+    """Run every family x size x trial cell of the config.
+
+    ``timing`` first runs one unmeasured warmup per cell on the trial-0
+    instance; a failed warmup skips the cell.
+    """
+    report = RunReport(cfg.experiment)
+    build_rows = _reduction_rows if cfg.experiment == "reduction" else _baseline_rows
+    warmup = ["warmup"] if cfg.experiment == "timing" else []
+    for fi, family in enumerate(cfg.families):
+        for si, size in enumerate(cfg.sizes):
+            for trial in warmup + list(range(cfg.trials)):
+                key = 0 if trial == "warmup" else trial
+                seed = _derived_seed(cfg.master_seed, fi, si, key, 0)
+                algo_seed = _derived_seed(cfg.master_seed, fi, si, key, 1)
+                try:
+                    oracle = instantiate(_instance_spec(family, size, seed))
+                    for row in build_rows(cfg, oracle, family, seed, algo_seed):
+                        if trial != "warmup":
+                            report.rows.append(row)
+                except QsoptError as exc:
+                    report.failures.append(
+                        {"family": family, "size": size, "trial": trial, "error": str(exc)}
+                    )
+                    if trial == "warmup":
+                        break
+    return report
+
+
+def run_reduction_experiment(cfg: ExperimentConfig) -> RunReport:
+    return run_experiment(replace(cfg, experiment="reduction"))
+
+
+def run_ratio_experiment(cfg: ExperimentConfig) -> RunReport:
+    return run_experiment(replace(cfg, experiment="ratio"))
+
+
+def run_timing_experiment(cfg: ExperimentConfig) -> RunReport:
+    return run_experiment(replace(cfg, experiment="timing"))

@@ -142,16 +142,6 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
     def evaluate(t: SubsetBits) -> float:
         return oracle.value(lift(t))
 
-    fast_marginal = None
-    fast_drop = None
-    if getattr(oracle, "_fast_marginal", None) is not None:
-        def fast_marginal(i: int, t: SubsetBits) -> float:
-            return oracle.marginal(free_ids[i - 1], lift(t))
-
-    if getattr(oracle, "_fast_drop", None) is not None:
-        def fast_drop(d: int, t: SubsetBits) -> float:
-            return oracle.drop_marginal(free_ids[d - 1], lift(t))
-
     def cursor_factory(_owner, start: SubsetBits) -> Cursor:
         return _RestrictedCursor(oracle.cursor(lift(start)), free_ids, start)
 
@@ -159,8 +149,6 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
         SetFunctionOracle(
             GroundSet(m),
             evaluate,
-            fast_marginal=fast_marginal,
-            fast_drop_marginal=fast_drop,
             cursor_factory=cursor_factory,
             name=f"restricted({getattr(oracle, 'name', '')}, free={m})",
         ),

@@ -99,10 +99,6 @@ class SetFunctionOracle:
     def value(self, x: SubsetBits) -> float:
         return float(self._eval(x))
 
-    @property
-    def has_fast_marginal(self) -> bool:
-        return self._fast_marginal is not None
-
     def marginal(self, i: int, x: SubsetBits) -> float:
         """Marginal gain F(i | X) = F(X + i) - F(X); requires i not in X."""
         if x.contains(i):
@@ -123,14 +119,6 @@ class SetFunctionOracle:
         if self._cursor_factory is not None:
             return self._cursor_factory(self, start)
         return Cursor(self, start)
-
-
-def marginal_gain(oracle, i: int, x: SubsetBits) -> float:
-    return oracle.marginal(i, x)
-
-
-def drop_marginal(oracle, d: int, x: SubsetBits) -> float:
-    return oracle.drop_marginal(d, x)
 
 
 class _CountingCursor(Cursor):
@@ -166,9 +154,9 @@ class _CountingCursor(Cursor):
 class CountingOracle:
     """Transparent wrapper that counts oracle traffic.
 
-    ``eval_calls`` counts full evaluations, ``marginal_calls`` counts fast
-    marginal queries (each worth at most two evaluations). Returned values are
-    identical to the wrapped oracle's.
+    ``eval_calls`` counts full evaluations, ``marginal_calls`` counts family
+    cursor marginal queries (each worth at most two evaluations). Returned
+    values are identical to the wrapped oracle's.
     """
 
     def __init__(self, inner):
@@ -188,29 +176,9 @@ class CountingOracle:
     def total_calls(self) -> int:
         return self.eval_calls + self.marginal_calls
 
-    @property
-    def has_fast_marginal(self) -> bool:
-        return self.inner.has_fast_marginal
-
     def value(self, x: SubsetBits) -> float:
         self.eval_calls += 1
         return self.inner.value(x)
-
-    def marginal(self, i: int, x: SubsetBits) -> float:
-        if x.contains(i):
-            raise ValueError(f"element {i} already in the set")
-        if getattr(self.inner, "_fast_marginal", None) is not None:
-            self.marginal_calls += 1
-            return self.inner.marginal(i, x)
-        return self.value(x.add(i)) - self.value(x)
-
-    def drop_marginal(self, d: int, x: SubsetBits) -> float:
-        if not x.contains(d):
-            raise ValueError(f"element {d} not in the set")
-        if getattr(self.inner, "_fast_drop", None) is not None:
-            self.marginal_calls += 1
-            return self.inner.drop_marginal(d, x)
-        return self.value(x) - self.value(x.remove(d))
 
     def cursor(self, start: SubsetBits) -> Cursor:
         factory = getattr(self.inner, "_cursor_factory", None)

@@ -141,26 +141,6 @@ class SubsetBits:
         return f"SubsetBits({self.capacity}, {format_set(self)})"
 
 
-def union(x: SubsetBits, y: SubsetBits) -> SubsetBits:
-    return x.union(y)
-
-
-def intersection(x: SubsetBits, y: SubsetBits) -> SubsetBits:
-    return x.intersection(y)
-
-
-def difference(x: SubsetBits, y: SubsetBits) -> SubsetBits:
-    return x.difference(y)
-
-
-def is_subset(x: SubsetBits, y: SubsetBits) -> bool:
-    return x.is_subset(y)
-
-
-def cardinality(x: SubsetBits) -> int:
-    return x.cardinality()
-
-
 def format_set(x: SubsetBits) -> str:
     """Render as the text literal used by the CLI and reports: ``{1,3,7}``."""
     return "{" + ",".join(str(i) for i in x) + "}"
@@ -213,10 +193,6 @@ class IntervalLattice:
 
     def __repr__(self) -> str:
         return f"IntervalLattice({format_set(self.lower)}, {format_set(self.upper)})"
-
-
-def lattice_contains(lattice: IntervalLattice, x: SubsetBits) -> bool:
-    return lattice.contains(x)
 
 
 def lattice_free_count(lattice: IntervalLattice) -> int:

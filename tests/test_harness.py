@@ -12,7 +12,7 @@ from qsopt import (
     run_reduction_experiment,
     run_timing_experiment,
 )
-from qsopt.harness import RUN_CSV_HEADER
+from qsopt.harness import RUN_CSV_HEADER, run_experiment
 from qsopt.sets import IntervalLattice
 
 
@@ -124,6 +124,22 @@ class TestRatioExperiment:
         # com is strictly positive, so ratios always present here
         assert all(r.ratio is not None for r in report.rows)
 
+    def test_failed_cells_recorded_and_successful_rows_kept(self, tmp_path):
+        # a zero enumeration cap fails every trial whose reduced interval keeps a free element
+        cfg = ExperimentConfig(
+            "ratio", ["com", "determinant"], [{"n": 24}], trials=2, master_seed=1,
+            algorithms=["dg", "udg"], enumeration_cap=0,
+        )
+        report = run_ratio_experiment(cfg)
+        failed = [(f["family"], f["trial"]) for f in report.failures]
+        assert failed == [("com", 0), ("determinant", 0), ("determinant", 1)]
+        assert all("cap is 0" in f["error"] for f in report.failures)
+        assert [(r.family, r.algorithm) for r in report.rows] == [("com", "dg"), ("com", "udg")]
+        assert len({r.seed for r in report.rows}) == 1
+        written = report.write(tmp_path)
+        assert tmp_path / "failures.json" in written
+        assert json.loads((tmp_path / "failures.json").read_text()) == report.failures
+
 
 class TestTimingExperiment:
     def test_fields_nonnegative_and_median_present(self):
@@ -150,13 +166,14 @@ class TestTimingExperiment:
 
 
 class TestReportDeterminism:
-    def test_identical_runs_modulo_timing(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["reduction", "ratio", "timing"])
+    def test_identical_runs_modulo_timing(self, tmp_path, experiment):
         cfg = ExperimentConfig(
-            "ratio", ["com", "half_products"], [10], trials=2, master_seed=77,
+            experiment, ["com", "half_products"], [10], trials=2, master_seed=77,
             algorithms=["rp", "urp", "rls", "urls"],
         )
-        out_a = run_ratio_experiment(cfg)
-        out_b = run_ratio_experiment(cfg)
+        out_a = run_experiment(cfg)
+        out_b = run_experiment(cfg)
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         out_a.write(tmp_path / "a")

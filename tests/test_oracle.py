@@ -2,8 +2,9 @@ import pytest
 
 from qsopt import (
     CountingOracle,
+    GroundSet,
+    SetFunctionOracle,
     SubsetBits,
-    drop_marginal,
     make_com,
     make_determinant,
     make_half_products,
@@ -11,7 +12,6 @@ from qsopt import (
     make_perturbed_facility,
     make_cobb_douglas,
     make_tabular,
-    marginal_gain,
     values_close,
 )
 from qsopt.functions import _stream
@@ -21,31 +21,31 @@ from conftest import PROP_TABLE
 
 def test_marginal_gain_reference_table():
     F = make_tabular(PROP_TABLE)
-    assert marginal_gain(F, 1, SubsetBits.empty(2)) == -1.0
+    assert F.marginal(1, SubsetBits.empty(2)) == -1.0
 
 
 def test_marginal_gain_deterministic():
     F = make_com(6, 3)
     x = SubsetBits.from_members(6, [2, 5])
-    assert marginal_gain(F, 3, x) == marginal_gain(F, 3, x)
+    assert F.marginal(3, x) == F.marginal(3, x)
 
 
 def test_marginal_gain_iwata():
     F = make_iwata(5)
-    assert marginal_gain(F, 5, SubsetBits.empty(5)) == -11.0
+    assert F.marginal(5, SubsetBits.empty(5)) == -11.0
 
 
 def test_marginal_gain_requires_absent_element():
     F = make_iwata(4)
     with pytest.raises(ValueError):
-        marginal_gain(F, 2, SubsetBits.from_members(4, [2]))
+        F.marginal(2, SubsetBits.from_members(4, [2]))
     with pytest.raises(ValueError):
-        marginal_gain(F, 9, SubsetBits.empty(4))
+        F.marginal(9, SubsetBits.empty(4))
 
 
 def test_drop_marginal_reference_table():
     F = make_tabular(PROP_TABLE)
-    assert drop_marginal(F, 2, SubsetBits.full(2)) == 1.0
+    assert F.drop_marginal(2, SubsetBits.full(2)) == 1.0
 
 
 def test_drop_marginal_singleton_equals_gain_from_empty():
@@ -53,14 +53,14 @@ def test_drop_marginal_singleton_equals_gain_from_empty():
     for i in range(1, 6):
         single = SubsetBits.from_members(5, [i])
         assert values_close(
-            drop_marginal(F, i, single), marginal_gain(F, i, SubsetBits.empty(5))
+            F.drop_marginal(i, single), F.marginal(i, SubsetBits.empty(5))
         )
 
 
 def test_drop_marginal_iwata_full_set():
     # direct evaluation of both sets: F(N) - F(N - 1) = -25 - (-26)
     F = make_iwata(5)
-    assert drop_marginal(F, 1, SubsetBits.full(5)) == 1.0
+    assert F.drop_marginal(1, SubsetBits.full(5)) == 1.0
     assert F.value(SubsetBits.full(5)) == -25.0
     assert F.value(SubsetBits.full(5).remove(1)) == -26.0
 
@@ -68,7 +68,7 @@ def test_drop_marginal_iwata_full_set():
 def test_drop_marginal_requires_member():
     F = make_iwata(4)
     with pytest.raises(ValueError):
-        drop_marginal(F, 1, SubsetBits.empty(4))
+        F.drop_marginal(1, SubsetBits.empty(4))
 
 
 FAMILY_INSTANCES = [
@@ -154,17 +154,21 @@ class TestCountingOracle:
         assert C.eval_calls == 2
 
     def test_marginal_counting_fast_path(self):
+        # a family cursor: one anchor evaluation each, then counted marginal queries
         F = make_iwata(6)
         C = CountingOracle(F)
-        C.marginal(3, SubsetBits.empty(6))
-        C.drop_marginal(2, SubsetBits.full(6))
+        assert C.cursor(SubsetBits.empty(6)).add_marginal(3) == F.marginal(3, SubsetBits.empty(6))
+        assert C.cursor(SubsetBits.full(6)).drop_marginal(2) == F.drop_marginal(2, SubsetBits.full(6))
         assert C.marginal_calls == 2
-        assert C.eval_calls == 0
+        assert C.eval_calls == 2
 
     def test_marginal_counting_slow_path(self):
-        F = make_determinant(6, 1)  # no one-shot fast marginal
+        # no cursor factory: the generic cursor's evaluations route through the counter
+        D = make_determinant(6, 1)
+        F = SetFunctionOracle(GroundSet(6), D.value)
         C = CountingOracle(F)
-        C.marginal(3, SubsetBits.empty(6))
+        gain = C.cursor(SubsetBits.empty(6)).add_marginal(3)
+        assert values_close(gain, D.marginal(3, SubsetBits.empty(6)))
         assert C.eval_calls == 2
         assert C.marginal_calls == 0
 

@@ -9,7 +9,6 @@ from qsopt import (
     SubsetBits,
     enumerate_lattice,
     format_set,
-    lattice_contains,
     lattice_free_count,
     parse_set,
 )
@@ -111,7 +110,7 @@ class TestIntervalLattice:
     def test_full_lattice_contains_everything(self):
         lat = IntervalLattice(SubsetBits.empty(3), SubsetBits.full(3))
         for mask in range(8):
-            assert lattice_contains(lat, SubsetBits(3, mask))
+            assert lat.contains(SubsetBits(3, mask))
 
     def test_lower_bound_enforced(self):
         lat = IntervalLattice(bits(2, 1), bits(2, 1, 2))
