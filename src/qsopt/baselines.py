@@ -7,12 +7,13 @@ trials could run independently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .oracle import CountingOracle
+from .oracle import CountingOracle, require_no_nan
 from .sets import SubsetBits
 
 
@@ -98,21 +99,25 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
     n = counter.n
     best_set: Optional[SubsetBits] = None
     best_value = -np.inf
+    ids = np.arange(1, n + 1)
     for restart in range(restarts):
         rng = _trial_rng(seed, restart)
         current = SubsetBits.from_bool_array(rng.random(n) < 0.5)
         cursor = counter.cursor(current)
-        while True:
-            best_flip = None
-            best_gain = 0.0
-            for i in range(1, n + 1):
-                gain = -cursor.drop_marginal(i) if current.contains(i) else cursor.add_marginal(i)
-                if gain > best_gain:
-                    best_gain = gain
-                    best_flip = i
-            if best_flip is None:
+        for step in itertools.count():
+            members = current.to_bool_array()
+            inside = np.flatnonzero(members)
+            outside = np.flatnonzero(~members)
+            gains = np.empty(n)
+            gains[inside] = -cursor.drop_marginals(inside + 1)
+            gains[outside] = cursor.add_marginals(outside + 1)
+            require_no_nan(gains, ids, f"rls restart {restart} step {step}")
+            # argmax takes the first maximum: the lowest id on ties
+            best = int(np.argmax(gains))
+            if gains[best] <= 0.0:
                 break
-            if current.contains(best_flip):
+            best_flip = best + 1
+            if members[best]:
                 current = current.remove(best_flip)
                 cursor.remove(best_flip)
             else:

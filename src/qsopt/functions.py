@@ -2,7 +2,8 @@
 
 Families: iwata, com (concave-over-modular), half_products (served as the
 negated maximization objective), perturbed_facility, determinant,
-cobb_douglas, and small tabular functions. Instances are reproducible:
+cobb_douglas, and small tabular functions. Each family cursor answers batch
+queries with a few numpy calls over the id array. Instances are reproducible:
 parameter array k of a family is drawn from the PCG64 stream seeded with
 ``SeedSequence(seed, spawn_key=(k,))``, so (family, n, seed) pins every bit.
 """
@@ -15,7 +16,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import ConfigError, InternalInvariantError
 from .oracle import Cursor, SetFunctionOracle
@@ -165,6 +167,12 @@ class _IwataCursor(Cursor):
     def drop_marginal(self, d: int) -> float:
         return float(3 * self._n - 2 * self._k + 1 - 5 * d)
 
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return (3 * self._n - 2 * self._k - 1 - 5 * ids).astype(float)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return (3 * self._n - 2 * self._k + 1 - 5 * ids).astype(float)
+
     def add(self, u: int) -> None:
         self._value += self.add_marginal(u)
         self._current = self._current.add(u)
@@ -237,6 +245,14 @@ class _ComCursor(Cursor):
     def drop_marginal(self, d: int) -> float:
         s = max(self._s1, 0.0)
         return math.sqrt(s) - math.sqrt(max(s - self._w1[d - 1], 0.0)) - self._w2[d - 1]
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        s = max(self._s1, 0.0)
+        return np.sqrt(s + self._w1[ids - 1]) - math.sqrt(s) - self._w2[ids - 1]
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        s = max(self._s1, 0.0)
+        return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1[ids - 1], 0.0)) - self._w2[ids - 1]
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -339,6 +355,16 @@ class _HalfProductsCursor(Cursor):
     def drop_marginal(self, d: int) -> float:
         # d is a member; prefix/suffix exclude d itself by index choice
         return float(self._c[d - 1]) - self._pair_term(d)
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._refresh()
+        a = self._a[ids - 1]
+        b = self._b[ids - 1]
+        pair = a * b + b * self._prefix_a[ids - 1] + a * self._suffix_b[ids]
+        return self._c[ids - 1] - pair
+
+    # members too: prefix/suffix exclude the id itself by index choice
+    drop_marginals = add_marginals
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -447,6 +473,18 @@ class _FacilityCursor(Cursor):
         loses = (row == self._max1) & (self._counts == 1)
         return float(((self._max1 - self._max2) * loses).sum() + self._sigma[d - 1])
 
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._refresh()
+        gains = self._mat[ids - 1]
+        gains -= self._max1
+        np.maximum(gains, 0.0, out=gains)
+        return gains.sum(axis=1) + self._sigma[ids - 1]
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._refresh()
+        loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
+        return ((self._max1 - self._max2) * loses).sum(axis=1) + self._sigma[ids - 1]
+
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
         self._dirty = True
@@ -545,8 +583,11 @@ class _DeterminantCursor(Cursor):
             sub = self._kernel[np.ix_(idx, idx)]
             self._chol = cholesky(sub, lower=True)
             self._det = float(np.prod(np.diag(self._chol)) ** 2)
-            inv = cho_solve((self._chol, True), np.eye(len(idx)))
-            self._inv_diag = np.diag(inv).copy()
+            # K_X^{-1} = L^{-T} L^{-1}: its diagonal is the column sums of squares of L^{-1}
+            chol_inv, info = dtrtri(self._chol, lower=1)
+            if info != 0:
+                raise InternalInvariantError(f"Cholesky factor is singular (dtrtri info={info})")
+            self._inv_diag = np.einsum("ij,ij->j", chol_inv, chol_inv)
         self._dirty = False
 
     def members(self) -> SubsetBits:
@@ -571,6 +612,20 @@ class _DeterminantCursor(Cursor):
         pos = int(np.searchsorted(self._idx, d - 1))
         # det(K_{X-d}) = det(K_X) * (K_X^{-1})_{dd}
         return self._det * float(1.0 - self._inv_diag[pos])
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._refresh()
+        kuu = self._kernel[ids - 1, ids - 1]
+        if self._chol is None:
+            return kuu - 1.0
+        y = solve_triangular(self._chol, self._kernel[np.ix_(self._idx, ids - 1)], lower=True)
+        schur = kuu - np.einsum("ij,ij->j", y, y)
+        return self._det * (schur - 1.0)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._refresh()
+        pos = np.searchsorted(self._idx, ids - 1)
+        return self._det * (1.0 - self._inv_diag[pos])
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -684,6 +739,12 @@ class _CobbCursor(Cursor):
     def drop_marginal(self, d: int) -> float:
         return -math.exp(self._logsum) * math.expm1(-self._delta[d - 1])
 
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return math.exp(self._logsum) * np.expm1(self._delta[ids - 1])
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return -math.exp(self._logsum) * np.expm1(-self._delta[ids - 1])
+
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
         self._logsum += self._delta[u - 1]
@@ -756,6 +817,12 @@ class _TabularCursor(Cursor):
 
     def drop_marginal(self, d: int) -> float:
         return float(self._values[self._mask] - self._values[self._mask & ~(1 << (d - 1))])
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._values[self._mask | (1 << (ids - 1))] - self._values[self._mask]
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._values[self._mask] - self._values[self._mask & ~(1 << (ids - 1))]
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)

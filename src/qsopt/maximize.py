@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from .baselines import BaselineResult
 from .errors import InternalInvariantError
-from .oracle import CountingOracle, Cursor, SetFunctionOracle
+from .oracle import CountingOracle, Cursor, SetFunctionOracle, require_no_nan
 from .sets import GroundSet, IntervalLattice, SubsetBits
 
 
@@ -70,27 +72,22 @@ def uqsfmax(oracle, *, report_local_max: bool = False) -> tuple[IntervalLattice,
     for t in range(n + 2):
         fx = counter.value(x)
         fy = counter.value(y)
-        free = y.difference(x)
-        added = [u for u in free if cursor_y.drop_marginal(u) > 0.0]
-        removed = [d for d in free if cursor_x.add_marginal(d) < 0.0]
-        steps.append(
-            MaxStep(
-                t,
-                SubsetBits.from_members(n, added),
-                SubsetBits.from_members(n, removed),
-                fx,
-                fy,
-                counter.total_calls,
-            )
-        )
-        x_next = x
+        free = np.flatnonzero(y.to_bool_array() & ~x.to_bool_array()) + 1
+        drops = cursor_y.drop_marginals(free)
+        require_no_nan(drops, free, f"uqsfmax iteration {t}, drop from Y")
+        gains = cursor_x.add_marginals(free)
+        require_no_nan(gains, free, f"uqsfmax iteration {t}, add to X")
+        added = free[drops > 0.0].tolist()
+        removed = free[gains < 0.0].tolist()
+        added_set = SubsetBits.from_members(n, added)
+        removed_set = SubsetBits.from_members(n, removed)
+        steps.append(MaxStep(t, added_set, removed_set, fx, fy, counter.total_calls))
         for u in added:
             cursor_x.add(u)
-            x_next = x_next.add(u)
-        y_next = y
         for d in removed:
             cursor_y.remove(d)
-            y_next = y_next.remove(d)
+        x_next = x.union(added_set)
+        y_next = y.difference(removed_set)
         if not x_next.is_subset(y_next):
             raise InternalInvariantError(
                 f"working interval collapsed: {x_next} not inside {y_next}; "
@@ -160,6 +157,7 @@ class _RestrictedCursor(Cursor):
     def __init__(self, inner: Cursor, free_ids: list[int], start: SubsetBits):
         self._inner = inner
         self._free_ids = free_ids
+        self._free_arr = np.asarray(free_ids, dtype=np.int64)
         self._current = start
 
     def members(self) -> SubsetBits:
@@ -173,6 +171,12 @@ class _RestrictedCursor(Cursor):
 
     def drop_marginal(self, d: int) -> float:
         return self._inner.drop_marginal(self._free_ids[d - 1])
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._inner.add_marginals(self._free_arr[ids - 1])
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._inner.drop_marginals(self._free_arr[ids - 1])
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalInvariantError
-from .oracle import CountingOracle
+from .oracle import CountingOracle, require_no_nan
 from .sets import IntervalLattice, SubsetBits
 
 
@@ -57,17 +59,23 @@ def uqsfmin(oracle, x0: SubsetBits) -> tuple[SubsetBits, MinTrace]:
     """
     counter = CountingOracle(oracle)
     n = counter.n
-    ground = counter.ground
     x = x0
     cursor = counter.cursor(x0)
     steps: list[MinStep] = []
     for t in range(n + 2):
         fx = counter.value(x)
-        added = [u for u in ground.elements() if not x.contains(u) and cursor.add_marginal(u) < 0.0]
+        members = x.to_bool_array()
+        outside = np.flatnonzero(~members) + 1
+        gains = cursor.add_marginals(outside)
+        require_no_nan(gains, outside, f"uqsfmin iteration {t}, add")
+        added = outside[gains < 0.0].tolist()
         for u in added:
             cursor.add(u)
         # cursor now sits at Y_t; drops are judged against it, members of X_t only
-        removed = [d for d in x if cursor.drop_marginal(d) > 0.0]
+        inside = np.flatnonzero(members) + 1
+        drops = cursor.drop_marginals(inside)
+        require_no_nan(drops, inside, f"uqsfmin iteration {t}, drop")
+        removed = inside[drops > 0.0].tolist()
         for d in removed:
             cursor.remove(d)
         steps.append(

@@ -5,6 +5,14 @@ optional cursor factory. A cursor is an incremental view anchored at a working
 set: it answers add/drop marginal queries against that set and can be moved one
 element at a time, which is what the reduction algorithms need to stay cheap at
 n in the thousands.
+
+Queries come in two shapes. ``add_marginal(u)``/``drop_marginal(d)`` answer one
+element; ``add_marginals(ids)``/``drop_marginals(ids)`` answer a whole array of
+1-based ids against the same anchored set and return a float ndarray. The
+reductions and local search judge every candidate against one frozen set per
+sweep, so they ask in batches; double greedy moves after every query, so it
+asks one element at a time. Either way ``CountingOracle`` books one marginal
+call per element queried: a batch of k counts as k.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import InternalInvariantError
 from .sets import GroundSet, SubsetBits
 
 EvalFn = Callable[[SubsetBits], float]
@@ -32,7 +41,11 @@ class Cursor:
     """Incremental view of F anchored at a working set.
 
     The default implementation answers every query with fresh evaluations;
-    benchmark families install O(1)-update replacements.
+    benchmark families install O(1)-update replacements with vectorized
+    batches. The base batch queries loop over the scalar ones, so a wrapper
+    that overrides only ``add_marginal``/``drop_marginal`` (a timing proxy
+    around a family cursor, say) still sees every query of a batch, one at a
+    time, and needs no ``_oracle`` of its own.
     """
 
     def __init__(self, oracle: "SetFunctionOracle", start: SubsetBits):
@@ -53,6 +66,14 @@ class Cursor:
     def drop_marginal(self, d: int) -> float:
         """F(d | X - d) = F(X) - F(X - d) for d inside the anchored set X."""
         return self._value - self._oracle.value(self._current.remove(d))
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        """``add_marginal`` of each id in ``ids``, all outside the anchored set."""
+        return np.array([self.add_marginal(int(u)) for u in ids], dtype=float)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        """``drop_marginal`` of each id in ``ids``, all inside the anchored set."""
+        return np.array([self.drop_marginal(int(d)) for d in ids], dtype=float)
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -144,6 +165,14 @@ class _CountingCursor(Cursor):
         self._counter.marginal_calls += 1
         return self._inner.drop_marginal(d)
 
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._counter.marginal_calls += len(ids)
+        return self._inner.add_marginals(ids)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._counter.marginal_calls += len(ids)
+        return self._inner.drop_marginals(ids)
+
     def add(self, u: int) -> None:
         self._inner.add(u)
 
@@ -155,8 +184,8 @@ class CountingOracle:
     """Transparent wrapper that counts oracle traffic.
 
     ``eval_calls`` counts full evaluations, ``marginal_calls`` counts family
-    cursor marginal queries (each worth at most two evaluations). Returned
-    values are identical to the wrapped oracle's.
+    cursor marginal queries (each worth at most two evaluations; a batch of k
+    ids counts k). Returned values are identical to the wrapped oracle's.
     """
 
     def __init__(self, inner):
@@ -185,6 +214,17 @@ class CountingOracle:
         if factory is not None:
             return _CountingCursor(self, factory(self.inner, start))
         return Cursor(self, start)  # generic cursor; its evals route through us
+
+
+def require_no_nan(gains: np.ndarray, ids: np.ndarray, where: str) -> None:
+    """Raise InternalInvariantError naming the first id whose marginal is NaN.
+
+    A NaN fails every strict sign test, so without this check a NaN oracle
+    would pass for a fixed point.
+    """
+    if np.isnan(gains).any():
+        bad = int(ids[np.flatnonzero(np.isnan(gains))[0]])
+        raise InternalInvariantError(f"{where}: marginal of element {bad} is NaN")
 
 
 def eval_table(oracle, n: int) -> np.ndarray:

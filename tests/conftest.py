@@ -13,6 +13,9 @@ from qsopt.functions import _stream
 PROP_TABLE = [1.0, 0.0, 1.5, 1.0]
 # Submodular with two incomparable local maxima {1} and {2}.
 TWIN_PEAKS_TABLE = [1.0, 1.5, 1.5, 1.0]
+# Three elements, values 7..0 by bitmask, with F({1}) = NaN: every strict sign
+# test on a NaN marginal is false, so a silent run would report a "fixed point".
+NAN_TABLE = [7.0, float("nan"), 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qsopt import (
+    InternalInvariantError,
     SubsetBits,
     double_greedy,
     exact_opt,
@@ -14,7 +15,7 @@ from qsopt import (
 )
 from qsopt.sets import IntervalLattice
 
-from conftest import nonneg_submodular_oracle
+from conftest import NAN_TABLE, nonneg_submodular_oracle
 
 
 class TestDoubleGreedy:
@@ -95,6 +96,12 @@ class TestRandomizedLocalSearch:
         F = make_random_qsb(8, 77)
         result = randomized_local_search(F, 1, 3)
         assert is_local_max(F, result.set)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nan_marginal_fails_loudly(self, seed):
+        # every climb ends at {} or passes a set next to {1}, where a marginal is NaN
+        with pytest.raises(InternalInvariantError, match=r"rls restart 0 step \d+: marginal of element \d is NaN"):
+            randomized_local_search(make_tabular(NAN_TABLE), 1, seed)
 
 
 class TestRandomizedBidirectionalGreedy:

@@ -7,7 +7,7 @@ import pytest
 
 from qsopt import FunctionSpec, save_spec, tabular_spec
 
-from conftest import PROP_TABLE, TWIN_PEAKS_TABLE
+from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
 
 # table that is not quasi-submodular and trips the reduction guard
 CYCLING_TABLE = [
@@ -124,6 +124,14 @@ class TestExact:
         proc = qsopt("exact", "--spec", str(path), "--direction", "min", "--within-from", "min-lattice")
         assert proc.returncode == 3
         assert "invariant" in proc.stderr
+
+    def test_nan_marginal_exit_code(self, tmp_path):
+        # json.dumps writes NaN as a literal that the spec loader reads back
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"family": "tabular", "n": 3, "params": {"values": NAN_TABLE}}))
+        proc = qsopt("min", "--spec", str(path))
+        assert proc.returncode == 3
+        assert "marginal of element 1 is NaN" in proc.stderr
 
 
 class TestBench:

@@ -1,6 +1,7 @@
 import pytest
 
 from qsopt import (
+    InternalInvariantError,
     SubsetBits,
     double_greedy,
     enumerate_local_optima,
@@ -14,6 +15,8 @@ from qsopt import (
 )
 from qsopt.maximize import restricted_oracle
 from qsopt.sets import IntervalLattice
+
+from conftest import NAN_TABLE
 
 
 class TestUqsfmaxReferenceTables:
@@ -42,6 +45,11 @@ class TestUqsfmaxReferenceTables:
         lattice, trace = uqsfmax(make_tabular(table))
         assert lattice.lower == SubsetBits.full(3) == lattice.upper
         assert trace.steps[0].added == SubsetBits.full(3)
+
+
+def test_nan_marginal_fails_loudly():
+    with pytest.raises(InternalInvariantError, match="iteration 0, add to X: marginal of element 1 is NaN"):
+        uqsfmax(make_tabular(NAN_TABLE))
 
 
 class TestLatticeInvariants:

@@ -16,6 +16,8 @@ from qsopt import (
 )
 from qsopt.sets import IntervalLattice
 
+from conftest import NAN_TABLE
+
 
 class TestUqsfminReferenceTable:
     def test_from_empty(self, prop_oracle):
@@ -134,6 +136,10 @@ class TestIterationBounds:
         F = make_tabular(values)
         with pytest.raises(InternalInvariantError):
             min_lattice(F)
+
+    def test_nan_marginal_fails_loudly(self):
+        with pytest.raises(InternalInvariantError, match="iteration 0, add: marginal of element 1 is NaN"):
+            min_lattice(make_tabular(NAN_TABLE))
 
 
 def test_arbitrary_start_reports_local_min_empirically():

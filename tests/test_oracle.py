@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qsopt import (
@@ -11,10 +12,17 @@ from qsopt import (
     make_iwata,
     make_perturbed_facility,
     make_cobb_douglas,
+    make_random_qsb,
     make_tabular,
+    min_lattice,
+    randomized_local_search,
+    uqsfmax,
     values_close,
 )
 from qsopt.functions import _stream
+from qsopt.maximize import restricted_oracle
+from qsopt.oracle import Cursor
+from qsopt.sets import IntervalLattice
 
 from conftest import PROP_TABLE
 
@@ -115,7 +123,27 @@ def test_fast_marginal_matches_eval_difference(name, build):
         assert values_close(got, want), (name, i, str(x), got, want)
 
 
-@pytest.mark.parametrize("name,build", FAMILY_INSTANCES, ids=[f[0] for f in FAMILY_INSTANCES])
+def restricted_com():
+    """com over 40 elements seen through the 30 free elements of [{1..5}, N - {36..40}]."""
+    lower = SubsetBits.from_members(40, range(1, 6))
+    upper = SubsetBits.from_members(40, range(1, 36))
+    return restricted_oracle(make_com(40, 5), IntervalLattice(lower, upper))[0]
+
+
+CURSOR_INSTANCES = FAMILY_INSTANCES + [
+    ("tabular", lambda: make_random_qsb(8, 5)),
+    ("restricted", restricted_com),
+]
+
+
+def assert_batch_matches_scalar(batch, scalar):
+    assert batch.shape == (len(scalar),)
+    for b, s in zip(batch.tolist(), scalar):
+        assert values_close(b, s), (b, s)
+        assert (b > 0.0, b < 0.0) == (s > 0.0, s < 0.0), (b, s)
+
+
+@pytest.mark.parametrize("name,build", CURSOR_INSTANCES, ids=[f[0] for f in CURSOR_INSTANCES])
 def test_cursor_matches_oracle(name, build):
     F = build()
     n = F.n
@@ -124,6 +152,15 @@ def test_cursor_matches_oracle(name, build):
     cursor = F.cursor(x)
     for _ in range(200):
         assert values_close(cursor.value(), F.value(x))
+        members = x.to_bool_array()
+        outside = np.flatnonzero(~members) + 1
+        inside = np.flatnonzero(members) + 1
+        assert_batch_matches_scalar(
+            cursor.add_marginals(outside), [cursor.add_marginal(int(u)) for u in outside]
+        )
+        assert_batch_matches_scalar(
+            cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside]
+        )
         i = int(rng.integers(1, n + 1))
         if x.contains(i):
             assert values_close(cursor.drop_marginal(i), F.value(x) - F.value(x.remove(i)))
@@ -172,6 +209,26 @@ class TestCountingOracle:
         assert C.eval_calls == 2
         assert C.marginal_calls == 0
 
+    def test_batch_counts_one_marginal_call_per_id(self):
+        F = make_iwata(6)
+        C = CountingOracle(F)
+        cursor = C.cursor(SubsetBits.from_members(6, [2, 5]))
+        gains = cursor.add_marginals(np.array([1, 3, 4]))
+        drops = cursor.drop_marginals(np.array([2, 5]))
+        assert (C.eval_calls, C.marginal_calls) == (1, 5)
+        assert gains.tolist() == [cursor.add_marginal(u) for u in (1, 3, 4)]
+        assert drops.tolist() == [cursor.drop_marginal(d) for d in (2, 5)]
+
+    def test_generic_batch_routes_evaluations_through_counter(self):
+        D = make_determinant(6, 1)
+        F = SetFunctionOracle(GroundSet(6), D.value)
+        C = CountingOracle(F)
+        gains = C.cursor(SubsetBits.empty(6)).add_marginals(np.array([1, 2, 3]))
+        assert C.eval_calls == 4  # the anchor plus one evaluation per id
+        assert C.marginal_calls == 0
+        for u, gain in zip((1, 2, 3), gains.tolist()):
+            assert values_close(gain, D.marginal(u, SubsetBits.empty(6)))
+
     def test_counters_monotone(self):
         F = make_com(8, 2)
         C = CountingOracle(F)
@@ -182,3 +239,59 @@ class TestCountingOracle:
             seen.append((C.eval_calls, C.marginal_calls))
         assert seen == sorted(seen)
         assert C.total_calls == C.eval_calls + C.marginal_calls
+
+
+class _ScalarOnlyCursor(Cursor):
+    """Forwards the scalar queries and moves only, so batches take the base loop."""
+
+    def __init__(self, inner: Cursor):
+        self._inner = inner
+
+    def members(self) -> SubsetBits:
+        return self._inner.members()
+
+    def value(self) -> float:
+        return self._inner.value()
+
+    def add_marginal(self, u: int) -> float:
+        return self._inner.add_marginal(u)
+
+    def drop_marginal(self, d: int) -> float:
+        return self._inner.drop_marginal(d)
+
+    def add(self, u: int) -> None:
+        self._inner.add(u)
+
+    def remove(self, d: int) -> None:
+        self._inner.remove(d)
+
+
+def scalar_only(F):
+    return SetFunctionOracle(
+        F.ground, F.value, cursor_factory=lambda _owner, s: _ScalarOnlyCursor(F.cursor(s))
+    )
+
+
+SWEEP_INSTANCES = [
+    ("iwata", lambda: make_iwata(300)),
+    ("com", lambda: make_com(300, 11)),
+    ("half_products", lambda: make_half_products(300, 11)),
+    ("perturbed_facility", lambda: make_perturbed_facility(300, 400, 11)),
+    ("determinant", lambda: make_determinant(120, 11)),
+    ("cobb_douglas", lambda: make_cobb_douglas(300, 11)),
+]
+
+
+@pytest.mark.parametrize("name,build", SWEEP_INSTANCES, ids=[f[0] for f in SWEEP_INSTANCES])
+def test_batched_sweeps_match_scalar_path(name, build):
+    """The family batches and the scalar loop give the same runs and the same counts."""
+    F = build()
+
+    def runs(G):
+        lattice, traces = min_lattice(G)
+        interval, max_trace = uqsfmax(G)
+        return lattice, traces, interval, max_trace, randomized_local_search(G, 2, 7)
+
+    batched, scalar = runs(F), runs(scalar_only(F))
+    assert batched == scalar
+    assert batched[1][0].marginal_calls > 0 and batched[3].marginal_calls > 0
