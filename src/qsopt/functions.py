@@ -578,7 +578,7 @@ class _DeterminantCursor(Cursor):
         if len(idx) == 0:
             self._chol = None
             self._det = 1.0
-            self._inv_diag = None
+            self._inv_diag = np.empty(0)
         else:
             sub = self._kernel[np.ix_(idx, idx)]
             self._chol = cholesky(sub, lower=True)

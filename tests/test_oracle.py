@@ -147,6 +147,18 @@ def assert_batch_matches_scalar(batch, scalar):
 def test_cursor_matches_oracle(name, build):
     F = build()
     n = F.n
+    # the empty and full anchors ask one side of each batch pair for no ids at all
+    for anchor in (SubsetBits.empty(n), SubsetBits.full(n)):
+        cursor = F.cursor(anchor)
+        members = anchor.to_bool_array()
+        outside = np.flatnonzero(~members) + 1
+        inside = np.flatnonzero(members) + 1
+        assert_batch_matches_scalar(
+            cursor.add_marginals(outside), [cursor.add_marginal(int(u)) for u in outside]
+        )
+        assert_batch_matches_scalar(
+            cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside]
+        )
     rng = _stream(99, 0)
     x = SubsetBits.from_bool_array(rng.random(n) < 0.5)
     cursor = F.cursor(x)
@@ -295,3 +307,19 @@ def test_batched_sweeps_match_scalar_path(name, build):
     batched, scalar = runs(F), runs(scalar_only(F))
     assert batched == scalar
     assert batched[1][0].marginal_calls > 0 and batched[3].marginal_calls > 0
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_single_element_determinant_sweeps_reach_empty_set(seed):
+    """n=1: k11 >= 1 keeps {1} in min_lattice; k11 < 1 drives uqsfmax's Y to the empty set.
+
+    Either way some sweep anchors a determinant cursor at the empty set and asks
+    it for drop marginals of no ids.
+    """
+    F = make_determinant(1, seed)
+    assert (F.params["kernel"][0, 0] >= 1.0) == (seed == 1)
+
+    def runs(G):
+        return min_lattice(G), uqsfmax(G), randomized_local_search(G, 3, seed)
+
+    assert runs(F) == runs(scalar_only(F))
