@@ -8,11 +8,13 @@ trials could run independently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import InternalInvariantError
 from .oracle import CountingOracle, require_no_nan
 from .sets import SubsetBits
 
@@ -54,6 +56,11 @@ def double_greedy(
     for i in order:
         gain_add = c1.add_marginal(i)
         gain_remove = -c2.drop_marginal(i)
+        # a NaN fails the keep test and would silently drop the element
+        if math.isnan(gain_add):
+            raise InternalInvariantError(f"double greedy: marginal of element {i} is NaN (add to S1)")
+        if math.isnan(gain_remove):
+            raise InternalInvariantError(f"double greedy: marginal of element {i} is NaN (drop from S2)")
         if randomized:
             a = max(gain_add, 0.0)
             b = max(gain_remove, 0.0)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg import cholesky
+from scipy.linalg.blas import dsymm, dsymv, dsyr
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import ConfigError, InternalInvariantError
 from .oracle import Cursor, SetFunctionOracle
@@ -66,12 +67,18 @@ class FunctionSpec:
 
 
 def _json_render(value, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (exact double round trip)."""
+    """JSON text with floats at 17 significant digits (exact double round trip).
+
+    Non-finite floats are written as the NaN/Infinity/-Infinity literals that
+    ``json`` reads back.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return json.dumps(value)  # NaN, Infinity, -Infinity: what json.loads reads back
         return format(value, ".17g")
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -416,82 +423,150 @@ def make_half_products(n: int, seed: int, c_scale: float = 0.25) -> SetFunctionO
 
 
 # ---------------------------------------------------------------------------
-# Perturbed facility location: F(X) = sum_j max_{i in X} M[i,j] + sigma(X),
-# with the max over an empty X taken as 0.
+# Epoch cursors: statistics over the members, brought up to date at a query.
 
 
-class _FacilityCursor(Cursor):
-    """Epoch cursor holding per-column top-two statistics over the members."""
+class _EpochCursor(Cursor):
+    """Cursor whose statistics over the members are synced lazily.
 
-    def __init__(self, oracle, start: SubsetBits, mat: np.ndarray, sigma: np.ndarray):
-        self._mat = mat
-        self._sigma = sigma
+    A move only records itself. The next query syncs: exactly one pending move
+    is applied as an exact in-place update (``_insert``/``_delete``); two or
+    more pending moves, or a cursor never queried, take the full refactor
+    (``_refactor``). So the sequential baselines, which move once between
+    queries, pay an update per move, and a reduction sweep that moves many
+    elements pays one refactor.
+    """
+
+    def __init__(self, start: SubsetBits):
         self._current = start
-        self._dirty = True
-        self._max1 = None
-        self._max2 = None
-        self._counts = None
-        self._value = 0.0
+        self._ready = False
+        self._moves = 0
+        self._last = None
 
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
-        m = self._current.to_bool_array()
-        k = int(m.sum())
-        d = self._mat.shape[1]
-        if k == 0:
-            self._max1 = np.zeros(d)
-            self._max2 = np.zeros(d)
-            self._counts = np.zeros(d, dtype=int)
-            self._value = 0.0
-        else:
-            sub = self._mat[m]
-            self._max1 = sub.max(axis=0)
-            if k >= 2:
-                self._max2 = np.partition(sub, k - 2, axis=0)[k - 2]
+    def _sync(self) -> None:
+        if self._moves == 1 and self._ready:
+            added, e = self._last
+            if added:
+                self._insert(e)
             else:
-                self._max2 = np.zeros(d)
-            self._counts = (sub == self._max1).sum(axis=0)
-            self._value = float(self._max1.sum() + self._sigma @ m)
-        self._dirty = False
+                self._delete(e)
+        elif self._moves or not self._ready:
+            self._refactor()
+            self._ready = True
+        self._moves = 0
 
     def members(self) -> SubsetBits:
         return self._current
 
+    def add(self, u: int) -> None:
+        self._current = self._current.add(u)
+        self._moves += 1
+        self._last = (True, u)
+
+    def remove(self, d: int) -> None:
+        self._current = self._current.remove(d)
+        self._moves += 1
+        self._last = (False, d)
+
+
+# ---------------------------------------------------------------------------
+# Perturbed facility location: F(X) = sum_j max_{i in X} M[i,j] + sigma(X),
+# with the max over an empty X taken as 0.
+
+
+def _top_two(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column maximum, second largest (0 for one row) and count of the maximum."""
+    k = sub.shape[0]
+    max1 = sub.max(axis=0)
+    max2 = np.partition(sub, k - 2, axis=0)[k - 2] if k >= 2 else np.zeros(sub.shape[1])
+    return max1, max2, (sub == max1).sum(axis=0)
+
+
+class _FacilityCursor(_EpochCursor):
+    """Epoch cursor holding per-column top-two statistics over the members.
+
+    Per column: max1 is the best member value (0 when empty), max2 the second
+    best counted with multiplicity (0 below two members) and counts how many
+    members reach max1. Updates are exact, so they match a refactor bit for
+    bit: adding a row costs O(d); removing one recomputes only the columns
+    where the row reached max2, the only ones whose statistics can change.
+    """
+
+    def __init__(self, oracle, start: SubsetBits, mat: np.ndarray, sigma: np.ndarray):
+        super().__init__(start)
+        self._mat = mat
+        self._sigma = sigma
+        self._max1 = None
+        self._max2 = None
+        self._counts = None
+        self._value = None
+
+    def _refactor(self) -> None:
+        m = self._current.to_bool_array()
+        if m.any():
+            self._max1, self._max2, self._counts = _top_two(self._mat[m])
+        else:
+            d = self._mat.shape[1]
+            self._max1 = np.zeros(d)
+            self._max2 = np.zeros(d)
+            self._counts = np.zeros(d, dtype=int)
+        self._value = None
+
+    def _insert(self, u: int) -> None:
+        row = self._mat[u - 1]
+        k = len(self._current) - 1  # members before the add
+        if k == 0:
+            self._max1, self._max2, self._counts = _top_two(row[None, :])
+        else:
+            max1 = self._max1
+            if k == 1:
+                self._max2 = np.minimum(max1, row)
+            else:
+                self._max2 = np.where(row >= max1, max1, np.maximum(self._max2, row))
+            self._counts = np.where(row > max1, 1, self._counts + (row == max1))
+            self._max1 = np.maximum(max1, row)
+        self._value = None
+
+    def _delete(self, d: int) -> None:
+        if not self._current:
+            self._refactor()
+            return
+        cols = np.flatnonzero(self._mat[d - 1] >= self._max2)
+        idx = np.flatnonzero(self._current.to_bool_array())
+        max1, max2, counts = _top_two(self._mat[np.ix_(idx, cols)])
+        self._max1[cols] = max1
+        self._max2[cols] = max2
+        self._counts[cols] = counts
+        self._value = None
+
     def value(self) -> float:
-        self._refresh()
+        self._sync()
+        if self._value is None:
+            self._value = float(self._max1.sum() + self._sigma @ self._current.to_bool_array())
         return self._value
 
     def add_marginal(self, u: int) -> float:
-        self._refresh()
+        self._sync()
         row = self._mat[u - 1]
         return float(np.maximum(row - self._max1, 0.0).sum() + self._sigma[u - 1])
 
     def drop_marginal(self, d: int) -> float:
-        self._refresh()
+        self._sync()
         row = self._mat[d - 1]
         loses = (row == self._max1) & (self._counts == 1)
         return float(((self._max1 - self._max2) * loses).sum() + self._sigma[d - 1])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._refresh()
+        self._sync()
         gains = self._mat[ids - 1]
         gains -= self._max1
         np.maximum(gains, 0.0, out=gains)
         return gains.sum(axis=1) + self._sigma[ids - 1]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._refresh()
+        self._sync()
         loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
         return ((self._max1 - self._max2) * loses).sum(axis=1) + self._sigma[ids - 1]
-
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._dirty = True
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._dirty = True
 
 
 def facility_value(mat: np.ndarray, sigma: np.ndarray, members: np.ndarray) -> float:
@@ -557,83 +632,126 @@ DETERMINANT_DEFAULTS = {
     "jitter": 1e-8,
 }
 
+#: Smallest determinant an update may produce: below the normal range a
+#: product of pivots loses digits and, once 0, never recovers.
+_DET_FLOOR = float(np.finfo(float).tiny)
 
-class _DeterminantCursor(Cursor):
-    """Epoch cursor around a Cholesky factor of K restricted to the members."""
+
+class _DeterminantCursor(_EpochCursor):
+    """Epoch cursor around K_X^{-1} for the members X, ascending.
+
+    The inverse is kept as the lower triangle that LAPACK's dpotrf + dpotri
+    leave (the upper triangle is not maintained) and read through BLAS
+    dsymm/dsymv. Adding u is the bordered update: w = K_X^{-1} v with
+    v = K[X, u], s = k_uu - v.w, det <- det * s. Removing d is the Schur
+    complement: the inverse loses row and column d, less a a^T / a_dd with a
+    its column d, and det <- det * a_dd. Both cost O(k^2) at k members. An
+    update whose pivot is not positive and finite, or whose determinant
+    leaves the normal range (where it could never come back from 0), takes
+    the refactor instead.
+    """
 
     def __init__(self, oracle, start: SubsetBits, kernel: np.ndarray):
+        super().__init__(start)
         self._kernel = kernel
-        self._current = start
-        self._dirty = True
         self._idx = None
-        self._chol = None
+        self._inv = None
         self._det = 1.0
-        self._inv_diag = None
 
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
+    def _refactor(self) -> None:
         idx = np.flatnonzero(self._current.to_bool_array())
         self._idx = idx
         if len(idx) == 0:
-            self._chol = None
+            self._inv = np.empty((0, 0), order="F")
             self._det = 1.0
-            self._inv_diag = np.empty(0)
-        else:
-            sub = self._kernel[np.ix_(idx, idx)]
-            self._chol = cholesky(sub, lower=True)
-            self._det = float(np.prod(np.diag(self._chol)) ** 2)
-            # K_X^{-1} = L^{-T} L^{-1}: its diagonal is the column sums of squares of L^{-1}
-            chol_inv, info = dtrtri(self._chol, lower=1)
-            if info != 0:
-                raise InternalInvariantError(f"Cholesky factor is singular (dtrtri info={info})")
-            self._inv_diag = np.einsum("ij,ij->j", chol_inv, chol_inv)
-        self._dirty = False
+            return
+        # the restriction is symmetric, so its transpose is the same matrix in Fortran order
+        chol, info = dpotrf(self._kernel[np.ix_(idx, idx)].T, lower=1, overwrite_a=1)
+        if info != 0:
+            raise InternalInvariantError(
+                f"kernel restricted to {len(idx)} members is not positive definite (dpotrf info={info})"
+            )
+        self._det = float(np.prod(np.diag(chol)) ** 2)
+        self._inv, info = dpotri(chol, lower=1, overwrite_c=1)
+        if info != 0:
+            raise InternalInvariantError(f"Cholesky factor is singular (dpotri info={info})")
 
-    def members(self) -> SubsetBits:
-        return self._current
+    def _accept(self, pivot: float) -> bool:
+        """Take the new determinant det * pivot, or refactor if it is out of range."""
+        det = self._det * pivot
+        if not (pivot > 0.0 and _DET_FLOOR <= det < math.inf):
+            self._refactor()
+            return False
+        self._det = det
+        return True
+
+    def _insert(self, u: int) -> None:
+        idx, inv = self._idx, self._inv
+        k = len(idx)
+        if k == 0:
+            self._refactor()
+            return
+        kuu = float(self._kernel[u - 1, u - 1])
+        v = self._kernel[idx, u - 1]
+        w = dsymv(1.0, inv, v, lower=1)
+        s = kuu - float(v @ w)
+        if not self._accept(s):
+            return
+        p = int(np.searchsorted(idx, u - 1))
+        inv = dsyr(1.0 / s, w, a=inv, lower=1, overwrite_a=1)
+        new = np.empty((k + 1, k + 1), order="F")
+        new[:p, :p] = inv[:p, :p]
+        new[p + 1 :, :p] = inv[p:, :p]
+        new[p + 1 :, p + 1 :] = inv[p:, p:]
+        new[p, :p] = w[:p] / -s
+        new[p + 1 :, p] = w[p:] / -s
+        new[p, p] = 1.0 / s
+        self._idx = np.insert(idx, p, u - 1)
+        self._inv = new
+
+    def _delete(self, d: int) -> None:
+        idx, inv = self._idx, self._inv
+        k = len(idx)
+        if k == 1:
+            self._refactor()
+            return
+        p = int(np.searchsorted(idx, d - 1))
+        a_pp = float(inv[p, p])
+        if not self._accept(a_pp):
+            return
+        a = np.concatenate((inv[p, :p], inv[p + 1 :, p]))
+        new = np.empty((k - 1, k - 1), order="F")
+        new[:p, :p] = inv[:p, :p]
+        new[p:, :p] = inv[p + 1 :, :p]
+        new[p:, p:] = inv[p + 1 :, p + 1 :]
+        self._inv = dsyr(-1.0 / a_pp, a, a=new, lower=1, overwrite_a=1)
+        self._idx = np.delete(idx, p)
 
     def value(self) -> float:
-        self._refresh()
+        self._sync()
         return self._det
 
     def add_marginal(self, u: int) -> float:
-        self._refresh()
-        kuu = self._kernel[u - 1, u - 1]
-        if self._chol is None:
-            return float(kuu - 1.0)
-        v = self._kernel[self._idx, u - 1]
-        y = solve_triangular(self._chol, v, lower=True)
-        schur = float(kuu - y @ y)
-        return self._det * (schur - 1.0)
+        return float(self.add_marginals(np.array([u]))[0])
 
     def drop_marginal(self, d: int) -> float:
-        self._refresh()
-        pos = int(np.searchsorted(self._idx, d - 1))
-        # det(K_{X-d}) = det(K_X) * (K_X^{-1})_{dd}
-        return self._det * float(1.0 - self._inv_diag[pos])
+        return float(self.drop_marginals(np.array([d]))[0])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._refresh()
+        self._sync()
         kuu = self._kernel[ids - 1, ids - 1]
-        if self._chol is None:
+        if len(self._idx) == 0 or len(ids) == 0:
             return kuu - 1.0
-        y = solve_triangular(self._chol, self._kernel[np.ix_(self._idx, ids - 1)], lower=True)
-        schur = kuu - np.einsum("ij,ij->j", y, y)
+        v = self._kernel[np.ix_(self._idx, ids - 1)]
+        w = dsymm(1.0, self._inv, v, lower=1)
+        schur = kuu - np.einsum("ij,ij->j", v, w)
         return self._det * (schur - 1.0)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._refresh()
+        self._sync()
         pos = np.searchsorted(self._idx, ids - 1)
-        return self._det * (1.0 - self._inv_diag[pos])
-
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._dirty = True
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._dirty = True
+        # det(K_{X-d}) = det(K_X) * (K_X^{-1})_{dd}
+        return self._det * (1.0 - np.diagonal(self._inv)[pos])
 
 
 def _determinant_kernel(n: int, seed: int, p: dict) -> np.ndarray:

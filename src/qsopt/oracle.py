@@ -13,6 +13,13 @@ reductions and local search judge every candidate against one frozen set per
 sweep, so they ask in batches; double greedy moves after every query, so it
 asks one element at a time. Either way ``CountingOracle`` books one marginal
 call per element queried: a batch of k counts as k.
+
+Epoch cursors (the facility and determinant families) keep statistics over
+the members and bring them up to date at the next query after a move, by one
+rule: exactly one move since the last query is applied as an exact in-place
+update; two or more moves, or a cursor never queried, take a full refactor.
+So a baseline that moves once between queries pays one update per move, and
+a sweep that fixes many elements pays one refactor.
 """
 
 from __future__ import annotations
@@ -41,11 +48,13 @@ class Cursor:
     """Incremental view of F anchored at a working set.
 
     The default implementation answers every query with fresh evaluations;
-    benchmark families install O(1)-update replacements with vectorized
-    batches. The base batch queries loop over the scalar ones, so a wrapper
-    that overrides only ``add_marginal``/``drop_marginal`` (a timing proxy
-    around a family cursor, say) still sees every query of a batch, one at a
-    time, and needs no ``_oracle`` of its own.
+    benchmark families install replacements with cheap moves and vectorized
+    batches. An epoch cursor defers the work of its moves to the next query:
+    one pending move is an in-place update, more than one a refactor, and the
+    answers agree either way. The base batch queries loop over the scalar
+    ones, so a wrapper that overrides only ``add_marginal``/``drop_marginal``
+    (a timing proxy around a family cursor, say) still sees every query of a
+    batch, one at a time, and needs no ``_oracle`` of its own.
     """
 
     def __init__(self, oracle: "SetFunctionOracle", start: SubsetBits):

@@ -3,9 +3,12 @@ import pytest
 
 from qsopt import (
     InternalInvariantError,
+    SetFunctionOracle,
     SubsetBits,
     double_greedy,
     exact_opt,
+    make_determinant,
+    make_perturbed_facility,
     make_random_qsb,
     make_tabular,
     random_permutation_greedy,
@@ -13,6 +16,7 @@ from qsopt import (
     randomized_local_search,
     u_prefix,
 )
+from qsopt.oracle import Cursor
 from qsopt.sets import IntervalLattice
 
 from conftest import NAN_TABLE, nonneg_submodular_oracle
@@ -46,6 +50,19 @@ class TestDoubleGreedy:
         result = double_greedy(make_tabular(table), [1, 2, 3], randomized=True, seed=5)
         assert result.set == SubsetBits.full(3)
 
+    @pytest.mark.parametrize(
+        "order,message",
+        [
+            ([1, 2, 3], r"marginal of element 1 is NaN \(add to S1\)"),
+            ([2, 3, 1], r"marginal of element 3 is NaN \(drop from S2\)"),
+        ],
+    )
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_nan_marginal_fails_loudly(self, order, message, randomized):
+        # a NaN fails the keep test, so a silent pass would drop the element
+        with pytest.raises(InternalInvariantError, match=message):
+            double_greedy(make_tabular(NAN_TABLE), order, randomized=randomized, seed=1)
+
     def test_randomized_reference_table_is_deterministic(self, prop_oracle):
         # the clipped gains are 0/positive at every step, no real coin flips
         for seed in range(5):
@@ -75,6 +92,12 @@ class TestRandomPermutationGreedy:
         a = random_permutation_greedy(F, 6, 42)
         b = random_permutation_greedy(F, 6, 42)
         assert a.set == b.set and a.value == b.value
+
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nan_marginal_fails_loudly(self, seed):
+        with pytest.raises(InternalInvariantError, match=r"double greedy: marginal of element \d is NaN"):
+            random_permutation_greedy(make_tabular(NAN_TABLE), 2, seed)
 
 
 class TestRandomizedLocalSearch:
@@ -116,6 +139,11 @@ class TestRandomizedBidirectionalGreedy:
         b = randomized_bidirectional_greedy(F, 5, 8)
         assert a.set == b.set and a.value == b.value
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_nan_marginal_fails_loudly(self, seed):
+        with pytest.raises(InternalInvariantError, match=r"double greedy: marginal of element \d is NaN"):
+            randomized_bidirectional_greedy(make_tabular(NAN_TABLE), 2, seed)
+
     def test_mean_ratio_on_nonnegative_submodular(self):
         ratios = []
         for seed in range(60):
@@ -145,3 +173,62 @@ class TestInvariants:
             result = u_prefix(prop_oracle, runner)
             assert result.value == 1.5
             assert result.set == SubsetBits.from_members(2, [2])
+
+
+class _RefactoringCursor(Cursor):
+    """A family cursor rebuilt after every move, so every query takes a refactor."""
+
+    def __init__(self, F, start: SubsetBits):
+        self._F = F
+        self._inner = F.cursor(start)
+
+    def members(self) -> SubsetBits:
+        return self._inner.members()
+
+    def value(self) -> float:
+        return self._inner.value()
+
+    def add_marginal(self, u: int) -> float:
+        return self._inner.add_marginal(u)
+
+    def drop_marginal(self, d: int) -> float:
+        return self._inner.drop_marginal(d)
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._inner.add_marginals(ids)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._inner.drop_marginals(ids)
+
+    def add(self, u: int) -> None:
+        self._inner = self._F.cursor(self.members().add(u))
+
+    def remove(self, d: int) -> None:
+        self._inner = self._F.cursor(self.members().remove(d))
+
+
+def refactoring(F):
+    return SetFunctionOracle(
+        F.ground, F.value, cursor_factory=lambda _owner, s: _RefactoringCursor(F, s)
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "build",
+    [lambda s: make_perturbed_facility(120, 40, s), lambda s: make_determinant(80, s)],
+    ids=["perturbed_facility", "determinant"],
+)
+def test_sequential_baselines_match_refactor_path(build, seed):
+    """One move between queries takes the in-place update; it must decide as a refactor does."""
+    F = build(seed)
+
+    def runs(G):
+        return (
+            double_greedy(G, list(range(1, G.n + 1))),
+            random_permutation_greedy(G, 2, seed),
+            randomized_local_search(G, 1, seed),
+            randomized_bidirectional_greedy(G, 1, seed),
+        )
+
+    assert runs(F) == runs(refactoring(F))

@@ -102,6 +102,13 @@ class TestBaseline:
         assert proc.returncode == 0
         assert "set={2} value=1.5" in proc.stdout
 
+    def test_nan_marginal_exit_code(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_spec(tabular_spec(NAN_TABLE), path)
+        proc = qsopt("baseline", "--alg", "dg", "--spec", str(path))
+        assert proc.returncode == 3
+        assert "marginal of element 1 is NaN (add to S1)" in proc.stderr
+
     def test_prefilter(self, com_spec):
         proc = qsopt("baseline", "--alg", "rp", "--spec", com_spec, "--trials", "3", "--seed", "1", "--prefilter")
         assert proc.returncode == 0

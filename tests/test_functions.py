@@ -225,6 +225,17 @@ class TestSpecPersistence:
         assert np.array_equal(loaded.params["values"], np.array(values))
 
 
+    def test_non_finite_values_round_trip(self, tmp_path):
+        values = [7.0, math.nan, 5.0, math.inf, -math.inf, 2.0, 1.0, 0.0]
+        path = tmp_path / "t.json"
+        save_spec(tabular_spec(values), path)
+        text = path.read_text()
+        assert "NaN" in text and "-Infinity" in text
+        loaded = load_spec(path).params["values"]
+        assert math.isnan(loaded[1])
+        assert loaded[:1] + loaded[2:] == values[:1] + values[2:]
+
+
 class TestRandomQsb:
     def test_transform_preserves_value_order(self):
         base = make_com(6, 5)

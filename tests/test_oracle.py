@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsopt import (
     CountingOracle,
@@ -19,9 +21,9 @@ from qsopt import (
     uqsfmax,
     values_close,
 )
-from qsopt.functions import _stream
+from qsopt.functions import _FacilityCursor, _stream, facility_value
 from qsopt.maximize import restricted_oracle
-from qsopt.oracle import Cursor
+from qsopt.oracle import ABS_TOL, REL_TOL, Cursor
 from qsopt.sets import IntervalLattice
 
 from conftest import PROP_TABLE
@@ -185,6 +187,112 @@ def test_cursor_matches_oracle(name, build):
                 cursor.add(i)
                 x = x.add(i)
     assert cursor.members() == x
+
+
+def restricted_determinant():
+    """determinant over 40 elements seen through the 30 free elements of [{1..5}, N - {36..40}]."""
+    lower = SubsetBits.from_members(40, range(1, 6))
+    upper = SubsetBits.from_members(40, range(1, 36))
+    return restricted_oracle(make_determinant(40, 5), IntervalLattice(lower, upper))[0]
+
+
+def tied_facility():
+    """Facility cursor over a matrix of quarter steps: columns tie for their maximum."""
+    rng = _stream(5, 0)
+    mat = rng.integers(2, 5, (10, 12)) / 4.0
+    sigma = rng.uniform(-0.01, 0.01, 10)
+    return SetFunctionOracle(
+        GroundSet(10),
+        lambda x: facility_value(mat, sigma, x.to_bool_array()),
+        cursor_factory=lambda o, s: _FacilityCursor(o, s, mat, sigma),
+    )
+
+
+# the small instances walk through 0, 1 and 2 members, where the updates special-case
+MOVE_INSTANCES = CURSOR_INSTANCES + [
+    ("restricted_determinant", restricted_determinant),
+    ("tied_facility", tied_facility),
+    ("small_facility", lambda: make_perturbed_facility(5, 8, 5)),
+    ("small_determinant", lambda: make_determinant(5, 5)),
+]
+
+
+def assert_cursor_agrees(cursor, fresh, x, exact=False, det_scaled=False):
+    """Value and both batches of ``cursor`` against a cursor built fresh at x.
+
+    ``exact`` asks for equal bits. Otherwise each number must be close and of
+    the same strict sign. A determinant marginal is det * (ratio - 1), so its
+    rounding error scales with det, not with the marginal: ``det_scaled``
+    scales the absolute floor by det.
+    """
+    members = x.to_bool_array()
+    outside = np.flatnonzero(~members) + 1
+    inside = np.flatnonzero(members) + 1
+    pairs = [
+        (np.array([cursor.value()]), np.array([fresh.value()])),
+        (cursor.add_marginals(outside), fresh.add_marginals(outside)),
+        (cursor.drop_marginals(inside), fresh.drop_marginals(inside)),
+    ]
+    floor = max(REL_TOL * abs(fresh.value()), ABS_TOL) if det_scaled else ABS_TOL
+    for got, want in pairs:
+        if exact:
+            assert np.array_equal(got, want), (got, want)
+            continue
+        for g, w in zip(got.tolist(), want.tolist()):
+            assert values_close(g, w, abs_floor=floor), (g, w)
+            assert (g > 0.0, g < 0.0) == (w > 0.0, w < 0.0), (g, w)
+
+
+@pytest.mark.parametrize("name,build", MOVE_INSTANCES, ids=[f[0] for f in MOVE_INSTANCES])
+def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
+    """Single moves between queries take the update path, bursts take the refactor."""
+    F = build()
+    n = F.n
+    exact = "facility" in name  # its updates are exact
+    det_scaled = "determinant" in name
+    single = st.lists(st.integers(1, n), min_size=1, max_size=1)
+    burst = st.lists(st.integers(1, n), min_size=2, max_size=5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, (1 << n) - 1), st.lists(st.one_of(single, single, burst), max_size=30))
+    def walk(mask, rounds):
+        x = SubsetBits(n, mask)
+        cursor = F.cursor(x)
+        assert_cursor_agrees(cursor, F.cursor(x), x, exact, det_scaled)
+        for moves in rounds:
+            for i in moves:
+                if x.contains(i):
+                    cursor.remove(i)
+                    x = x.remove(i)
+                else:
+                    cursor.add(i)
+                    x = x.add(i)
+            assert cursor.members() == x
+            assert_cursor_agrees(cursor, F.cursor(x), x, exact, det_scaled)
+
+    walk()
+
+
+@pytest.mark.parametrize("direction", ["down", "up"])
+def test_determinant_update_chain(direction):
+    """n single removals from the full set, or n additions to the empty set, one query each.
+
+    Every query takes the in-place update, so rounding builds up over the
+    whole chain; it must stay within the tolerance of a fresh refactor.
+    """
+    n = 400
+    F = make_determinant(n, 1)
+    x = SubsetBits.full(n) if direction == "down" else SubsetBits.empty(n)
+    cursor = F.cursor(x)
+    cursor.value()
+    for i in range(1, n + 1):
+        if direction == "down":
+            cursor.remove(i)
+            x = x.remove(i)
+        else:
+            cursor.add(i)
+            x = x.add(i)
+        assert_cursor_agrees(cursor, F.cursor(x), x, det_scaled=True)
 
 
 class TestCountingOracle:
