@@ -1,9 +1,10 @@
-"""Benchmark set-function families with seeded generation and fast marginals.
+"""Benchmark set-function families with seeded generation.
 
 Families: iwata, com (concave-over-modular), half_products (served as the
 negated maximization objective), perturbed_facility, determinant,
-cobb_douglas, and small tabular functions. Each family cursor answers batch
-queries with a few numpy calls over the id array. Instances are reproducible:
+cobb_douglas, and small tabular functions. Each family is a value formula
+plus one cursor class that answers every marginal query, scalar or batch;
+a batch costs a few numpy calls over the id array. Instances are reproducible:
 parameter array k of a family is drawn from the PCG64 stream seeded with
 ``SeedSequence(seed, spawn_key=(k,))``, so (family, n, seed) pins every bit.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,10 +58,14 @@ class FunctionSpec:
             raise ConfigError(f"unsupported family {self.family!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be an object, got {self.params!r}")
         if self.family == "tabular":
             values = self.params.get("values")
             if values is None:
                 raise ConfigError("tabular spec needs params.values")
+            if not isinstance(values, list):
+                raise ConfigError(f"tabular params.values must be a list, got {values!r}")
             if self.n > TABULAR_MAX_N:
                 raise ConfigError(f"tabular capped at n <= {TABULAR_MAX_N}")
             if len(values) != (1 << self.n):
@@ -122,10 +128,19 @@ def load_spec(path: str | Path) -> FunctionSpec:
             family=payload["family"],
             n=int(payload["n"]),
             seed=int(payload.get("seed", 0)),
-            params=payload.get("params", {}) or {},
+            params=payload.get("params") or {},
         )
     except KeyError as exc:
         raise ConfigError(f"instance file {path} missing field {exc}") from exc
+
+
+def _check_param(spec: FunctionSpec, key: str, kind: type, what: str) -> None:
+    """Reject ``spec.params[key]``, when given, unless it is a ``kind`` (never a bool)."""
+    if key not in spec.params:
+        return
+    value = spec.params[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{spec.family} params.{key} must be {what}, got {value!r}")
 
 
 def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
@@ -135,10 +150,12 @@ def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
     if spec.family == "com":
         return make_com(spec.n, spec.seed)
     if spec.family == "half_products":
+        _check_param(spec, "c_scale", numbers.Real, "a number")
         if "c_scale" in p:
             return make_half_products(spec.n, spec.seed, c_scale=p["c_scale"])
         return make_half_products(spec.n, spec.seed)
     if spec.family == "perturbed_facility":
+        _check_param(spec, "d", numbers.Integral, "an integer")
         return make_perturbed_facility(spec.n, p.get("d", 400), spec.seed)
     if spec.family == "determinant":
         return make_determinant(spec.n, spec.seed, **{k: v for k, v in p.items()})
@@ -155,15 +172,11 @@ def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
 
 class _IwataCursor(Cursor):
     def __init__(self, oracle: SetFunctionOracle, start: SubsetBits, n: int):
-        self._oracle = oracle
         self._n = n
         self._current = start
         self._k = len(start)
         self._wsum = float(sum(5 * i - 2 * n for i in start))
         self._value = self._k * (n - self._k) - self._wsum
-
-    def members(self) -> SubsetBits:
-        return self._current
 
     def value(self) -> float:
         return self._value
@@ -206,20 +219,11 @@ def make_iwata(n: int) -> SetFunctionOracle:
     weights = 5.0 * np.arange(1, n + 1) - 2.0 * n
 
     def evaluate(x: SubsetBits) -> float:
-        k = len(x)
-        return k * (n - k) - float(weights @ x.to_bool_array())
-
-    def fast_marginal(u: int, x: SubsetBits) -> float:
-        return float(3 * n - 2 * len(x) - 1 - 5 * u)
-
-    def fast_drop(d: int, x: SubsetBits) -> float:
-        return float(3 * n - 2 * len(x) + 1 - 5 * d)
+        return iwata_value(n, x.to_bool_array())
 
     return SetFunctionOracle(
         ground,
         evaluate,
-        fast_marginal=fast_marginal,
-        fast_drop_marginal=fast_drop,
         cursor_factory=lambda o, s: _IwataCursor(o, s, n),
         params={"weights": weights},
         name=f"iwata(n={n})",
@@ -238,9 +242,6 @@ class _ComCursor(Cursor):
         m = start.to_bool_array()
         self._s1 = float(w1 @ m)
         self._s2 = float(w2.sum() - w2 @ m)
-
-    def members(self) -> SubsetBits:
-        return self._current
 
     def value(self) -> float:
         return math.sqrt(max(self._s1, 0.0)) + self._s2
@@ -273,8 +274,8 @@ class _ComCursor(Cursor):
 
 
 def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> float:
-    """sqrt(w1(X)) + w2 over the complement of X."""
-    return math.sqrt(float(w1 @ members)) + float(w2 @ ~members)
+    """sqrt(w1(X)) + w2 over the complement of X, taken as w2(N) - w2(X)."""
+    return math.sqrt(float(w1 @ members)) + (float(w2.sum()) - float(w2 @ members))
 
 
 def make_com(n: int, seed: int) -> SetFunctionOracle:
@@ -282,143 +283,16 @@ def make_com(n: int, seed: int) -> SetFunctionOracle:
     ground = GroundSet(n)
     w1 = _stream(seed, 0).uniform(0.0, 1.0, n)
     w2 = _stream(seed, 1).uniform(0.0, 1.0, n)
-    w2_total = float(w2.sum())
 
     def evaluate(x: SubsetBits) -> float:
-        m = x.to_bool_array()
-        return math.sqrt(float(w1 @ m)) + (w2_total - float(w2 @ m))
-
-    def fast_marginal(u: int, x: SubsetBits) -> float:
-        s = float(w1 @ x.to_bool_array())
-        return math.sqrt(s + w1[u - 1]) - math.sqrt(s) - w2[u - 1]
-
-    def fast_drop(d: int, x: SubsetBits) -> float:
-        s = float(w1 @ x.to_bool_array())
-        return math.sqrt(s) - math.sqrt(max(s - w1[d - 1], 0.0)) - w2[d - 1]
+        return com_value(w1, w2, x.to_bool_array())
 
     return SetFunctionOracle(
         ground,
         evaluate,
-        fast_marginal=fast_marginal,
-        fast_drop_marginal=fast_drop,
         cursor_factory=lambda o, s: _ComCursor(o, s, w1, w2),
         params={"w1": w1, "w2": w2},
         name=f"com(n={n}, seed={seed})",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Half-products, served negated: the oracle evaluates
-#   -F(X) = c(X) - sum_{i,j in X, i <= j} a(i) b(j)
-# so maximizing the oracle minimizes the original half-products objective.
-
-
-class _HalfProductsCursor(Cursor):
-    """Epoch cursor: prefix/suffix sums over the member mask, rebuilt lazily."""
-
-    def __init__(self, oracle, start: SubsetBits, a, b, c):
-        self._a = a
-        self._b = b
-        self._c = c
-        self._current = start
-        self._dirty = True
-        self._prefix_a = None
-        self._suffix_b = None
-        self._value = 0.0
-
-    def _refresh(self) -> None:
-        if not self._dirty:
-            return
-        m = self._current.to_bool_array()
-        am = self._a * m
-        bm = self._b * m
-        # prefix_a[k] = sum of a over members with id <= k (1-based, index 0 = 0)
-        self._prefix_a = np.concatenate(([0.0], np.cumsum(am)))
-        self._suffix_b = np.concatenate((np.cumsum(bm[::-1])[::-1], [0.0]))
-        t = float(bm @ self._prefix_a[1:])
-        self._value = float(self._c @ m) - t
-        self._dirty = False
-
-    def members(self) -> SubsetBits:
-        return self._current
-
-    def value(self) -> float:
-        self._refresh()
-        return self._value
-
-    def _pair_term(self, u: int) -> float:
-        # a(u) b(u) + b(u) * sum_{i in X, i < u} a(i) + a(u) * sum_{j in X, j > u} b(j)
-        self._refresh()
-        j = u - 1
-        return float(
-            self._a[j] * self._b[j]
-            + self._b[j] * self._prefix_a[u - 1]
-            + self._a[j] * self._suffix_b[u]
-        )
-
-    def add_marginal(self, u: int) -> float:
-        return float(self._c[u - 1]) - self._pair_term(u)
-
-    def drop_marginal(self, d: int) -> float:
-        # d is a member; prefix/suffix exclude d itself by index choice
-        return float(self._c[d - 1]) - self._pair_term(d)
-
-    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._refresh()
-        a = self._a[ids - 1]
-        b = self._b[ids - 1]
-        pair = a * b + b * self._prefix_a[ids - 1] + a * self._suffix_b[ids]
-        return self._c[ids - 1] - pair
-
-    # members too: prefix/suffix exclude the id itself by index choice
-    drop_marginals = add_marginals
-
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._dirty = True
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._dirty = True
-
-
-def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> float:
-    """Negated half-products: c(X) minus the a(i)b(j) sum over member pairs i <= j."""
-    am = a * members
-    t = float((b * members) @ np.cumsum(am))
-    return float(c @ members) - t
-
-
-def make_half_products(n: int, seed: int, c_scale: float = 0.25) -> SetFunctionOracle:
-    """Negated half-products; c is uniform in [0, c_scale * n] (default n/4)."""
-    ground = GroundSet(n)
-    a = _stream(seed, 0).uniform(0.0, 1.0, n)
-    b = _stream(seed, 1).uniform(0.0, 1.0, n)
-    c = _stream(seed, 2).uniform(0.0, c_scale * n, n)
-
-    def evaluate(x: SubsetBits) -> float:
-        return half_products_value(a, b, c, x.to_bool_array())
-
-    def _pair_term(u: int, m: np.ndarray) -> float:
-        j = u - 1
-        before = float(a[:j] @ m[:j])
-        after = float(b[j + 1 :] @ m[j + 1 :])
-        return a[j] * b[j] + b[j] * before + a[j] * after
-
-    def fast_marginal(u: int, x: SubsetBits) -> float:
-        return float(c[u - 1]) - _pair_term(u, x.to_bool_array())
-
-    def fast_drop(d: int, x: SubsetBits) -> float:
-        return float(c[d - 1]) - _pair_term(d, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        fast_marginal=fast_marginal,
-        fast_drop_marginal=fast_drop,
-        cursor_factory=lambda o, s: _HalfProductsCursor(o, s, a, b, c),
-        params={"a": a, "b": b, "c": c, "c_scale": c_scale},
-        name=f"half_products(n={n}, seed={seed})",
     )
 
 
@@ -455,9 +329,6 @@ class _EpochCursor(Cursor):
             self._ready = True
         self._moves = 0
 
-    def members(self) -> SubsetBits:
-        return self._current
-
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
         self._moves += 1
@@ -467,6 +338,96 @@ class _EpochCursor(Cursor):
         self._current = self._current.remove(d)
         self._moves += 1
         self._last = (False, d)
+
+
+# ---------------------------------------------------------------------------
+# Half-products, served negated: the oracle evaluates
+#   -F(X) = c(X) - sum_{i,j in X, i <= j} a(i) b(j)
+# so maximizing the oracle minimizes the original half-products objective.
+
+
+class _HalfProductsCursor(_EpochCursor):
+    """Epoch cursor over prefix sums of a and suffix sums of b on the members.
+
+    Every sync is the refactor: one O(n) cumsum is as cheap as any update.
+    """
+
+    def __init__(self, oracle, start: SubsetBits, a, b, c):
+        super().__init__(start)
+        self._a = a
+        self._b = b
+        self._c = c
+        self._prefix_a = None
+        self._suffix_b = None
+        self._value = 0.0
+
+    def _refactor(self) -> None:
+        m = self._current.to_bool_array()
+        am = self._a * m
+        bm = self._b * m
+        # prefix_a[k] = sum of a over members with id <= k (1-based, index 0 = 0)
+        self._prefix_a = np.concatenate(([0.0], np.cumsum(am)))
+        self._suffix_b = np.concatenate((np.cumsum(bm[::-1])[::-1], [0.0]))
+        t = float(bm @ self._prefix_a[1:])
+        self._value = float(self._c @ m) - t
+
+    def _insert(self, u: int) -> None:
+        self._refactor()
+
+    def _delete(self, d: int) -> None:
+        self._refactor()
+
+    def value(self) -> float:
+        self._sync()
+        return self._value
+
+    def add_marginal(self, u: int) -> float:
+        # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
+        self._sync()
+        j = u - 1
+        pair = (
+            self._a[j] * self._b[j]
+            + self._b[j] * self._prefix_a[u - 1]
+            + self._a[j] * self._suffix_b[u]
+        )
+        return float(self._c[j]) - float(pair)
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._sync()
+        a = self._a[ids - 1]
+        b = self._b[ids - 1]
+        pair = a * b + b * self._prefix_a[ids - 1] + a * self._suffix_b[ids]
+        return self._c[ids - 1] - pair
+
+    # members too: prefix/suffix exclude the id itself by index choice
+    drop_marginal = add_marginal
+    drop_marginals = add_marginals
+
+
+def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> float:
+    """Negated half-products: c(X) minus the a(i)b(j) sum over member pairs i <= j."""
+    am = a * members
+    t = float((b * members) @ np.cumsum(am))
+    return float(c @ members) - t
+
+
+def make_half_products(n: int, seed: int, c_scale: float = 0.25) -> SetFunctionOracle:
+    """Negated half-products; c is uniform in [0, c_scale * n] (default n/4)."""
+    ground = GroundSet(n)
+    a = _stream(seed, 0).uniform(0.0, 1.0, n)
+    b = _stream(seed, 1).uniform(0.0, 1.0, n)
+    c = _stream(seed, 2).uniform(0.0, c_scale * n, n)
+
+    def evaluate(x: SubsetBits) -> float:
+        return half_products_value(a, b, c, x.to_bool_array())
+
+    return SetFunctionOracle(
+        ground,
+        evaluate,
+        cursor_factory=lambda o, s: _HalfProductsCursor(o, s, a, b, c),
+        params={"a": a, "b": b, "c": c, "c_scale": c_scale},
+        name=f"half_products(n={n}, seed={seed})",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -587,23 +548,9 @@ def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
     def evaluate(x: SubsetBits) -> float:
         return facility_value(mat, sigma, x.to_bool_array())
 
-    def fast_marginal(u: int, x: SubsetBits) -> float:
-        m = x.to_bool_array()
-        colmax = mat[m].max(axis=0) if m.any() else 0.0
-        return float(np.maximum(mat[u - 1] - colmax, 0.0).sum() + sigma[u - 1])
-
-    def fast_drop(dd: int, x: SubsetBits) -> float:
-        m = x.to_bool_array()
-        m2 = m.copy()
-        m2[dd - 1] = False
-        colmax = mat[m2].max(axis=0) if m2.any() else 0.0
-        return float(np.maximum(mat[dd - 1] - colmax, 0.0).sum() + sigma[dd - 1])
-
     return SetFunctionOracle(
         ground,
         evaluate,
-        fast_marginal=fast_marginal,
-        fast_drop_marginal=fast_drop,
         cursor_factory=lambda o, s: _FacilityCursor(o, s, mat, sigma),
         params={"M": mat, "sigma": sigma, "d": d},
         name=f"perturbed_facility(n={n}, d={d}, seed={seed})",
@@ -845,9 +792,6 @@ class _CobbCursor(Cursor):
         self._current = start
         self._logsum = float(delta @ start.to_bool_array())
 
-    def members(self) -> SubsetBits:
-        return self._current
-
     def value(self) -> float:
         return math.exp(self._logsum)
 
@@ -893,21 +837,11 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
     delta = _cobb_delta(w, alpha)
 
     def evaluate(x: SubsetBits) -> float:
-        return math.exp(float(delta @ x.to_bool_array()))
-
-    def fast_marginal(u: int, x: SubsetBits) -> float:
-        s = float(delta @ x.to_bool_array())
-        return math.exp(s) * math.expm1(delta[u - 1])
-
-    def fast_drop(d: int, x: SubsetBits) -> float:
-        s = float(delta @ x.to_bool_array())
-        return -math.exp(s) * math.expm1(-delta[d - 1])
+        return cobb_value(w, alpha, x.to_bool_array())
 
     return SetFunctionOracle(
         ground,
         evaluate,
-        fast_marginal=fast_marginal,
-        fast_drop_marginal=fast_drop,
         cursor_factory=lambda o, s: _CobbCursor(o, s, delta),
         params={"w": w, "alpha": alpha, "product_over": "members"},
         name=f"cobb_douglas(n={n}, seed={seed})",
@@ -923,9 +857,6 @@ class _TabularCursor(Cursor):
         self._values = values
         self._current = start
         self._mask = start.mask
-
-    def members(self) -> SubsetBits:
-        return self._current
 
     def value(self) -> float:
         return float(self._values[self._mask])
@@ -965,17 +896,9 @@ def make_tabular(values) -> SetFunctionOracle:
     def evaluate(x: SubsetBits) -> float:
         return float(arr[x.mask])
 
-    def fast_marginal(u: int, x: SubsetBits) -> float:
-        return float(arr[x.mask | (1 << (u - 1))] - arr[x.mask])
-
-    def fast_drop(d: int, x: SubsetBits) -> float:
-        return float(arr[x.mask] - arr[x.mask & ~(1 << (d - 1))])
-
     return SetFunctionOracle(
         ground,
         evaluate,
-        fast_marginal=fast_marginal,
-        fast_drop_marginal=fast_drop,
         cursor_factory=lambda o, s: _TabularCursor(o, s, arr),
         dense_table=arr,
         params={"values": arr},

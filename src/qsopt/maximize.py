@@ -160,9 +160,6 @@ class _RestrictedCursor(Cursor):
         self._free_arr = np.asarray(free_ids, dtype=np.int64)
         self._current = start
 
-    def members(self) -> SubsetBits:
-        return self._current
-
     def value(self) -> float:
         return self._inner.value()
 

@@ -1,10 +1,12 @@
 """Value-oracle contract for set functions, marginal gains, and call accounting.
 
-An oracle exposes F through ``value`` plus optional fast marginal paths and an
-optional cursor factory. A cursor is an incremental view anchored at a working
-set: it answers add/drop marginal queries against that set and can be moved one
-element at a time, which is what the reduction algorithms need to stay cheap at
-n in the thousands.
+An oracle is ``value`` plus ``cursor``. A cursor is an incremental view
+anchored at a working set: it answers add/drop marginal queries against that
+set and can be moved one element at a time, which is what the reduction
+algorithms need to stay cheap at n in the thousands. Each benchmark family
+supplies its own cursor through a cursor factory; without one, the generic
+``Cursor`` answers from value differences. ``SetFunctionOracle.marginal`` and
+``drop_marginal`` are one-off queries answered through a fresh cursor.
 
 Queries come in two shapes. ``add_marginal(u)``/``drop_marginal(d)`` answer one
 element; ``add_marginals(ids)``/``drop_marginals(ids)`` answer a whole array of
@@ -14,12 +16,13 @@ sweep, so they ask in batches; double greedy moves after every query, so it
 asks one element at a time. Either way ``CountingOracle`` books one marginal
 call per element queried: a batch of k counts as k.
 
-Epoch cursors (the facility and determinant families) keep statistics over
-the members and bring them up to date at the next query after a move, by one
-rule: exactly one move since the last query is applied as an exact in-place
-update; two or more moves, or a cursor never queried, take a full refactor.
-So a baseline that moves once between queries pays one update per move, and
-a sweep that fixes many elements pays one refactor.
+Epoch cursors (the half_products, facility and determinant families) keep
+statistics over the members and bring them up to date at the next query
+after a move, by one rule: exactly one move since the last query is applied
+as an exact in-place update; two or more moves, or a cursor never queried,
+take a full refactor. So a baseline that moves once between queries pays one
+update per move, and a sweep that fixes many elements pays one refactor.
+Half_products' update is its refactor, one O(n) prefix sum.
 """
 
 from __future__ import annotations
@@ -94,11 +97,18 @@ class Cursor:
 
 
 class SetFunctionOracle:
-    """Evaluation access to F: 2^N -> R.
+    """Evaluation access to F: 2^N -> R, through ``value`` and ``cursor``.
 
-    ``fast_marginal(i, X)`` must equal ``value(X + i) - value(X)`` and
-    ``fast_drop_marginal(d, X)`` must equal ``value(X) - value(X - d)``,
-    both within relative 1e-9; evaluation must be deterministic.
+    Evaluation must be deterministic, and a cursor's marginals must equal the
+    value differences within relative 1e-9. ``marginal``/``drop_marginal``
+    answer through ``cursor(X)``.
+
+    The ``fast_marginal=``/``fast_drop_marginal=`` kwargs, the
+    ``_fast_marginal``/``_fast_drop``/``_cursor_factory`` attributes and
+    ``dense_table`` stay only because the benchmark's tracing proxy
+    (``perfbench/tracing.py``) builds its timing view from them; no family
+    passes the two closures any more. They go once the proxy moves onto
+    ``value`` and ``cursor``.
     """
 
     def __init__(
@@ -135,7 +145,7 @@ class SetFunctionOracle:
             raise ValueError(f"element {i} already in the set")
         if self._fast_marginal is not None:
             return float(self._fast_marginal(i, x))
-        return self.value(x.add(i)) - self.value(x)
+        return float(self.cursor(x).add_marginal(i))
 
     def drop_marginal(self, d: int, x: SubsetBits) -> float:
         """F(d | X - d) = F(X) - F(X - d); requires d in X."""
@@ -143,7 +153,7 @@ class SetFunctionOracle:
             raise ValueError(f"element {d} not in the set")
         if self._fast_drop is not None:
             return float(self._fast_drop(d, x))
-        return self.value(x) - self.value(x.remove(d))
+        return float(self.cursor(x).drop_marginal(d))
 
     def cursor(self, start: SubsetBits) -> Cursor:
         if self._cursor_factory is not None:
@@ -243,8 +253,6 @@ def eval_table(oracle, n: int) -> np.ndarray:
     evaluations. Callers are responsible for keeping n small.
     """
     dense = getattr(oracle, "dense_table", None)
-    if dense is None:
-        dense = getattr(getattr(oracle, "inner", None), "dense_table", None)
     if dense is not None and len(dense) == (1 << n):
         return np.array(dense, dtype=float)
     out = np.empty(1 << n, dtype=float)

@@ -16,6 +16,18 @@ TWIN_PEAKS_TABLE = [1.0, 1.5, 1.5, 1.0]
 # Three elements, values 7..0 by bitmask, with F({1}) = NaN: every strict sign
 # test on a NaN marginal is false, so a silent run would report a "fixed point".
 NAN_TABLE = [7.0, float("nan"), 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+# Instance files with a parameter of the wrong type, each with the field
+# the config error must name.
+MALFORMED_SPECS = {
+    "facility_params_list": ({"family": "perturbed_facility", "n": 4, "params": [1, 2]}, "params"),
+    "tabular_params_list": ({"family": "tabular", "n": 1, "params": [1, 2]}, "params"),
+    "facility_d_string": ({"family": "perturbed_facility", "n": 4, "params": {"d": "3"}}, "params.d"),
+    "tabular_values_int": ({"family": "tabular", "n": 1, "params": {"values": 5}}, "params.values"),
+    "half_products_c_scale_string": (
+        {"family": "half_products", "n": 4, "params": {"c_scale": "0.5"}},
+        "params.c_scale",
+    ),
+}
 
 
 @pytest.fixture

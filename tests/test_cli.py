@@ -7,7 +7,7 @@ import pytest
 
 from qsopt import FunctionSpec, save_spec, tabular_spec
 
-from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
+from conftest import MALFORMED_SPECS, NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
 
 # table that is not quasi-submodular and trips the reduction guard
 CYCLING_TABLE = [
@@ -139,6 +139,16 @@ class TestExact:
         proc = qsopt("min", "--spec", str(path))
         assert proc.returncode == 3
         assert "marginal of element 1 is NaN" in proc.stderr
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_is_config_error(case, tmp_path):
+    payload, field = MALFORMED_SPECS[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    proc = qsopt("max", "--spec", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and field in proc.stderr
 
 
 class TestBench:

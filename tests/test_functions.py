@@ -32,7 +32,7 @@ from qsopt import (
 )
 from qsopt.functions import _stream
 
-from conftest import PROP_TABLE, TWIN_PEAKS_TABLE
+from conftest import MALFORMED_SPECS, PROP_TABLE, TWIN_PEAKS_TABLE
 
 
 def members(n, *ids):
@@ -234,6 +234,14 @@ class TestSpecPersistence:
         loaded = load_spec(path).params["values"]
         assert math.isnan(loaded[1])
         assert loaded[:1] + loaded[2:] == values[:1] + values[2:]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+    def test_malformed_params_are_config_errors(self, case, tmp_path):
+        payload, field = MALFORMED_SPECS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=field):
+            instantiate(load_spec(path))
 
 
 class TestRandomQsb:
