@@ -1,10 +1,26 @@
 """Exhaustive verification of submodularity-type properties on small ground sets.
 
-Every checker enumerates its defining condition outright and, on failure,
-returns a witness carrying the participating sets and the values that violate
-the condition, so the verdict can be replayed against the oracle. Enumeration
-order is fixed (ascending bitmasks, ascending element ids) to make the first
-witness deterministic.
+Every checker evaluates F once on all 2**n subsets and tests its defining
+condition over that table in whole-array passes. On failure it returns a
+witness carrying the participating sets and the values that violate the
+condition, so the verdict can be replayed against the oracle.
+
+Cost, with the table already evaluated:
+
+- ``is_submodular``: O(n^2 2^n). For each element i, the subset-min transform
+  of the gains F(i|A) gives every B its smallest gain over A <= B at once.
+- ``satisfies_weak_marginal``: O(n^2 2^n). The same with the subset-OR
+  transforms of the masks F(i|A) <= 0 and F(i|A) < 0.
+- ``satisfies_ssbc``: O(n 3^n). For each element i, one pass over all
+  3^(n-1) pairs A <= B <= N - i (1.6 M pairs at the n = 14 cap).
+- ``is_quasi_submodular``: O(4^n), every ordered pair (X, Y), in blocks of
+  consecutive X.
+
+The first witness is the one a plain enumeration in a fixed order meets
+first, masks and element ids ascending: ``is_submodular`` and
+``satisfies_weak_marginal`` take i, then B, then A; ``satisfies_ssbc`` takes
+B, then i, then A; ``is_quasi_submodular`` takes X, then Y. The passes find
+the first failing (i, B); only then is A looked up among the submasks of B.
 """
 
 from __future__ import annotations
@@ -16,7 +32,7 @@ import numpy as np
 
 from .errors import CapExceeded
 from .oracle import eval_table
-from .sets import SubsetBits, iter_bits
+from .sets import SubsetBits
 
 SUBMODULAR_MAX_N = 14
 QSB_MAX_N = 12
@@ -54,15 +70,45 @@ class PropertyVerdict:
         return self.holds
 
 
-def _submasks_ascending(mask: int, n: int) -> np.ndarray:
-    """All submasks of ``mask`` as an ascending int64 array."""
-    positions = np.array([i - 1 for i in iter_bits(mask)], dtype=np.int64)
-    k = len(positions)
-    combos = np.arange(1 << k, dtype=np.int64)
-    out = np.zeros(1 << k, dtype=np.int64)
-    for j in range(k):
-        out |= ((combos >> j) & 1) << positions[j]
+#: Entries per array in one block of the pair condition's (X, Y) grid.
+_QSB_BLOCK = 1 << 14
+#: (A, B) pairs per array in one block of the single sub-crossing pass.
+_PAIR_CHUNK = 1 << 16
+
+
+def _subset_reduce(table: np.ndarray, ufunc) -> np.ndarray:
+    """Along the last axis, entry B becomes ``ufunc`` reduced over the entries A <= B."""
+    out = table.copy()
+    bit = 1
+    while bit < out.shape[-1]:
+        halves = out.reshape(*out.shape[:-1], -1, 2, bit)  # [..., without bit, with bit, rest]
+        ufunc(halves[..., 1, :], halves[..., 0, :], out=halves[..., 1, :])
+        bit <<= 1
     return out
+
+
+def _gains(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i-1 holds F(i|B) for every mask B, and whether B leaves out i."""
+    masks = np.arange(1 << n)
+    bits = (1 << np.arange(n))[:, None]
+    return values[masks | bits] - values[masks], (masks & bits) == 0
+
+
+def _first_submask(b_mask: int, bad: np.ndarray) -> int:
+    """Smallest A <= B with ``bad[A]``; the caller knows there is one."""
+    masks = np.arange(len(bad))
+    return int(np.argmax(bad & ((masks & ~b_mask) == 0)))
+
+
+def _subset_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 3**m pairs A <= B of subsets of the first m elements, as two mask arrays."""
+    a = np.zeros(1, dtype=np.int64)
+    b = np.zeros(1, dtype=np.int64)
+    for j in range(m):
+        bit = 1 << j
+        a = np.concatenate((a, a, a | bit))
+        b = np.concatenate((b, b | bit, b | bit))
+    return a, b
 
 
 def is_submodular(oracle, n: int) -> PropertyVerdict:
@@ -70,39 +116,36 @@ def is_submodular(oracle, n: int) -> PropertyVerdict:
     if n > SUBMODULAR_MAX_N:
         raise CapExceeded(f"submodularity check capped at n <= {SUBMODULAR_MAX_N}")
     values = eval_table(oracle, n)
-    full = (1 << n) - 1
-    for i in range(1, n + 1):
-        ibit = 1 << (i - 1)
-        rest = full & ~ibit
-        for b_mask in _submasks_ascending(rest, n):
-            b_mask = int(b_mask)
-            subs = _submasks_ascending(b_mask, n)
-            gain_a = values[subs | ibit] - values[subs]
-            gain_b = values[b_mask | ibit] - values[b_mask]
-            bad = gain_a < gain_b - SUBMODULAR_ATOL
-            if bad.any():
-                a_mask = int(subs[int(np.argmax(bad))])
-                x_mask, y_mask = a_mask | ibit, b_mask
-                return PropertyVerdict(
-                    False,
-                    Witness(
-                        condition="diminishing returns: F(i|A) < F(i|B) with A <= B",
-                        sets={
-                            "A": SubsetBits(n, a_mask),
-                            "B": SubsetBits(n, b_mask),
-                            "X": SubsetBits(n, x_mask),
-                            "Y": SubsetBits(n, y_mask),
-                        },
-                        element=i,
-                        values={
-                            "F(X)": float(values[x_mask]),
-                            "F(Y)": float(values[y_mask]),
-                            "F(X&Y)": float(values[x_mask & y_mask]),
-                            "F(X|Y)": float(values[x_mask | y_mask]),
-                        },
-                    ),
-                )
-    return PropertyVerdict(True)
+    gains, excludes = _gains(values, n)
+    # fmin skips NaN gains, which break no inequality
+    lowest = _subset_reduce(gains, np.fmin)
+    bad = (lowest < gains - SUBMODULAR_ATOL) & excludes
+    if not bad.any():
+        return PropertyVerdict(True)
+    row, b_mask = divmod(int(np.argmax(bad)), 1 << n)
+    i, ibit = row + 1, 1 << row
+    gain = gains[row]
+    a_mask = _first_submask(b_mask, gain < gain[b_mask] - SUBMODULAR_ATOL)
+    x_mask, y_mask = a_mask | ibit, b_mask
+    return PropertyVerdict(
+        False,
+        Witness(
+            condition="diminishing returns: F(i|A) < F(i|B) with A <= B",
+            sets={
+                "A": SubsetBits(n, a_mask),
+                "B": SubsetBits(n, b_mask),
+                "X": SubsetBits(n, x_mask),
+                "Y": SubsetBits(n, y_mask),
+            },
+            element=i,
+            values={
+                "F(X)": float(values[x_mask]),
+                "F(Y)": float(values[y_mask]),
+                "F(X&Y)": float(values[x_mask & y_mask]),
+                "F(X|Y)": float(values[x_mask | y_mask]),
+            },
+        ),
+    )
 
 
 def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
@@ -116,18 +159,20 @@ def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
         raise CapExceeded(f"quasi-submodularity check capped at n <= {QSB_MAX_N}")
     values = eval_table(oracle, n)
     size = 1 << n
-    ys = np.arange(size, dtype=np.int64)
-    vy = values
-    for x_mask in range(size):
-        inter = x_mask & ys
-        union = x_mask | ys
-        fx = values[x_mask]
-        weak_bad = (values[inter] >= fx) & (vy < values[union])
-        strict_bad = (values[inter] > fx) & (vy <= values[union])
+    ys = np.arange(size)
+    rows = max(1, _QSB_BLOCK >> n)
+    for start in range(0, size, rows):
+        xs = np.arange(start, min(start + rows, size))[:, None]
+        fx = values[xs]
+        f_inter = values[xs & ys]
+        f_union = values[xs | ys]
+        weak_bad = (f_inter >= fx) & (values < f_union)
+        strict_bad = (f_inter > fx) & (values <= f_union)
         bad = weak_bad | strict_bad
         if bad.any():
-            y_mask = int(np.argmax(bad))
-            strict = bool(strict_bad[y_mask]) and not bool(weak_bad[y_mask])
+            row, y_mask = divmod(int(np.argmax(bad)), size)
+            x_mask = start + row
+            strict = bool(strict_bad[row, y_mask]) and not bool(weak_bad[row, y_mask])
             cond = (
                 "F(X&Y) > F(X) but F(Y) <= F(X|Y)"
                 if strict
@@ -159,43 +204,53 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
     if n > SSBC_MAX_N:
         raise CapExceeded(f"single sub-crossing check capped at n <= {SSBC_MAX_N}")
     values = eval_table(oracle, n)
-    full = (1 << n) - 1
-    for b_mask in range(1 << n):
-        subs = _submasks_ascending(b_mask, n)
-        fa = values[subs]
-        fb = values[b_mask]
-        free = full & ~b_mask
-        for i in iter_bits(free):
-            ibit = 1 << (i - 1)
-            fai = values[subs | ibit]
-            fbi = values[b_mask | ibit]
-            weak_bad = (fa >= fb) & (fai < fbi)
-            strict_bad = (fa > fb) & (fai <= fbi)
-            bad = weak_bad | strict_bad
+    pair_a, pair_b = _subset_pairs(n - 1)
+    first = None  # (B, i) of the first failure
+    for i in range(1, n + 1):
+        ibit = 1 << (i - 1)
+        low = ibit - 1
+        for lo in range(0, len(pair_a), _PAIR_CHUNK):
+            a = pair_a[lo : lo + _PAIR_CHUNK]
+            b = pair_b[lo : lo + _PAIR_CHUNK]
+            # spread the pairs over N - i: a zero bit goes in at i's position
+            a = (a & low) | ((a & ~low) << 1)
+            b = (b & low) | ((b & ~low) << 1)
+            fa, fb = values[a], values[b]
+            fai, fbi = values[a | ibit], values[b | ibit]
+            bad = ((fa >= fb) & (fai < fbi)) | ((fa > fb) & (fai <= fbi))
             if bad.any():
-                j = int(np.argmax(bad))
-                a_mask = int(subs[j])
-                strict = bool(strict_bad[j]) and not bool(weak_bad[j])
-                cond = (
-                    "F(A) > F(B) but F(A+i) <= F(B+i)"
-                    if strict
-                    else "F(A) >= F(B) but F(A+i) < F(B+i)"
-                )
-                return PropertyVerdict(
-                    False,
-                    Witness(
-                        condition=cond,
-                        sets={"A": SubsetBits(n, a_mask), "B": SubsetBits(n, b_mask)},
-                        element=i,
-                        values={
-                            "F(A)": float(fa[j]),
-                            "F(B)": float(fb),
-                            "F(A+i)": float(fai[j]),
-                            "F(B+i)": float(fbi),
-                        },
-                    ),
-                )
-    return PropertyVerdict(True)
+                b_mask = int(b[bad].min())
+                if first is None or b_mask < first[0]:
+                    first = (b_mask, i)
+    if first is None:
+        return PropertyVerdict(True)
+    b_mask, i = first
+    ibit = 1 << (i - 1)
+    fb, fbi = values[b_mask], values[b_mask | ibit]
+    fai = values[np.arange(1 << n) | ibit]
+    weak_bad = (values >= fb) & (fai < fbi)
+    strict_bad = (values > fb) & (fai <= fbi)
+    a_mask = _first_submask(b_mask, weak_bad | strict_bad)
+    strict = bool(strict_bad[a_mask]) and not bool(weak_bad[a_mask])
+    cond = (
+        "F(A) > F(B) but F(A+i) <= F(B+i)"
+        if strict
+        else "F(A) >= F(B) but F(A+i) < F(B+i)"
+    )
+    return PropertyVerdict(
+        False,
+        Witness(
+            condition=cond,
+            sets={"A": SubsetBits(n, a_mask), "B": SubsetBits(n, b_mask)},
+            element=i,
+            values={
+                "F(A)": float(values[a_mask]),
+                "F(B)": float(fb),
+                "F(A+i)": float(fai[a_mask]),
+                "F(B+i)": float(fbi),
+            },
+        ),
+    )
 
 
 def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
@@ -208,37 +263,33 @@ def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
     if n > WEAK_MARGINAL_MAX_N:
         raise CapExceeded(f"weak marginal check capped at n <= {WEAK_MARGINAL_MAX_N}")
     values = eval_table(oracle, n)
-    full = (1 << n) - 1
-    for i in range(1, n + 1):
-        ibit = 1 << (i - 1)
-        rest = full & ~ibit
-        for b_mask in _submasks_ascending(rest, n):
-            b_mask = int(b_mask)
-            gain_b = values[b_mask | ibit] - values[b_mask]
-            subs = _submasks_ascending(b_mask, n)
-            gain_a = values[subs | ibit] - values[subs]
-            weak_bad = (gain_a <= 0.0) & (gain_b > 0.0)
-            strict_bad = (gain_a < 0.0) & (gain_b >= 0.0)
-            bad = weak_bad | strict_bad
-            if bad.any():
-                j = int(np.argmax(bad))
-                a_mask = int(subs[j])
-                strict = bool(strict_bad[j]) and not bool(weak_bad[j])
-                cond = (
-                    "F(i|A) < 0 but F(i|B) >= 0"
-                    if strict
-                    else "F(i|A) <= 0 but F(i|B) > 0"
-                )
-                return PropertyVerdict(
-                    False,
-                    Witness(
-                        condition=cond,
-                        sets={"A": SubsetBits(n, a_mask), "B": SubsetBits(n, b_mask)},
-                        element=i,
-                        values={"F(i|A)": float(gain_a[j]), "F(i|B)": float(gain_b)},
-                    ),
-                )
-    return PropertyVerdict(True)
+    gains, excludes = _gains(values, n)
+    weak_bad = _subset_reduce(gains <= 0.0, np.logical_or) & (gains > 0.0)
+    strict_bad = _subset_reduce(gains < 0.0, np.logical_or) & (gains >= 0.0)
+    bad = (weak_bad | strict_bad) & excludes
+    if not bad.any():
+        return PropertyVerdict(True)
+    row, b_mask = divmod(int(np.argmax(bad)), 1 << n)
+    gain = gains[row]
+    gain_b = gain[b_mask]
+    weak_bad = (gain <= 0.0) & (gain_b > 0.0)
+    strict_bad = (gain < 0.0) & (gain_b >= 0.0)
+    a_mask = _first_submask(b_mask, weak_bad | strict_bad)
+    strict = bool(strict_bad[a_mask]) and not bool(weak_bad[a_mask])
+    cond = (
+        "F(i|A) < 0 but F(i|B) >= 0"
+        if strict
+        else "F(i|A) <= 0 but F(i|B) > 0"
+    )
+    return PropertyVerdict(
+        False,
+        Witness(
+            condition=cond,
+            sets={"A": SubsetBits(n, a_mask), "B": SubsetBits(n, b_mask)},
+            element=row + 1,
+            values={"F(i|A)": float(gain[a_mask]), "F(i|B)": float(gain_b)},
+        ),
+    )
 
 
 def is_local_min(oracle, x: SubsetBits) -> bool:

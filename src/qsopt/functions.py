@@ -11,16 +11,15 @@ parameter array k of a family is drawn from the PCG64 stream seeded with
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import cholesky
-from scipy.linalg.blas import dsymm, dsymv, dsyr
-from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import ConfigError, InternalInvariantError
 from .oracle import Cursor, SetFunctionOracle
@@ -124,14 +123,13 @@ def load_spec(path: str | Path) -> FunctionSpec:
     if not isinstance(payload, dict):
         raise ConfigError(f"instance file {path} is not a JSON object")
     try:
-        return FunctionSpec(
-            family=payload["family"],
-            n=int(payload["n"]),
-            seed=int(payload.get("seed", 0)),
-            params=payload.get("params") or {},
-        )
+        family, n, seed = payload["family"], payload["n"], payload.get("seed", 0)
     except KeyError as exc:
         raise ConfigError(f"instance file {path} missing field {exc}") from exc
+    for key, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"instance file {path}: field '{key}' must be an integer, got {value!r}")
+    return FunctionSpec(family=family, n=n, seed=seed, params=payload.get("params") or {})
 
 
 def _check_param(spec: FunctionSpec, key: str, kind: type, what: str) -> None:
@@ -158,6 +156,11 @@ def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
         _check_param(spec, "d", numbers.Integral, "an integer")
         return make_perturbed_facility(spec.n, p.get("d", 400), spec.seed)
     if spec.family == "determinant":
+        for key in DETERMINANT_DEFAULTS:
+            if key == "dim":
+                _check_param(spec, key, numbers.Integral, "an integer")
+            else:
+                _check_param(spec, key, numbers.Real, "a number")
         return make_determinant(spec.n, spec.seed, **{k: v for k, v in p.items()})
     if spec.family == "cobb_douglas":
         return make_cobb_douglas(spec.n, spec.seed)
@@ -206,9 +209,9 @@ class _IwataCursor(Cursor):
         self._wsum -= 5 * d - 2 * self._n
 
 
-def iwata_value(n: int, members: np.ndarray) -> float:
-    """F(X) = |X| |N\\X| - sum over X of (5 i - 2 n)."""
-    weights = 5.0 * np.arange(1, n + 1) - 2.0 * n
+def iwata_value(weights: np.ndarray, members: np.ndarray) -> float:
+    """F(X) = |X| |N\\X| - weights(X), with ``weights`` the n values 5 i - 2 n."""
+    n = len(weights)
     k = int(members.sum())
     return k * (n - k) - float(weights @ members)
 
@@ -219,7 +222,7 @@ def make_iwata(n: int) -> SetFunctionOracle:
     weights = 5.0 * np.arange(1, n + 1) - 2.0 * n
 
     def evaluate(x: SubsetBits) -> float:
-        return iwata_value(n, x.to_bool_array())
+        return iwata_value(weights, x.to_bool_array())
 
     return SetFunctionOracle(
         ground,
@@ -584,6 +587,25 @@ DETERMINANT_DEFAULTS = {
 _DET_FLOOR = float(np.finfo(float).tiny)
 
 
+@functools.cache
+def _linalg() -> SimpleNamespace:
+    """scipy's Cholesky and the LAPACK/BLAS routines of the determinant family.
+
+    Imported on first use: ``scipy.linalg`` takes a few hundred ms to import,
+    and no other family needs it.
+    """
+    from scipy.linalg import blas, cholesky, lapack
+
+    return SimpleNamespace(
+        cholesky=cholesky,
+        dpotrf=lapack.dpotrf,
+        dpotri=lapack.dpotri,
+        dsymm=blas.dsymm,
+        dsymv=blas.dsymv,
+        dsyr=blas.dsyr,
+    )
+
+
 class _DeterminantCursor(_EpochCursor):
     """Epoch cursor around K_X^{-1} for the members X, ascending.
 
@@ -598,9 +620,10 @@ class _DeterminantCursor(_EpochCursor):
     the refactor instead.
     """
 
-    def __init__(self, oracle, start: SubsetBits, kernel: np.ndarray):
+    def __init__(self, oracle, start: SubsetBits, kernel: np.ndarray, la: SimpleNamespace):
         super().__init__(start)
         self._kernel = kernel
+        self._la = la
         self._idx = None
         self._inv = None
         self._det = 1.0
@@ -613,13 +636,13 @@ class _DeterminantCursor(_EpochCursor):
             self._det = 1.0
             return
         # the restriction is symmetric, so its transpose is the same matrix in Fortran order
-        chol, info = dpotrf(self._kernel[np.ix_(idx, idx)].T, lower=1, overwrite_a=1)
+        chol, info = self._la.dpotrf(self._kernel[np.ix_(idx, idx)].T, lower=1, overwrite_a=1)
         if info != 0:
             raise InternalInvariantError(
                 f"kernel restricted to {len(idx)} members is not positive definite (dpotrf info={info})"
             )
         self._det = float(np.prod(np.diag(chol)) ** 2)
-        self._inv, info = dpotri(chol, lower=1, overwrite_c=1)
+        self._inv, info = self._la.dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise InternalInvariantError(f"Cholesky factor is singular (dpotri info={info})")
 
@@ -640,12 +663,12 @@ class _DeterminantCursor(_EpochCursor):
             return
         kuu = float(self._kernel[u - 1, u - 1])
         v = self._kernel[idx, u - 1]
-        w = dsymv(1.0, inv, v, lower=1)
+        w = self._la.dsymv(1.0, inv, v, lower=1)
         s = kuu - float(v @ w)
         if not self._accept(s):
             return
         p = int(np.searchsorted(idx, u - 1))
-        inv = dsyr(1.0 / s, w, a=inv, lower=1, overwrite_a=1)
+        inv = self._la.dsyr(1.0 / s, w, a=inv, lower=1, overwrite_a=1)
         new = np.empty((k + 1, k + 1), order="F")
         new[:p, :p] = inv[:p, :p]
         new[p + 1 :, :p] = inv[p:, :p]
@@ -671,7 +694,7 @@ class _DeterminantCursor(_EpochCursor):
         new[:p, :p] = inv[:p, :p]
         new[p:, :p] = inv[p + 1 :, :p]
         new[p:, p:] = inv[p + 1 :, p + 1 :]
-        self._inv = dsyr(-1.0 / a_pp, a, a=new, lower=1, overwrite_a=1)
+        self._inv = self._la.dsyr(-1.0 / a_pp, a, a=new, lower=1, overwrite_a=1)
         self._idx = np.delete(idx, p)
 
     def value(self) -> float:
@@ -690,7 +713,7 @@ class _DeterminantCursor(_EpochCursor):
         if len(self._idx) == 0 or len(ids) == 0:
             return kuu - 1.0
         v = self._kernel[np.ix_(self._idx, ids - 1)]
-        w = dsymm(1.0, self._inv, v, lower=1)
+        w = self._la.dsymm(1.0, self._inv, v, lower=1)
         schur = kuu - np.einsum("ij,ij->j", v, w)
         return self._det * (schur - 1.0)
 
@@ -704,7 +727,7 @@ class _DeterminantCursor(_EpochCursor):
 def _determinant_kernel(n: int, seed: int, p: dict) -> np.ndarray:
     rng = _stream(seed, 0)
     qrng = _stream(seed, 1)
-    dim = int(p["dim"])
+    dim = p["dim"]
     ell = float(p["length_scale"])
     points = np.zeros((n, dim))
     quality = np.zeros(n)
@@ -755,7 +778,7 @@ def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> float:
     idx = np.flatnonzero(members)
     if len(idx) == 0:
         return 1.0
-    chol = cholesky(kernel[np.ix_(idx, idx)], lower=True)
+    chol = _linalg().cholesky(kernel[np.ix_(idx, idx)], lower=True)
     return float(np.prod(np.diag(chol)) ** 2)
 
 
@@ -768,6 +791,7 @@ def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
     params.update(knobs)
     ground = GroundSet(n)
     kernel = _determinant_kernel(n, seed, params)
+    la = _linalg()
 
     def evaluate(x: SubsetBits) -> float:
         return principal_determinant(kernel, x.to_bool_array())
@@ -775,7 +799,7 @@ def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _DeterminantCursor(o, s, kernel),
+        cursor_factory=lambda o, s: _DeterminantCursor(o, s, kernel, la),
         params={"kernel": kernel, **params},
         name=f"determinant(n={n}, seed={seed})",
     )
@@ -793,19 +817,22 @@ class _CobbCursor(Cursor):
         self._logsum = float(delta @ start.to_bool_array())
 
     def value(self) -> float:
-        return math.exp(self._logsum)
+        try:
+            return math.exp(self._logsum)
+        except OverflowError:
+            raise _cobb_overflow(len(self._current), self._logsum) from None
 
     def add_marginal(self, u: int) -> float:
-        return math.exp(self._logsum) * math.expm1(self._delta[u - 1])
+        return self.value() * math.expm1(self._delta[u - 1])
 
     def drop_marginal(self, d: int) -> float:
-        return -math.exp(self._logsum) * math.expm1(-self._delta[d - 1])
+        return -self.value() * math.expm1(-self._delta[d - 1])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return math.exp(self._logsum) * np.expm1(self._delta[ids - 1])
+        return self.value() * np.expm1(self._delta[ids - 1])
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return -math.exp(self._logsum) * np.expm1(-self._delta[ids - 1])
+        return -self.value() * np.expm1(-self._delta[ids - 1])
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -816,7 +843,7 @@ class _CobbCursor(Cursor):
         self._logsum -= self._delta[d - 1]
 
 
-def _cobb_delta(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def cobb_log_factors(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """Per-element log factors alpha * ln(w); w == 0 with positive alpha gives -inf."""
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = alpha * np.log(w)
@@ -824,9 +851,19 @@ def _cobb_delta(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.where((w == 0.0) & (alpha == 0.0), 0.0, delta)
 
 
-def cobb_value(w: np.ndarray, alpha: np.ndarray, members: np.ndarray) -> float:
-    """Product over members of w(i)**alpha_i, computed through the log-sum."""
-    return math.exp(float(_cobb_delta(w, alpha) @ members))
+def _cobb_overflow(size: int, log_value: float) -> InternalInvariantError:
+    return InternalInvariantError(
+        f"cobb_douglas value overflows a double on a set of {size} members (log F = {log_value!r})"
+    )
+
+
+def cobb_value(delta: np.ndarray, members: np.ndarray) -> float:
+    """Product over members of w(i)**alpha_i: exp of the ``cobb_log_factors`` sum."""
+    log_value = float(delta @ members)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise _cobb_overflow(int(members.sum()), log_value) from None
 
 
 def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
@@ -834,10 +871,10 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
     ground = GroundSet(n)
     w = _stream(seed, 0).uniform(0.5, 2.0, n)
     alpha = _stream(seed, 1).uniform(0.0, 1.0, n)
-    delta = _cobb_delta(w, alpha)
+    delta = cobb_log_factors(w, alpha)
 
     def evaluate(x: SubsetBits) -> float:
-        return cobb_value(w, alpha, x.to_bool_array())
+        return cobb_value(delta, x.to_bool_array())
 
     return SetFunctionOracle(
         ground,

@@ -27,6 +27,11 @@ MALFORMED_SPECS = {
         {"family": "half_products", "n": 4, "params": {"c_scale": "0.5"}},
         "params.c_scale",
     ),
+    "com_n_float": ({"family": "com", "n": 3.7, "seed": 1.9}, "'n'"),
+    "com_n_bool": ({"family": "com", "n": True}, "'n'"),
+    "com_seed_float": ({"family": "com", "n": 3, "seed": 1.9}, "'seed'"),
+    "determinant_dim_float": ({"family": "determinant", "n": 4, "params": {"dim": 2.5}}, "params.dim"),
+    "determinant_dim_bool": ({"family": "determinant", "n": 4, "params": {"dim": True}}, "params.dim"),
 }
 
 

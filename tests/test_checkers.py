@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_checkers
 from qsopt import (
     CapExceeded,
     SubsetBits,
@@ -13,6 +18,7 @@ from qsopt import (
     satisfies_ssbc,
     satisfies_weak_marginal,
 )
+from qsopt import checkers
 from qsopt.functions import _stream
 
 from conftest import PROP_TABLE, TWIN_PEAKS_TABLE, random_spaced_values
@@ -141,3 +147,36 @@ class TestEquivalences:
                 assert is_quasi_submodular(F, n).holds
         prop = make_tabular(PROP_TABLE)
         assert is_quasi_submodular(prop, 2).holds and not is_submodular(prop, 2).holds
+
+
+@st.composite
+def small_int_tables(draw):
+    """(n, table) for n <= 8: small integers, so ties are common, with a few edits.
+
+    Half the tables start modular, which passes every check, so an edit places
+    the first witness anywhere in the enumeration; edits may write NaN.
+    """
+    n = draw(st.integers(1, 8))
+    size = 1 << n
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        values = [float(sum(w for k, w in enumerate(weights) if m >> k & 1)) for m in range(size)]
+    else:
+        values = [float(v) for v in draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))]
+    for mask in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+        values[mask] = draw(st.sampled_from([math.nan, -2.0, -1.0, 0.0, 1.0, 2.0]))
+    return n, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_int_tables())
+def test_checkers_match_loop_reference(table):
+    """Verdict and first witness equal the one-(i, B)-at-a-time enumeration's."""
+    n, values = table
+    F = make_tabular(values)
+    for name in ("is_submodular", "is_quasi_submodular", "satisfies_ssbc", "satisfies_weak_marginal"):
+        got = getattr(checkers, name)(F, n)
+        want = getattr(reference_checkers, name)(F, n)
+        assert got.holds == want.holds, name
+        # repr compares every set and value, NaN included
+        assert repr(got) == repr(want), name

@@ -115,6 +115,15 @@ class TestBaseline:
         assert "reduction_rate=" in proc.stdout
 
 
+class TestMax:
+    def test_cobb_douglas_overflow_exit_code(self, tmp_path):
+        path = tmp_path / "cobb.json"
+        path.write_text(json.dumps({"family": "cobb_douglas", "n": 7000, "seed": 1}))
+        proc = qsopt("max", "--spec", str(path))
+        assert proc.returncode == 3
+        assert "cobb_douglas value overflows" in proc.stderr
+
+
 class TestExact:
     def test_direction_max(self, prop_spec):
         proc = qsopt("exact", "--spec", prop_spec, "--direction", "max")

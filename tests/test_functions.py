@@ -7,7 +7,9 @@ import pytest
 from qsopt import (
     ConfigError,
     FunctionSpec,
+    InternalInvariantError,
     SubsetBits,
+    cobb_log_factors,
     cobb_value,
     com_value,
     facility_value,
@@ -54,7 +56,7 @@ class TestIwata:
         F = make_iwata(9)
         for mask in range(0, 512, 7):
             x = SubsetBits(9, mask)
-            assert F.value(x) == iwata_value(9, x.to_bool_array())
+            assert F.value(x) == iwata_value(F.params["weights"], x.to_bool_array())
 
 
 class TestCom:
@@ -141,21 +143,38 @@ class TestCobbDouglas:
         assert make_cobb_douglas(6, 2).value(SubsetBits.empty(6)) == 1.0
 
     def test_hand_values(self):
-        assert cobb_value(np.array([2.0]), np.array([1.0]), np.array([True])) == 2.0
-        got = cobb_value(np.array([2.0, 0.5]), np.array([1.0, 1.0]), np.array([True, True]))
+        assert cobb_value(cobb_log_factors(np.array([2.0]), np.array([1.0])), np.array([True])) == 2.0
+        delta = cobb_log_factors(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
+        got = cobb_value(delta, np.array([True, True]))
         assert values_close(got, 1.0)
 
     def test_zero_weight_with_positive_exponent(self):
-        got = cobb_value(np.array([0.0, 2.0]), np.array([0.5, 1.0]), np.array([True, True]))
+        got = cobb_value(cobb_log_factors(np.array([0.0, 2.0]), np.array([0.5, 1.0])), np.array([True, True]))
         assert got == 0.0
-        neutral = cobb_value(np.array([0.0]), np.array([0.0]), np.array([True]))
+        neutral = cobb_value(cobb_log_factors(np.array([0.0]), np.array([0.0])), np.array([True]))
         assert neutral == 1.0
+
+    def test_overflow_is_invariant_error(self):
+        F = make_cobb_douglas(7000, 1)
+        gainers = cobb_log_factors(F.params["w"], F.params["alpha"]) > 0.0
+        x = SubsetBits.from_bool_array(gainers)
+        size = f"set of {int(gainers.sum())} members"
+        with pytest.raises(InternalInvariantError, match=size):
+            F.value(x)
+        cursor = F.cursor(x)
+        with pytest.raises(InternalInvariantError, match=size):
+            cursor.value()
+        with pytest.raises(InternalInvariantError, match="log F"):
+            cursor.drop_marginals(np.array([1, 2, 3]))
+        with pytest.raises(InternalInvariantError, match="log F"):
+            cursor.add_marginal(1)
 
     def test_oracle_matches_pure_function(self):
         F = make_cobb_douglas(7, 8)
         for mask in range(128):
             x = SubsetBits(7, mask)
-            assert values_close(F.value(x), cobb_value(F.params["w"], F.params["alpha"], x.to_bool_array()))
+            delta = cobb_log_factors(F.params["w"], F.params["alpha"])
+            assert values_close(F.value(x), cobb_value(delta, x.to_bool_array()))
 
 
 class TestTabular:
