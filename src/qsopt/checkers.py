@@ -20,7 +20,8 @@ The first witness is the one a plain enumeration in a fixed order meets
 first, masks and element ids ascending: ``is_submodular`` and
 ``satisfies_weak_marginal`` take i, then B, then A; ``satisfies_ssbc`` takes
 B, then i, then A; ``is_quasi_submodular`` takes X, then Y. The passes find
-the first failing (i, B); only then is A looked up among the submasks of B.
+the first failing (i, B); A is then looked up among the submasks of that B
+alone.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def _subset_reduce(table: np.ndarray, ufunc) -> np.ndarray:
     out = table.copy()
     bit = 1
     while bit < out.shape[-1]:
-        halves = out.reshape(*out.shape[:-1], -1, 2, bit)  # [..., without bit, with bit, rest]
+        # axes [..., higher bits, this bit clear or set, lower bits]
+        halves = out.reshape(*out.shape[:-1], -1, 2, bit)
         ufunc(halves[..., 1, :], halves[..., 0, :], out=halves[..., 1, :])
         bit <<= 1
     return out

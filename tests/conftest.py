@@ -32,6 +32,10 @@ MALFORMED_SPECS = {
     "com_seed_float": ({"family": "com", "n": 3, "seed": 1.9}, "'seed'"),
     "determinant_dim_float": ({"family": "determinant", "n": 4, "params": {"dim": 2.5}}, "params.dim"),
     "determinant_dim_bool": ({"family": "determinant", "n": 4, "params": {"dim": True}}, "params.dim"),
+    "determinant_length_scale_string": (
+        {"family": "determinant", "n": 4, "params": {"length_scale": "0.35"}},
+        "params.length_scale",
+    ),
 }
 
 

@@ -1,8 +1,8 @@
 """Loop implementations of the exhaustive checkers: the reference for ``qsopt.checkers``.
 
-Each function enumerates its condition one (element, set) at a time, in the
-order that fixes the first witness, and returns what the library checker of
-the same name must return, witness included.
+Each function enumerates its condition one set X, or one element and set B,
+at a time, in the order that fixes the first witness, and returns what the
+library checker of the same name must return, witness included.
 """
 
 from __future__ import annotations

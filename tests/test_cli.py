@@ -94,6 +94,13 @@ class TestMax:
         proc = qsopt("max", "--spec", str(path))
         assert "X+={} Y+={1,2} free=2 reduction_rate=0.0" in proc.stdout
 
+    def test_cobb_douglas_overflow_exit_code(self, tmp_path):
+        path = tmp_path / "cobb.json"
+        path.write_text(json.dumps({"family": "cobb_douglas", "n": 7000, "seed": 1}))
+        proc = qsopt("max", "--spec", str(path))
+        assert proc.returncode == 3
+        assert "cobb_douglas value overflows" in proc.stderr
+
 
 class TestBaseline:
     @pytest.mark.parametrize("alg", ["rp", "rls", "rg", "dg"])
@@ -113,15 +120,6 @@ class TestBaseline:
         proc = qsopt("baseline", "--alg", "rp", "--spec", com_spec, "--trials", "3", "--seed", "1", "--prefilter")
         assert proc.returncode == 0
         assert "reduction_rate=" in proc.stdout
-
-
-class TestMax:
-    def test_cobb_douglas_overflow_exit_code(self, tmp_path):
-        path = tmp_path / "cobb.json"
-        path.write_text(json.dumps({"family": "cobb_douglas", "n": 7000, "seed": 1}))
-        proc = qsopt("max", "--spec", str(path))
-        assert proc.returncode == 3
-        assert "cobb_douglas value overflows" in proc.stderr
 
 
 class TestExact:
