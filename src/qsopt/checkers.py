@@ -12,7 +12,8 @@ Cost, with the table already evaluated:
 - ``satisfies_weak_marginal``: O(n^2 2^n). The same with the subset-OR
   transforms of the masks F(i|A) <= 0 and F(i|A) < 0.
 - ``satisfies_ssbc``: O(n 3^n). For each element i, one pass over all
-  3^(n-1) pairs A <= B <= N - i (1.6 M pairs at the n = 14 cap).
+  pairs A <= B <= N - i (3^(n-1), 1.6 M at the n = 14 cap), in blocks of
+  ascending B so that a failure stops the scan after its block.
 - ``is_quasi_submodular``: O(4^n), every ordered pair (X, Y), in blocks of
   consecutive X.
 
@@ -73,8 +74,9 @@ class PropertyVerdict:
 
 #: Entries per array in one block of the pair condition's (X, Y) grid.
 _QSB_BLOCK = 1 << 14
-#: (A, B) pairs per array in one block of the single sub-crossing pass.
-_PAIR_CHUNK = 1 << 16
+#: Elements that vary inside one block of the single sub-crossing pass; the
+#: higher elements of B are fixed per block, so blocks come in ascending B.
+_SSBC_BLOCK_N = 9
 
 
 def _subset_reduce(table: np.ndarray, ufunc) -> np.ndarray:
@@ -111,6 +113,40 @@ def _subset_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
         a = np.concatenate((a, a, a | bit))
         b = np.concatenate((b, b | bit, b | bit))
     return a, b
+
+
+def _ssbc_first_failure(values: np.ndarray, n: int) -> Optional[tuple[int, int]]:
+    """(B, i) of the first single sub-crossing failure, B then i ascending, or None."""
+    low = min(n, _SSBC_BLOCK_N)
+    pair_a, pair_b = _subset_pairs(low)
+    # for each low element i, the pairs whose B leaves i out
+    leaves_out = [np.flatnonzero((pair_b & (1 << j)) == 0) for j in range(low)]
+    highs = np.arange(1 << (n - low))
+    for b_high in highs.tolist():
+        b_base = b_high << low
+        # rows: the high parts of A <= B; columns: the pairs of low parts
+        a_high = (highs[(highs & ~b_high) == 0] << low)[:, None]
+        first = None
+        for i in range(1, n + 1):
+            ibit = 1 << (i - 1)
+            if i <= low:
+                cols = leaves_out[i - 1]
+            elif b_base & ibit:
+                continue
+            else:
+                cols = slice(None)
+            a = a_high | pair_a[cols]
+            b = b_base | pair_b[cols]
+            fa, fai = values[a], values[a | ibit]
+            fb, fbi = values[b], values[b | ibit]
+            bad = (((fa >= fb) & (fai < fbi)) | ((fa > fb) & (fai <= fbi))).any(axis=0)
+            if bad.any():
+                b_mask = int(b[bad].min())
+                if first is None or b_mask < first[0]:
+                    first = (b_mask, i)
+        if first is not None:
+            return first
+    return None
 
 
 def is_submodular(oracle, n: int) -> PropertyVerdict:
@@ -206,24 +242,7 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
     if n > SSBC_MAX_N:
         raise CapExceeded(f"single sub-crossing check capped at n <= {SSBC_MAX_N}")
     values = eval_table(oracle, n)
-    pair_a, pair_b = _subset_pairs(n - 1)
-    first = None  # (B, i) of the first failure
-    for i in range(1, n + 1):
-        ibit = 1 << (i - 1)
-        low = ibit - 1
-        for lo in range(0, len(pair_a), _PAIR_CHUNK):
-            a = pair_a[lo : lo + _PAIR_CHUNK]
-            b = pair_b[lo : lo + _PAIR_CHUNK]
-            # spread the pairs over N - i: a zero bit goes in at i's position
-            a = (a & low) | ((a & ~low) << 1)
-            b = (b & low) | ((b & ~low) << 1)
-            fa, fb = values[a], values[b]
-            fai, fbi = values[a | ibit], values[b | ibit]
-            bad = ((fa >= fb) & (fai < fbi)) | ((fa > fb) & (fai <= fbi))
-            if bad.any():
-                b_mask = int(b[bad].min())
-                if first is None or b_mask < first[0]:
-                    first = (b_mask, i)
+    first = _ssbc_first_failure(values, n)
     if first is None:
         return PropertyVerdict(True)
     b_mask, i = first

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,13 +170,18 @@ def small_int_tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(small_int_tables())
-def test_checkers_match_loop_reference(table):
-    """Verdict and first witness equal the one-(i, B)-at-a-time enumeration's."""
+@given(small_int_tables(), st.integers(1, 9))
+def test_checkers_match_loop_reference(table, ssbc_block_n):
+    """Verdict and first witness equal the one-(i, B)-at-a-time enumeration's.
+
+    The single sub-crossing blocks are drawn smaller than n too, so that
+    several blocks of B run at these sizes.
+    """
     n, values = table
     F = make_tabular(values)
     for name in ("is_submodular", "is_quasi_submodular", "satisfies_ssbc", "satisfies_weak_marginal"):
-        got = getattr(checkers, name)(F, n)
+        with mock.patch.object(checkers, "_SSBC_BLOCK_N", ssbc_block_n):
+            got = getattr(checkers, name)(F, n)
         want = getattr(reference_checkers, name)(F, n)
         assert got.holds == want.holds, name
         # repr compares every set and value, NaN included
