@@ -171,9 +171,9 @@ class TestCobbDouglas:
 
     def test_oracle_matches_pure_function(self):
         F = make_cobb_douglas(7, 8)
+        delta = cobb_log_factors(F.params["w"], F.params["alpha"])
         for mask in range(128):
             x = SubsetBits(7, mask)
-            delta = cobb_log_factors(F.params["w"], F.params["alpha"])
             assert values_close(F.value(x), cobb_value(delta, x.to_bool_array()))
 
 
