@@ -97,8 +97,9 @@ def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
 def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
     """Steepest-ascent single-flip search from random starts; best over restarts.
 
-    Each step applies the best strictly improving flip (lowest element id on
-    ties); a set with no improving flip is a local maximum and ends the climb.
+    Each step reads the cursor's flip-gain vector once and applies the best
+    strictly improving flip (lowest element id on ties); a set with no
+    improving flip is a local maximum and ends the climb.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -112,19 +113,14 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
         current = SubsetBits.from_bool_array(rng.random(n) < 0.5)
         cursor = counter.cursor(current)
         for step in itertools.count():
-            members = current.to_bool_array()
-            inside = np.flatnonzero(members)
-            outside = np.flatnonzero(~members)
-            gains = np.empty(n)
-            gains[inside] = -cursor.drop_marginals(inside + 1)
-            gains[outside] = cursor.add_marginals(outside + 1)
+            gains = cursor.gains()
             require_no_nan(gains, ids, f"rls restart {restart} step {step}")
             # argmax takes the first maximum: the lowest id on ties
             best = int(np.argmax(gains))
             if gains[best] <= 0.0:
                 break
             best_flip = best + 1
-            if members[best]:
+            if current.contains(best_flip):
                 current = current.remove(best_flip)
                 cursor.remove(best_flip)
             else:

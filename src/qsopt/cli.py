@@ -14,6 +14,7 @@ from typing import Optional
 import click
 
 from .checkers import (
+    SUBMODULAR_MAX_N,
     is_local_max,
     is_local_min,
     is_quasi_submodular,
@@ -23,10 +24,11 @@ from .checkers import (
 )
 from .errors import CapExceeded, ConfigError, InternalInvariantError
 from .exact import exact_opt
-from .functions import instantiate, load_spec
+from .functions import instantiate, load_spec, make_tabular
 from .harness import BASELINES, ExperimentConfig, baseline_runner, reduction_rate, run_experiment
 from .maximize import u_prefix, uqsfmax
 from .minimize import min_lattice, uqsfmin
+from .oracle import eval_table
 from .sets import IntervalLattice, SubsetBits, format_set, lattice_free_count, parse_set
 
 
@@ -83,6 +85,10 @@ def check(state: CliState, spec_path: str, prop: str) -> None:
         "weak": satisfies_weak_marginal,
     }
     selected = checks if prop == "all" else {prop: checks[prop]}
+    if len(selected) > 1 and spec.n <= SUBMODULAR_MAX_N:
+        # evaluate the table once for all four checkers; above this cap the
+        # first checker raises CapExceeded before any evaluation
+        oracle = make_tabular(eval_table(oracle, spec.n))
     for name, fn in selected.items():
         verdict = fn(oracle, spec.n)
         if verdict.holds:

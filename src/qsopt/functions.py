@@ -454,6 +454,12 @@ class _FacilityCursor(_EpochCursor):
     members reach max1. Updates are exact, so they match a refactor bit for
     bit: adding a row costs O(d); removing one recomputes only the columns
     where the row reached max2, the only ones whose statistics can change.
+
+    Once ``gains()`` has been read, an update also refreshes the rows of the
+    flip-gain vector it can change: the flipped row and every row that
+    reaches the old or the new max1 in a column whose statistics changed.
+    They are recomputed with the batch expressions, so the vector stays equal
+    bit for bit to fresh batches; a refactor drops it.
     """
 
     def __init__(self, oracle, start: SubsetBits, mat: np.ndarray, sigma: np.ndarray):
@@ -464,6 +470,7 @@ class _FacilityCursor(_EpochCursor):
         self._max2 = None
         self._counts = None
         self._value = None
+        self._gains = None
 
     def _refactor(self) -> None:
         m = self._current.to_bool_array()
@@ -475,10 +482,12 @@ class _FacilityCursor(_EpochCursor):
             self._max2 = np.zeros(d)
             self._counts = np.zeros(d, dtype=int)
         self._value = None
+        self._gains = None
 
     def _insert(self, u: int) -> None:
         row = self._mat[u - 1]
         k = len(self._current) - 1  # members before the add
+        old = (self._max1, self._max2, self._counts)  # the update rebinds all three, never writes them
         if k == 0:
             self._max1, self._max2, self._counts = _top_two(row[None, :])
         else:
@@ -490,18 +499,53 @@ class _FacilityCursor(_EpochCursor):
             self._counts = np.where(row > max1, 1, self._counts + (row == max1))
             self._max1 = np.maximum(max1, row)
         self._value = None
+        if self._gains is not None:
+            self._refresh_gains(u, slice(None), *old)
 
     def _delete(self, d: int) -> None:
         if not self._current:
             self._refactor()
             return
         cols = np.flatnonzero(self._mat[d - 1] >= self._max2)
+        kept = self._gains is not None
+        old = (self._max1[cols], self._max2[cols], self._counts[cols]) if kept else None
         idx = np.flatnonzero(self._current.to_bool_array())
         max1, max2, counts = _top_two(self._mat[np.ix_(idx, cols)])
         self._max1[cols] = max1
         self._max2[cols] = max2
         self._counts[cols] = counts
         self._value = None
+        if kept:
+            self._refresh_gains(d, cols, *old)
+
+    def _refresh_gains(self, e: int, cols, old1, old2, old_counts) -> None:
+        """Recompute the flip gains that the move of e can change.
+
+        ``old1``, ``old2`` and ``old_counts`` are the statistics of the columns
+        ``cols`` before the move; no other column changed.
+        """
+        new1 = self._max1[cols]
+        changed = (new1 != old1) | (self._max2[cols] != old2) | (self._counts[cols] != old_counts)
+        reach = np.minimum(old1, new1)[changed]
+        touched = np.arange(self._mat.shape[1])[cols][changed]
+        rows = (self._mat[:, touched] >= reach).any(axis=1)
+        rows[e - 1] = True
+        self._fill_gains(np.flatnonzero(rows))
+
+    def _fill_gains(self, rows: np.ndarray) -> None:
+        inside = self._current.to_bool_array()[rows]
+        self._gains[rows[inside]] = -self._drop_rows(rows[inside] + 1)
+        self._gains[rows[~inside]] = self._add_rows(rows[~inside] + 1)
+
+    def _add_rows(self, ids: np.ndarray) -> np.ndarray:
+        gains = self._mat[ids - 1]
+        gains -= self._max1
+        np.maximum(gains, 0.0, out=gains)
+        return gains.sum(axis=1) + self._sigma[ids - 1]
+
+    def _drop_rows(self, ids: np.ndarray) -> np.ndarray:
+        loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
+        return ((self._max1 - self._max2) * loses).sum(axis=1) + self._sigma[ids - 1]
 
     def value(self) -> float:
         self._sync()
@@ -522,15 +566,18 @@ class _FacilityCursor(_EpochCursor):
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
-        gains = self._mat[ids - 1]
-        gains -= self._max1
-        np.maximum(gains, 0.0, out=gains)
-        return gains.sum(axis=1) + self._sigma[ids - 1]
+        return self._add_rows(ids)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
-        loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
-        return ((self._max1 - self._max2) * loses).sum(axis=1) + self._sigma[ids - 1]
+        return self._drop_rows(ids)
+
+    def gains(self) -> np.ndarray:
+        self._sync()
+        if self._gains is None:
+            self._gains = np.empty(self._mat.shape[0])
+            self._fill_gains(np.arange(self._mat.shape[0]))
+        return self._gains.copy()
 
 
 def facility_value(mat: np.ndarray, sigma: np.ndarray, members: np.ndarray) -> float:
@@ -618,6 +665,14 @@ class _DeterminantCursor(_EpochCursor):
     update whose pivot is not positive and finite, or whose determinant
     leaves the normal range (where it could never come back from 0), takes
     the refactor instead.
+
+    Once ``gains()`` has been read, the cursor also keeps the Schur vector
+    c_j = k_jj - v_j^T K_X^{-1} v_j of every non-member j (the add marginal is
+    det * (c_j - 1)), updated with one product over K[X, :], O(nk), per move:
+    adding u takes c_j -= (k_ju - v_j^T w)^2 / s; removing d takes
+    c_j += ((K_X^{-1} v_j)_d)^2 / a_dd and c_d = 1 / a_dd. The vector is
+    rebuilt from the inverse after a refactor and after every isqrt(n)
+    updates, which bounds its rounding drift.
     """
 
     def __init__(self, oracle, start: SubsetBits, kernel: np.ndarray, la: SimpleNamespace):
@@ -627,8 +682,12 @@ class _DeterminantCursor(_EpochCursor):
         self._idx = None
         self._inv = None
         self._det = 1.0
+        self._schur = None
+        self._schur_updates = 0
+        self._schur_budget = max(1, math.isqrt(len(kernel)))
 
     def _refactor(self) -> None:
+        self._schur = None
         idx = np.flatnonzero(self._current.to_bool_array())
         self._idx = idx
         if len(idx) == 0:
@@ -655,6 +714,11 @@ class _DeterminantCursor(_EpochCursor):
         self._det = det
         return True
 
+    def _count_schur_update(self) -> None:
+        self._schur_updates += 1
+        if self._schur_updates >= self._schur_budget:
+            self._schur = None
+
     def _insert(self, u: int) -> None:
         idx, inv = self._idx, self._inv
         k = len(idx)
@@ -667,6 +731,10 @@ class _DeterminantCursor(_EpochCursor):
         s = kuu - float(v @ w)
         if not self._accept(s):
             return
+        if self._schur is not None:
+            e = self._kernel[u - 1] - w @ self._kernel[idx]
+            self._schur -= e * e / s
+            self._count_schur_update()
         p = int(np.searchsorted(idx, u - 1))
         inv = self._la.dsyr(1.0 / s, w, a=inv, lower=1, overwrite_a=1)
         new = np.empty((k + 1, k + 1), order="F")
@@ -689,6 +757,11 @@ class _DeterminantCursor(_EpochCursor):
         a_pp = float(inv[p, p])
         if not self._accept(a_pp):
             return
+        if self._schur is not None:
+            t = np.concatenate((inv[p, :p], inv[p:, p])) @ self._kernel[idx]
+            self._schur += t * t / a_pp
+            self._schur[d - 1] = 1.0 / a_pp
+            self._count_schur_update()
         a = np.concatenate((inv[p, :p], inv[p + 1 :, p]))
         new = np.empty((k - 1, k - 1), order="F")
         new[:p, :p] = inv[:p, :p]
@@ -696,6 +769,15 @@ class _DeterminantCursor(_EpochCursor):
         new[p:, p:] = inv[p + 1 :, p + 1 :]
         self._inv = self._la.dsyr(-1.0 / a_pp, a, a=new, lower=1, overwrite_a=1)
         self._idx = np.delete(idx, p)
+
+    def _schur_of(self, ids: np.ndarray) -> np.ndarray:
+        """k_jj - v_j^T K_X^{-1} v_j for each non-member id j, from the inverse."""
+        kuu = self._kernel[ids - 1, ids - 1]
+        if len(self._idx) == 0 or len(ids) == 0:
+            return kuu
+        v = self._kernel[np.ix_(self._idx, ids - 1)]
+        w = self._la.dsymm(1.0, self._inv, v, lower=1)
+        return kuu - np.einsum("ij,ij->j", v, w)
 
     def value(self) -> float:
         self._sync()
@@ -709,19 +791,29 @@ class _DeterminantCursor(_EpochCursor):
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
-        kuu = self._kernel[ids - 1, ids - 1]
-        if len(self._idx) == 0 or len(ids) == 0:
-            return kuu - 1.0
-        v = self._kernel[np.ix_(self._idx, ids - 1)]
-        w = self._la.dsymm(1.0, self._inv, v, lower=1)
-        schur = kuu - np.einsum("ij,ij->j", v, w)
-        return self._det * (schur - 1.0)
+        return self._det * (self._schur_of(ids) - 1.0)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
         pos = np.searchsorted(self._idx, ids - 1)
         # det(K_{X-d}) = det(K_X) * (K_X^{-1})_{dd}
         return self._det * (1.0 - np.diagonal(self._inv)[pos])
+
+    def gains(self) -> np.ndarray:
+        self._sync()
+        outside = np.flatnonzero(~self._current.to_bool_array())
+        if self._schur is None:
+            self._schur = np.zeros(len(self._kernel))
+            self._schur[outside] = self._schur_of(outside + 1)
+            self._schur_updates = 0
+        out = np.empty(len(self._kernel))
+        out[self._idx] = -(self._det * (1.0 - np.diagonal(self._inv)))
+        out[outside] = self._det * (self._schur[outside] - 1.0)
+        return out
+
+
+#: Rows of the squared-distance matrix built per block in ``_determinant_kernel``.
+_KERNEL_BLOCK = 64
 
 
 def _determinant_kernel(n: int, seed: int, p: dict) -> np.ndarray:
@@ -767,7 +859,11 @@ def _determinant_kernel(n: int, seed: int, p: dict) -> np.ndarray:
             quality[placed + j] = qrng.uniform(p["q_lo"], p["q_hi"])
         placed += size
 
-    sq_dist = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    # row blocks keep the difference temporary at _KERNEL_BLOCK x n x dim
+    sq_dist = np.empty((n, n))
+    for s in range(0, n, _KERNEL_BLOCK):
+        diff = points[s : s + _KERNEL_BLOCK, None, :] - points[None, :, :]
+        sq_dist[s : s + _KERNEL_BLOCK] = (diff**2).sum(axis=-1)
     kernel = np.outer(quality, quality) * np.exp(-sq_dist / (2.0 * ell * ell))
     kernel += float(p["jitter"]) * np.eye(n)
     return (kernel + kernel.T) / 2.0

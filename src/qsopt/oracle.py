@@ -16,6 +16,14 @@ sweep, so they ask in batches; double greedy moves after every query, so it
 asks one element at a time. Either way ``CountingOracle`` books one marginal
 call per element queried: a batch of k counts as k.
 
+``gains()`` answers every element at once: the signed flip-gain vector, whose
+entry for element i (at index i - 1) is F(i | X) when i is outside the
+anchored set X and -F(i | X - i) when it is inside, the change in value from
+flipping i. The base cursor builds it from the two batches, and
+``CountingOracle`` books n marginal calls per read. The facility and
+determinant cursors keep the vector up to date under single moves instead of
+answering n marginals again, which is what single-flip local search needs.
+
 Epoch cursors (the half_products, facility and determinant families) keep
 statistics over the members and bring them up to date at the next query
 after a move, by one rule: exactly one move since the last query is applied
@@ -58,6 +66,12 @@ class Cursor:
     ones, so a wrapper that overrides only ``add_marginal``/``drop_marginal``
     (a timing proxy around a family cursor, say) still sees every query of a
     batch, one at a time, and needs no ``_oracle`` of its own.
+
+    ``gains()`` is the signed flip-gain vector over all n elements: the add
+    marginal of each element outside the anchored set and minus the drop
+    marginal of each element inside it. The base method asks the two batches
+    (drops first); a cursor that overrides it must return the same numbers
+    within the tolerance of its marginals.
     """
 
     def __init__(self, oracle: "SetFunctionOracle", start: SubsetBits):
@@ -86,6 +100,16 @@ class Cursor:
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         """``drop_marginal`` of each id in ``ids``, all inside the anchored set."""
         return np.array([self.drop_marginal(int(d)) for d in ids], dtype=float)
+
+    def gains(self) -> np.ndarray:
+        """Flip gain of every element 1..n at index id - 1: F(i | X) or -F(i | X - i)."""
+        members = self.members().to_bool_array()
+        inside = np.flatnonzero(members)
+        outside = np.flatnonzero(~members)
+        out = np.empty(len(members))
+        out[inside] = -self.drop_marginals(inside + 1)
+        out[outside] = self.add_marginals(outside + 1)
+        return out
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -192,6 +216,10 @@ class _CountingCursor(Cursor):
         self._counter.marginal_calls += len(ids)
         return self._inner.drop_marginals(ids)
 
+    def gains(self) -> np.ndarray:
+        self._counter.marginal_calls += self._counter.n
+        return self._inner.gains()
+
     def add(self, u: int) -> None:
         self._inner.add(u)
 
@@ -204,7 +232,8 @@ class CountingOracle:
 
     ``eval_calls`` counts full evaluations, ``marginal_calls`` counts family
     cursor marginal queries (each worth at most two evaluations; a batch of k
-    ids counts k). Returned values are identical to the wrapped oracle's.
+    ids counts k, a ``gains()`` read n). Returned values are identical to the
+    wrapped oracle's.
     """
 
     def __init__(self, inner):

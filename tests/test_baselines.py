@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from qsopt import (
+    FunctionSpec,
     InternalInvariantError,
     SetFunctionOracle,
     SubsetBits,
     double_greedy,
     exact_opt,
+    instantiate,
     make_determinant,
     make_perturbed_facility,
     make_random_qsb,
@@ -232,3 +234,72 @@ def test_sequential_baselines_match_refactor_path(build, seed):
         )
 
     assert runs(F) == runs(refactoring(F))
+
+
+class _RecordingCursor(Cursor):
+    """Forwards every query, ``gains`` included, to a family cursor and logs the moves."""
+
+    def __init__(self, inner: Cursor, moves: list):
+        self._inner = inner
+        self._moves = moves
+
+    def members(self) -> SubsetBits:
+        return self._inner.members()
+
+    def value(self) -> float:
+        return self._inner.value()
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._inner.add_marginals(ids)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        return self._inner.drop_marginals(ids)
+
+    def gains(self) -> np.ndarray:
+        return self._inner.gains()
+
+    def add(self, u: int) -> None:
+        self._moves.append(u)
+        self._inner.add(u)
+
+    def remove(self, d: int) -> None:
+        self._moves.append(-d)
+        self._inner.remove(d)
+
+
+class _TwoBatchCursor(_RecordingCursor):
+    """Hides the family's ``gains``: every read asks the two batches afresh."""
+
+    gains = Cursor.gains
+
+
+def recorded(F, cursor_class, moves: list):
+    return SetFunctionOracle(
+        F.ground, F.value, cursor_factory=lambda _owner, s: cursor_class(F.cursor(s), moves)
+    )
+
+
+# the maximize-seq benchmark families at their benchmark sizes
+MAXIMIZE_SEQ_FAMILIES = [
+    ("perturbed_facility", 300, {"d": 400}),
+    ("determinant", 200, {}),
+    ("half_products", 400, {}),
+    ("com", 400, {}),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4242])
+@pytest.mark.parametrize("family,n,params", MAXIMIZE_SEQ_FAMILIES, ids=[f[0] for f in MAXIMIZE_SEQ_FAMILIES])
+def test_local_search_flip_gains_match_two_batch_path(family, n, params, seed):
+    """The cursor's flip-gain vector takes the flips that two fresh batches per step take."""
+    F = instantiate(FunctionSpec(family, n, seed, dict(params)))
+
+    def rls(G):
+        return randomized_local_search(G, 1, seed)
+
+    for run in (rls, lambda G: u_prefix(G, rls)):
+        kept, fresh = [], []
+        got = run(recorded(F, _RecordingCursor, kept))
+        want = run(recorded(F, _TwoBatchCursor, fresh))
+        assert kept == fresh
+        assert got == want

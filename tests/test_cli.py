@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
 
-from qsopt import FunctionSpec, save_spec, tabular_spec
+import qsopt.cli as cli_module
+from qsopt import FunctionSpec, SetFunctionOracle, instantiate, save_spec, tabular_spec
 
 from conftest import MALFORMED_SPECS, NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
 
@@ -50,6 +52,28 @@ class TestCheck:
         proc = qsopt("check", "--spec", prop_spec, "--property", "ssbc")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ssbc: holds=true"
+
+    def test_all_properties_evaluate_the_table_once(self, tmp_path, monkeypatch):
+        """A spec without a dense table costs 2^n evaluations for all four checks."""
+        path = tmp_path / "det.json"
+        save_spec(FunctionSpec("determinant", 8, 5), path)
+        evaluations = []
+
+        def counting_instantiate(spec):
+            F = instantiate(spec)
+            return SetFunctionOracle(F.ground, lambda x: evaluations.append(x) or F.value(x))
+
+        monkeypatch.setattr(cli_module, "instantiate", counting_instantiate)
+        runner = CliRunner()
+        every = runner.invoke(cli_module.cli, ["check", "--spec", str(path)])
+        assert every.exit_code == 0, every.output
+        assert len(evaluations) == 1 << 8
+        single = [
+            runner.invoke(cli_module.cli, ["check", "--spec", str(path), "--property", prop])
+            for prop in ("submodular", "qsb", "ssbc", "weak")
+        ]
+        assert [r.exit_code for r in single] == [0, 0, 0, 0]
+        assert every.output == "".join(r.output for r in single)
 
     def test_cap_exceeded_is_config_error(self, tmp_path):
         path = tmp_path / "big.json"

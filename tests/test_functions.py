@@ -32,6 +32,7 @@ from qsopt import (
     tabular_spec,
     values_close,
 )
+from qsopt import functions
 from qsopt.functions import _stream
 
 from conftest import MALFORMED_SPECS, PROP_TABLE, TWIN_PEAKS_TABLE
@@ -136,6 +137,17 @@ class TestDeterminant:
         got = F.value(SubsetBits.full(12))
         want = float(np.linalg.det(F.params["kernel"]))
         assert values_close(got, want, rel=1e-6)
+
+    @pytest.mark.parametrize("n,dim", [(1, 8), (37, 3), (64, 8), (200, 8), (150, 13)])
+    def test_blocked_kernel_equals_one_shot_kernel(self, n, dim, monkeypatch):
+        """Row blocks of the distance matrix give the kernel of one n x n x dim difference.
+
+        37 rows fit in one block of 64, 64 fill it, 150 and 200 end on a partial block.
+        """
+        blocked = make_determinant(n, 7, dim=dim).params["kernel"]
+        monkeypatch.setattr(functions, "_KERNEL_BLOCK", n)  # one block: the one-shot formula
+        one_shot = make_determinant(n, 7, dim=dim).params["kernel"]
+        assert np.array_equal(blocked, one_shot)
 
 
 class TestCobbDouglas:

@@ -219,20 +219,27 @@ MOVE_INSTANCES = CURSOR_INSTANCES + [
 
 
 def assert_cursor_agrees(cursor, fresh, x, exact=False, det_scaled=False):
-    """Value and both batches of ``cursor`` against a cursor built fresh at x.
+    """Value, both batches and the flip gains of ``cursor`` against a cursor built fresh at x.
 
-    ``exact`` asks for equal bits. Otherwise each number must be close and of
-    the same strict sign. A determinant marginal is det * (ratio - 1), so its
-    rounding error scales with det, not with the marginal: ``det_scaled``
-    scales the absolute floor by det.
+    The flip gains are compared with the vector made of the fresh cursor's
+    two batches. ``exact`` asks for equal bits. Otherwise each number must be
+    close and of the same strict sign. A determinant marginal is
+    det * (ratio - 1), so its rounding error scales with det, not with the
+    marginal: ``det_scaled`` scales the absolute floor by det.
     """
     members = x.to_bool_array()
     outside = np.flatnonzero(~members) + 1
     inside = np.flatnonzero(members) + 1
+    fresh_add = fresh.add_marginals(outside)
+    fresh_drop = fresh.drop_marginals(inside)
+    fresh_gains = np.empty(len(members))
+    fresh_gains[outside - 1] = fresh_add
+    fresh_gains[inside - 1] = -fresh_drop
     pairs = [
         (np.array([cursor.value()]), np.array([fresh.value()])),
-        (cursor.add_marginals(outside), fresh.add_marginals(outside)),
-        (cursor.drop_marginals(inside), fresh.drop_marginals(inside)),
+        (cursor.add_marginals(outside), fresh_add),
+        (cursor.drop_marginals(inside), fresh_drop),
+        (cursor.gains(), fresh_gains),
     ]
     floor = max(REL_TOL * abs(fresh.value()), ABS_TOL) if det_scaled else ABS_TOL
     for got, want in pairs:
