@@ -35,7 +35,7 @@ from .sets import IntervalLattice, SubsetBits, format_set, lattice_free_count, p
 @dataclass
 class CliState:
     seed: Optional[int] = None
-    fmt: str = "csv"
+    fmt: Optional[str] = None
     quiet: bool = False
 
     def say(self, message: str) -> None:
@@ -49,12 +49,12 @@ class CliState:
     "--format",
     "fmt",
     type=click.Choice(["csv", "json"]),
-    default="csv",
-    help="Report format for bench outputs.",
+    default=None,
+    help="Report format for bench outputs; overrides the config's format.",
 )
 @click.option("--quiet", is_flag=True, help="Suppress informational output.")
 @click.pass_context
-def cli(ctx: click.Context, seed: Optional[int], fmt: str, quiet: bool) -> None:
+def cli(ctx: click.Context, seed: Optional[int], fmt: Optional[str], quiet: bool) -> None:
     """Quasi-submodular set-function optimization toolkit."""
     ctx.obj = CliState(seed, fmt, quiet)
 
@@ -145,13 +145,18 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
 def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
     """Shrink [empty, full] to the interval bracketing every maximum."""
     oracle, spec = _load_oracle(state, spec_path)
-    # endpoint local-maximality is informational; skip the 2n extra evals at large n
-    lattice, trace = uqsfmax(oracle, report_local_max=spec.n <= 2048)
+    lattice, trace = uqsfmax(oracle)
     if trace_path:
         _write_trace(trace_path, trace, ("fx", "fy"))
     free = lattice_free_count(lattice)
+    # the endpoints carry no local-optimality guarantee: informational, and
+    # the 2n extra evaluations are skipped at large n
+    lower_max = upper_max = None
+    if spec.n <= 2048:
+        lower_max = is_local_max(oracle, lattice.lower)
+        upper_max = is_local_max(oracle, lattice.upper)
     state.say(
-        f"lower_local_max={trace.lower_is_local_max} upper_local_max={trace.upper_is_local_max} "
+        f"lower_local_max={lower_max} upper_local_max={upper_max} "
         f"iterations={trace.iterations} eval_calls={trace.total_calls}"
     )
     click.echo(
@@ -229,7 +234,7 @@ def exact(state: CliState, spec_path: str, direction: str, within_from: str, cap
 def bench(state: CliState, config_path: str, out_dir: str) -> None:
     """Run a configured experiment and write runs plus summary reports."""
     cfg = ExperimentConfig.from_file(config_path)
-    if state.fmt != "csv":
+    if state.fmt is not None:
         cfg.format = state.fmt
     report = run_experiment(cfg)
     written = report.write(out_dir, cfg.format)

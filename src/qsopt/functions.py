@@ -3,10 +3,10 @@
 Families: iwata, com (concave-over-modular), half_products (served as the
 negated maximization objective), perturbed_facility, determinant,
 cobb_douglas, and small tabular functions. Each family is a value formula
-plus one cursor class that answers every marginal query, scalar or batch;
-a batch costs a few numpy calls over the id array. Instances are reproducible:
-parameter array k of a family is drawn from the PCG64 stream seeded with
-``SeedSequence(seed, spawn_key=(k,))``, so (family, n, seed) pins every bit.
+plus one cursor class whose batch formulas take an id or an id array alike: a
+scalar query is the batch at the bare id, the reverse of the base ``Cursor``.
+Instances are reproducible: parameter array k of a family is drawn from the
+PCG64 stream of ``SeedSequence(seed, spawn_key=(k,))``: (family, n, seed) pins every bit.
 """
 
 from __future__ import annotations
@@ -169,41 +169,42 @@ def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
     raise ConfigError(f"unsupported family {spec.family!r}")
 
 
+class _FamilyCursor(Cursor):
+    """Family cursor base: a scalar query is the batch formula at the bare id, bit for bit."""
+
+    def add_marginal(self, u: int) -> float:
+        return float(self.add_marginals(u))
+
+    def drop_marginal(self, d: int) -> float:
+        return float(self.drop_marginals(d))
+
+
 # ---------------------------------------------------------------------------
 # Iwata's function: F(X) = |X| * |N \ X| - sum_{i in X} (5 i - 2 n)
 
 
-class _IwataCursor(Cursor):
+class _IwataCursor(_FamilyCursor):
     def __init__(self, oracle: SetFunctionOracle, start: SubsetBits, n: int):
         self._n = n
         self._current = start
         self._k = len(start)
         self._wsum = float(sum(5 * i - 2 * n for i in start))
-        self._value = self._k * (n - self._k) - self._wsum
 
     def value(self) -> float:
-        return self._value
-
-    def add_marginal(self, u: int) -> float:
-        return float(3 * self._n - 2 * self._k - 1 - 5 * u)
-
-    def drop_marginal(self, d: int) -> float:
-        return float(3 * self._n - 2 * self._k + 1 - 5 * d)
+        return float(self._k * (self._n - self._k) - self._wsum)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return (3 * self._n - 2 * self._k - 1 - 5 * ids).astype(float)
+        return np.asarray(3 * self._n - 2 * self._k - 1 - 5 * ids, dtype=float)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return (3 * self._n - 2 * self._k + 1 - 5 * ids).astype(float)
+        return np.asarray(3 * self._n - 2 * self._k + 1 - 5 * ids, dtype=float)
 
     def add(self, u: int) -> None:
-        self._value += self.add_marginal(u)
         self._current = self._current.add(u)
         self._k += 1
         self._wsum += 5 * u - 2 * self._n
 
     def remove(self, d: int) -> None:
-        self._value -= self.drop_marginal(d)
         self._current = self._current.remove(d)
         self._k -= 1
         self._wsum -= 5 * d - 2 * self._n
@@ -237,7 +238,7 @@ def make_iwata(n: int) -> SetFunctionOracle:
 # COM: F(X) = sqrt(w1(X)) + w2(N \ X), w1 and w2 uniform in [0,1]^n
 
 
-class _ComCursor(Cursor):
+class _ComCursor(_FamilyCursor):
     def __init__(self, oracle, start: SubsetBits, w1: np.ndarray, w2: np.ndarray):
         self._w1 = w1
         self._w2 = w2
@@ -248,14 +249,6 @@ class _ComCursor(Cursor):
 
     def value(self) -> float:
         return math.sqrt(max(self._s1, 0.0)) + self._s2
-
-    def add_marginal(self, u: int) -> float:
-        s = max(self._s1, 0.0)
-        return math.sqrt(s + self._w1[u - 1]) - math.sqrt(s) - self._w2[u - 1]
-
-    def drop_marginal(self, d: int) -> float:
-        s = max(self._s1, 0.0)
-        return math.sqrt(s) - math.sqrt(max(s - self._w1[d - 1], 0.0)) - self._w2[d - 1]
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0)
@@ -303,7 +296,7 @@ def make_com(n: int, seed: int) -> SetFunctionOracle:
 # Epoch cursors: statistics over the members, brought up to date at a query.
 
 
-class _EpochCursor(Cursor):
+class _EpochCursor(_FamilyCursor):
     """Cursor whose statistics over the members are synced lazily.
 
     A move only records itself. The next query syncs: exactly one pending move
@@ -384,18 +377,8 @@ class _HalfProductsCursor(_EpochCursor):
         self._sync()
         return self._value
 
-    def add_marginal(self, u: int) -> float:
-        # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
-        self._sync()
-        j = u - 1
-        pair = (
-            self._a[j] * self._b[j]
-            + self._b[j] * self._prefix_a[u - 1]
-            + self._a[j] * self._suffix_b[u]
-        )
-        return float(self._c[j]) - float(pair)
-
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
         self._sync()
         a = self._a[ids - 1]
         b = self._b[ids - 1]
@@ -403,7 +386,6 @@ class _HalfProductsCursor(_EpochCursor):
         return self._c[ids - 1] - pair
 
     # members too: prefix/suffix exclude the id itself by index choice
-    drop_marginal = add_marginal
     drop_marginals = add_marginals
 
 
@@ -538,31 +520,21 @@ class _FacilityCursor(_EpochCursor):
         self._gains[rows[~inside]] = self._add_rows(rows[~inside] + 1)
 
     def _add_rows(self, ids: np.ndarray) -> np.ndarray:
-        gains = self._mat[ids - 1]
+        # take copies even one row; indexing by a bare id gives a view the in-place ops would write
+        gains = self._mat.take(ids - 1, axis=0)
         gains -= self._max1
         np.maximum(gains, 0.0, out=gains)
-        return gains.sum(axis=1) + self._sigma[ids - 1]
+        return gains.sum(axis=-1) + self._sigma[ids - 1]
 
     def _drop_rows(self, ids: np.ndarray) -> np.ndarray:
         loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
-        return ((self._max1 - self._max2) * loses).sum(axis=1) + self._sigma[ids - 1]
+        return ((self._max1 - self._max2) * loses).sum(axis=-1) + self._sigma[ids - 1]
 
     def value(self) -> float:
         self._sync()
         if self._value is None:
             self._value = float(self._max1.sum() + self._sigma @ self._current.to_bool_array())
         return self._value
-
-    def add_marginal(self, u: int) -> float:
-        self._sync()
-        row = self._mat[u - 1]
-        return float(np.maximum(row - self._max1, 0.0).sum() + self._sigma[u - 1])
-
-    def drop_marginal(self, d: int) -> float:
-        self._sync()
-        row = self._mat[d - 1]
-        loses = (row == self._max1) & (self._counts == 1)
-        return float(((self._max1 - self._max2) * loses).sum() + self._sigma[d - 1])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
@@ -906,7 +878,7 @@ def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
 # evaluated through the maintained log-sum so n in the thousands stays stable.
 
 
-class _CobbCursor(Cursor):
+class _CobbCursor(_FamilyCursor):
     def __init__(self, oracle, start: SubsetBits, delta: np.ndarray):
         self._delta = delta
         self._current = start
@@ -917,12 +889,6 @@ class _CobbCursor(Cursor):
             return math.exp(self._logsum)
         except OverflowError:
             raise _cobb_overflow(len(self._current), self._logsum) from None
-
-    def add_marginal(self, u: int) -> float:
-        return self.value() * math.expm1(self._delta[u - 1])
-
-    def drop_marginal(self, d: int) -> float:
-        return -self.value() * math.expm1(-self._delta[d - 1])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self.value() * np.expm1(self._delta[ids - 1])
@@ -985,7 +951,7 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
 # Tabular functions (n <= 20): explicit value for every subset bitmask.
 
 
-class _TabularCursor(Cursor):
+class _TabularCursor(_FamilyCursor):
     def __init__(self, oracle, start: SubsetBits, values: np.ndarray):
         self._values = values
         self._current = start
@@ -993,12 +959,6 @@ class _TabularCursor(Cursor):
 
     def value(self) -> float:
         return float(self._values[self._mask])
-
-    def add_marginal(self, u: int) -> float:
-        return float(self._values[self._mask | (1 << (u - 1))] - self._values[self._mask])
-
-    def drop_marginal(self, d: int) -> float:
-        return float(self._values[self._mask] - self._values[self._mask & ~(1 << (d - 1))])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._values[self._mask | (1 << (ids - 1))] - self._values[self._mask]

@@ -9,6 +9,7 @@ bit-identical except for the wall-clock columns.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -42,6 +43,12 @@ RATIO_ALGORITHMS = ("rp", "urp", "rls", "urls", "rg", "urg", "dg", "udg")
 _EXACT_FULL_MAX_N = 20
 
 
+def _require_integer(key: str, value) -> None:
+    """Reject a config value that is not an integer; a bool or a float is never one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
+
+
 def reduction_rate(lattice: IntervalLattice, n: int) -> float:
     """Fraction of ground-set elements whose membership the lattice fixes."""
     return (n - lattice_free_count(lattice)) / n
@@ -63,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
+        for key in ("trials", "master_seed", "enumeration_cap", "baseline_trials", "ls_restarts"):
+            _require_integer(key, getattr(self, key))
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.format not in ("csv", "json"):
@@ -75,12 +84,14 @@ class ExperimentConfig:
         if not self.sizes:
             raise ConfigError("sizes must be non-empty")
         norm = []
-        for entry in self.sizes:
+        for i, entry in enumerate(self.sizes):
             if isinstance(entry, int):
                 entry = {"n": entry}
             if not isinstance(entry, dict) or "n" not in entry:
                 raise ConfigError(f"size entries need an 'n' field, got {entry!r}")
-            if int(entry["n"]) < 1:
+            for key, value in entry.items():
+                _require_integer(f"sizes[{i}].{key}", value)
+            if entry["n"] < 1:
                 raise ConfigError("sizes must have n >= 1")
             norm.append({k: int(v) for k, v in entry.items()})
         self.sizes = norm

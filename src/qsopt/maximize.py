@@ -42,9 +42,6 @@ class MaxTrace:
     steps: list[MaxStep]
     eval_calls: int
     marginal_calls: int
-    # informational only: the endpoints carry no local-optimality guarantee
-    lower_is_local_max: Optional[bool] = None
-    upper_is_local_max: Optional[bool] = None
 
     @property
     def iterations(self) -> int:
@@ -55,13 +52,8 @@ class MaxTrace:
         return self.eval_calls + self.marginal_calls
 
 
-def uqsfmax(oracle, *, report_local_max: bool = False) -> tuple[IntervalLattice, MaxTrace]:
-    """Shrink [empty, full] to the bracketing interval [X+, Y+].
-
-    ``report_local_max`` additionally tests both endpoints for local
-    maximality (informational; costs 2n extra evaluations outside the
-    recorded totals).
-    """
+def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
+    """Shrink [empty, full] to the bracketing interval [X+, Y+]."""
     counter = CountingOracle(oracle)
     n = counter.n
     x = SubsetBits.empty(n)
@@ -95,13 +87,7 @@ def uqsfmax(oracle, *, report_local_max: bool = False) -> tuple[IntervalLattice,
             )
         if not added and not removed:
             lattice = IntervalLattice(x, y)
-            trace = MaxTrace(lattice, steps, counter.eval_calls, counter.marginal_calls)
-            if report_local_max:
-                from .checkers import is_local_max
-
-                trace.lower_is_local_max = is_local_max(oracle, x)
-                trace.upper_is_local_max = is_local_max(oracle, y)
-            return lattice, trace
+            return lattice, MaxTrace(lattice, steps, counter.eval_calls, counter.marginal_calls)
         x, y = x_next, y_next
     raise InternalInvariantError(
         f"no fixed interval within {n + 2} iterations; objective is likely "

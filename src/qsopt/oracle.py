@@ -65,7 +65,10 @@ class Cursor:
     answers agree either way. The base batch queries loop over the scalar
     ones, so a wrapper that overrides only ``add_marginal``/``drop_marginal``
     (a timing proxy around a family cursor, say) still sees every query of a
-    batch, one at a time, and needs no ``_oracle`` of its own.
+    batch, one at a time, and needs no ``_oracle`` of its own. The family
+    cursors go the other way: each has one formula per marginal, written for
+    an id or an id array alike, and a scalar query is that batch formula at
+    the bare id.
 
     ``gains()`` is the signed flip-gain vector over all n elements: the add
     marginal of each element outside the anchored set and minus the drop

@@ -38,6 +38,30 @@ MALFORMED_SPECS = {
     ),
 }
 
+# Experiment configs with a field of the wrong type, each with the field the
+# config error must name; the rest of the config is a small valid run.
+MALFORMED_CONFIGS = {
+    "size_n_float": ({"sizes": [{"n": 8.7}]}, "sizes[0].n"),
+    "size_n_bool": ({"sizes": [True]}, "sizes[0].n"),
+    "size_d_float": (
+        {"families": ["perturbed_facility"], "sizes": [{"n": 8, "d": 2.5}]},
+        "sizes[0].d",
+    ),
+    "trials_float": ({"trials": 1.5}, "'trials'"),
+    "trials_bool": ({"trials": True}, "'trials'"),
+    "master_seed_float": ({"master_seed": 1.5}, "'master_seed'"),
+    "baseline_trials_float": ({"baseline_trials": 2.5}, "'baseline_trials'"),
+    "ls_restarts_string": ({"ls_restarts": "3"}, "'ls_restarts'"),
+    "enumeration_cap_float": ({"enumeration_cap": 1e6}, "'enumeration_cap'"),
+}
+
+
+def malformed_config(case: str) -> tuple[dict, str]:
+    """The config of ``MALFORMED_CONFIGS[case]`` in full, and the field it must name."""
+    override, field = MALFORMED_CONFIGS[case]
+    base = {"experiment": "reduction", "families": ["com"], "sizes": [8], "trials": 1}
+    return {**base, **override}, field
+
 
 @pytest.fixture
 def prop_oracle():

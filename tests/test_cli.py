@@ -9,7 +9,14 @@ from click.testing import CliRunner
 import qsopt.cli as cli_module
 from qsopt import FunctionSpec, SetFunctionOracle, instantiate, save_spec, tabular_spec
 
-from conftest import MALFORMED_SPECS, NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
+from conftest import (
+    MALFORMED_CONFIGS,
+    MALFORMED_SPECS,
+    NAN_TABLE,
+    PROP_TABLE,
+    TWIN_PEAKS_TABLE,
+    malformed_config,
+)
 
 # table that is not quasi-submodular and trips the reduction guard
 CYCLING_TABLE = [
@@ -117,6 +124,8 @@ class TestMax:
         save_spec(tabular_spec(TWIN_PEAKS_TABLE), path)
         proc = qsopt("max", "--spec", str(path))
         assert "X+={} Y+={1,2} free=2 reduction_rate=0.0" in proc.stdout
+        # neither endpoint of the stuck interval is a local maximum here
+        assert "lower_local_max=False upper_local_max=False" in proc.stdout
 
     def test_cobb_douglas_overflow_exit_code(self, tmp_path):
         path = tmp_path / "cobb.json"
@@ -221,6 +230,25 @@ class TestBench:
         proc = qsopt("--format", "json", "bench", "--config", str(cfg_path), "--out", str(tmp_path / "j"))
         assert proc.returncode == 0
         assert (tmp_path / "j" / "runs.json").exists()
+        # the flag overrides the config's format either way
+        cfg_path.write_text(
+            json.dumps(
+                {"experiment": "reduction", "families": ["com"], "sizes": [8], "trials": 1, "format": "json"}
+            )
+        )
+        proc = qsopt("--format", "csv", "bench", "--config", str(cfg_path), "--out", str(tmp_path / "c"))
+        assert proc.returncode == 0
+        assert (tmp_path / "c" / "runs.csv").exists()
+        assert not (tmp_path / "c" / "runs.json").exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_malformed_config_is_config_error(self, case, tmp_path):
+        payload, field = malformed_config(case)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(payload))
+        proc = qsopt("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and field in proc.stderr
 
 
 def test_seed_override(tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,8 @@ from qsopt import (
 )
 from qsopt.harness import RUN_CSV_HEADER, run_experiment
 from qsopt.sets import IntervalLattice
+
+from conftest import MALFORMED_CONFIGS, malformed_config
 
 
 class TestReductionRate:
@@ -69,6 +72,14 @@ class TestConfig:
         )
         cfg = ExperimentConfig.from_file(path)
         assert cfg.experiment == "ratio" and cfg.trials == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONFIGS))
+    def test_rejects_non_integer_fields(self, case, tmp_path):
+        payload, field = malformed_config(case)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            ExperimentConfig.from_file(path)
 
 
 class TestReductionExperiment:

@@ -107,18 +107,6 @@ class TestLatticeInvariants:
         assert set(full.difference(trace.steps[0].removed)) == expect_keep
 
 
-class TestLocalMaxReporting:
-    def test_flags_off_by_default(self, prop_oracle):
-        _, trace = uqsfmax(prop_oracle)
-        assert trace.lower_is_local_max is None
-
-    def test_flags_on_request(self, twin_peaks_oracle):
-        _, trace = uqsfmax(twin_peaks_oracle, report_local_max=True)
-        # neither endpoint of the stuck interval is a local maximum here
-        assert trace.lower_is_local_max is False
-        assert trace.upper_is_local_max is False
-
-
 class TestRestrictedOracle:
     def test_relabeling_and_lifting(self):
         F = make_iwata(6)

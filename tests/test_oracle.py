@@ -139,9 +139,20 @@ def test_oracle_marginal_matches_eval_difference(name, build):
         assert values_close(got, want), (name, i, str(x), got, want)
 
 
-def assert_batch_matches_scalar(batch, scalar):
-    assert batch.shape == (len(scalar),)
-    for b, s in zip(batch.tolist(), scalar):
+def assert_batch_matches_scalar(batch, scalar, exact=True):
+    """Each scalar answer against its batch entry.
+
+    ``exact`` asks for equal bits: a family cursor answers a scalar query with
+    its batch formula at the bare id. Otherwise each number must be close and
+    of the same strict sign.
+    """
+    scalar = np.array(scalar, dtype=float)
+    assert batch.shape == scalar.shape
+    if exact:
+        differ = np.flatnonzero(batch.view(np.int64) != scalar.view(np.int64))
+        assert len(differ) == 0, [(batch[i], scalar[i]) for i in differ]
+        return
+    for b, s in zip(batch.tolist(), scalar.tolist()):
         assert values_close(b, s), (b, s)
         assert (b > 0.0, b < 0.0) == (s > 0.0, s < 0.0), (b, s)
 
@@ -150,6 +161,9 @@ def assert_batch_matches_scalar(batch, scalar):
 def test_cursor_matches_oracle(name, build):
     F = build()
     n = F.n
+    # the determinant answers a scalar as a batch of one, and BLAS and einsum
+    # sum a one-column batch in another order than a wide one
+    exact = name != "determinant"
     # the empty and full anchors ask one side of each batch pair for no ids at all
     for anchor in (SubsetBits.empty(n), SubsetBits.full(n)):
         cursor = F.cursor(anchor)
@@ -157,10 +171,10 @@ def test_cursor_matches_oracle(name, build):
         outside = np.flatnonzero(~members) + 1
         inside = np.flatnonzero(members) + 1
         assert_batch_matches_scalar(
-            cursor.add_marginals(outside), [cursor.add_marginal(int(u)) for u in outside]
+            cursor.add_marginals(outside), [cursor.add_marginal(int(u)) for u in outside], exact
         )
         assert_batch_matches_scalar(
-            cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside]
+            cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside], exact
         )
     rng = _stream(99, 0)
     x = SubsetBits.from_bool_array(rng.random(n) < 0.5)
@@ -171,10 +185,10 @@ def test_cursor_matches_oracle(name, build):
         outside = np.flatnonzero(~members) + 1
         inside = np.flatnonzero(members) + 1
         assert_batch_matches_scalar(
-            cursor.add_marginals(outside), [cursor.add_marginal(int(u)) for u in outside]
+            cursor.add_marginals(outside), [cursor.add_marginal(int(u)) for u in outside], exact
         )
         assert_batch_matches_scalar(
-            cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside]
+            cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside], exact
         )
         i = int(rng.integers(1, n + 1))
         if x.contains(i):
