@@ -6,6 +6,7 @@ from qsopt import (
     double_greedy,
     enumerate_local_optima,
     exact_opt,
+    is_local_max,
     make_iwata,
     make_random_qsb,
     make_tabular,
@@ -105,6 +106,14 @@ class TestLatticeInvariants:
         expect_keep = {i for i in range(1, n + 1) if F.marginal(i, empty) >= 0}
         assert set(trace.steps[0].added) == expect_in
         assert set(full.difference(trace.steps[0].removed)) == expect_keep
+
+
+class TestLocalMaxReporting:
+    def test_flags_on_request(self, twin_peaks_oracle):
+        lattice, _ = uqsfmax(twin_peaks_oracle)
+        # neither endpoint of the stuck interval is a local maximum here
+        assert is_local_max(twin_peaks_oracle, lattice.lower) is False
+        assert is_local_max(twin_peaks_oracle, lattice.upper) is False
 
 
 class TestRestrictedOracle:
