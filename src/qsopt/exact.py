@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InternalInvariantError
 from .oracle import eval_table
 from .sets import (
     DEFAULT_ENUMERATION_CAP,
@@ -14,8 +16,15 @@ from .sets import (
     lattice_free_count,
 )
 
-#: Largest n for which a full value table is materialized instead of streaming.
-_TABLE_MAX_N = 20
+#: Largest n for which a full value table is materialized instead of streaming;
+#: also the largest n whose ratio experiments take the exact maximum over the
+#: full cube rather than over the reduced interval.
+TABLE_MAX_N = 20
+
+
+def _nan_value(x: SubsetBits) -> InternalInvariantError:
+    # NaN fails every comparison, so a silent optimum would skip the set
+    return InternalInvariantError(f"exact_opt: value of {x} is NaN")
 
 
 def exact_opt(
@@ -27,7 +36,8 @@ def exact_opt(
     """Exhaustively optimize over an interval lattice.
 
     Returns the optimal value and every optimizer attaining it, compared with
-    exact float equality on the computed values.
+    exact float equality on the computed values. A NaN value raises
+    ``InternalInvariantError`` naming the first set that has one.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
@@ -37,8 +47,11 @@ def exact_opt(
     n = within.capacity
     sign = 1.0 if direction == "max" else -1.0
 
-    if within.lower.mask == 0 and within.upper.mask == (1 << n) - 1 and n <= _TABLE_MAX_N:
+    if within.lower.mask == 0 and within.upper.mask == (1 << n) - 1 and n <= TABLE_MAX_N:
         values = eval_table(oracle, n)
+        nan = np.flatnonzero(np.isnan(values))
+        if len(nan):
+            raise _nan_value(SubsetBits(n, int(nan[0])))
         best = float((sign * values).max())
         best_value = sign * best
         masks = np.flatnonzero(values == best_value)
@@ -48,6 +61,8 @@ def exact_opt(
     argopt: list[SubsetBits] = []
     for member in enumerate_lattice(within, cap=cap):
         v = oracle.value(member)
+        if math.isnan(v):
+            raise _nan_value(member)
         if best_value is None or sign * v > sign * best_value:
             best_value = v
             argopt = [member]
@@ -65,7 +80,7 @@ def enumerate_local_optima(
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     if n > cap:
         raise CapExceeded(f"local-optima enumeration needs n <= {cap}, got {n}")
-    if n <= _TABLE_MAX_N:
+    if n <= TABLE_MAX_N:
         values = eval_table(oracle, n)
         idx = np.arange(1 << n)
         ok = np.ones(1 << n, dtype=bool)

@@ -188,10 +188,6 @@ class _IwataCursor(_FamilyCursor):
         self._n = n
         self._current = start
         self._k = len(start)
-        self._wsum = float(sum(5 * i - 2 * n for i in start))
-
-    def value(self) -> float:
-        return float(self._k * (self._n - self._k) - self._wsum)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return np.asarray(3 * self._n - 2 * self._k - 1 - 5 * ids, dtype=float)
@@ -202,12 +198,10 @@ class _IwataCursor(_FamilyCursor):
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
         self._k += 1
-        self._wsum += 5 * u - 2 * self._n
 
     def remove(self, d: int) -> None:
         self._current = self._current.remove(d)
         self._k -= 1
-        self._wsum -= 5 * d - 2 * self._n
 
 
 def iwata_value(weights: np.ndarray, members: np.ndarray) -> float:
@@ -245,10 +239,6 @@ class _ComCursor(_FamilyCursor):
         self._current = start
         m = start.to_bool_array()
         self._s1 = float(w1 @ m)
-        self._s2 = float(w2.sum() - w2 @ m)
-
-    def value(self) -> float:
-        return math.sqrt(max(self._s1, 0.0)) + self._s2
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0)
@@ -261,12 +251,10 @@ class _ComCursor(_FamilyCursor):
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
         self._s1 += self._w1[u - 1]
-        self._s2 -= self._w2[u - 1]
 
     def remove(self, d: int) -> None:
         self._current = self._current.remove(d)
         self._s1 -= self._w1[d - 1]
-        self._s2 += self._w2[d - 1]
 
 
 def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> float:
@@ -355,27 +343,18 @@ class _HalfProductsCursor(_EpochCursor):
         self._c = c
         self._prefix_a = None
         self._suffix_b = None
-        self._value = 0.0
 
     def _refactor(self) -> None:
         m = self._current.to_bool_array()
-        am = self._a * m
-        bm = self._b * m
         # prefix_a[k] = sum of a over members with id <= k (1-based, index 0 = 0)
-        self._prefix_a = np.concatenate(([0.0], np.cumsum(am)))
-        self._suffix_b = np.concatenate((np.cumsum(bm[::-1])[::-1], [0.0]))
-        t = float(bm @ self._prefix_a[1:])
-        self._value = float(self._c @ m) - t
+        self._prefix_a = np.concatenate(([0.0], np.cumsum(self._a * m)))
+        self._suffix_b = np.concatenate((np.cumsum((self._b * m)[::-1])[::-1], [0.0]))
 
     def _insert(self, u: int) -> None:
         self._refactor()
 
     def _delete(self, d: int) -> None:
         self._refactor()
-
-    def value(self) -> float:
-        self._sync()
-        return self._value
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
@@ -451,7 +430,6 @@ class _FacilityCursor(_EpochCursor):
         self._max1 = None
         self._max2 = None
         self._counts = None
-        self._value = None
         self._gains = None
 
     def _refactor(self) -> None:
@@ -463,7 +441,6 @@ class _FacilityCursor(_EpochCursor):
             self._max1 = np.zeros(d)
             self._max2 = np.zeros(d)
             self._counts = np.zeros(d, dtype=int)
-        self._value = None
         self._gains = None
 
     def _insert(self, u: int) -> None:
@@ -480,7 +457,6 @@ class _FacilityCursor(_EpochCursor):
                 self._max2 = np.where(row >= max1, max1, np.maximum(self._max2, row))
             self._counts = np.where(row > max1, 1, self._counts + (row == max1))
             self._max1 = np.maximum(max1, row)
-        self._value = None
         if self._gains is not None:
             self._refresh_gains(u, slice(None), *old)
 
@@ -496,7 +472,6 @@ class _FacilityCursor(_EpochCursor):
         self._max1[cols] = max1
         self._max2[cols] = max2
         self._counts[cols] = counts
-        self._value = None
         if kept:
             self._refresh_gains(d, cols, *old)
 
@@ -529,12 +504,6 @@ class _FacilityCursor(_EpochCursor):
     def _drop_rows(self, ids: np.ndarray) -> np.ndarray:
         loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
         return ((self._max1 - self._max2) * loses).sum(axis=-1) + self._sigma[ids - 1]
-
-    def value(self) -> float:
-        self._sync()
-        if self._value is None:
-            self._value = float(self._max1.sum() + self._sigma @ self._current.to_bool_array())
-        return self._value
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
@@ -608,21 +577,31 @@ _DET_FLOOR = float(np.finfo(float).tiny)
 
 @functools.cache
 def _linalg() -> SimpleNamespace:
-    """scipy's Cholesky and the LAPACK/BLAS routines of the determinant family.
+    """The LAPACK/BLAS routines of the determinant family.
 
     Imported on first use: ``scipy.linalg`` takes a few hundred ms to import,
     and no other family needs it.
     """
-    from scipy.linalg import blas, cholesky, lapack
+    from scipy.linalg import blas, lapack
 
     return SimpleNamespace(
-        cholesky=cholesky,
         dpotrf=lapack.dpotrf,
         dpotri=lapack.dpotri,
         dsymm=blas.dsymm,
         dsymv=blas.dsymv,
         dsyr=blas.dsyr,
     )
+
+
+def _cholesky_det(la: SimpleNamespace, kernel: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor (dpotrf) of the kernel restricted to ``idx``, and its determinant."""
+    # the restriction is symmetric, so its transpose is the same matrix in Fortran order
+    chol, info = la.dpotrf(kernel[np.ix_(idx, idx)].T, lower=1, overwrite_a=1)
+    if info != 0:
+        raise InternalInvariantError(
+            f"kernel restricted to {len(idx)} members is not positive definite (dpotrf info={info})"
+        )
+    return chol, float(np.prod(np.diag(chol)) ** 2)
 
 
 class _DeterminantCursor(_EpochCursor):
@@ -666,13 +645,7 @@ class _DeterminantCursor(_EpochCursor):
             self._inv = np.empty((0, 0), order="F")
             self._det = 1.0
             return
-        # the restriction is symmetric, so its transpose is the same matrix in Fortran order
-        chol, info = self._la.dpotrf(self._kernel[np.ix_(idx, idx)].T, lower=1, overwrite_a=1)
-        if info != 0:
-            raise InternalInvariantError(
-                f"kernel restricted to {len(idx)} members is not positive definite (dpotrf info={info})"
-            )
-        self._det = float(np.prod(np.diag(chol)) ** 2)
+        chol, self._det = _cholesky_det(self._la, self._kernel, idx)
         self._inv, info = self._la.dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise InternalInvariantError(f"Cholesky factor is singular (dpotri info={info})")
@@ -750,10 +723,6 @@ class _DeterminantCursor(_EpochCursor):
         v = self._kernel[np.ix_(self._idx, ids - 1)]
         w = self._la.dsymm(1.0, self._inv, v, lower=1)
         return kuu - np.einsum("ij,ij->j", v, w)
-
-    def value(self) -> float:
-        self._sync()
-        return self._det
 
     def add_marginal(self, u: int) -> float:
         return float(self.add_marginals(np.array([u]))[0])
@@ -846,8 +815,7 @@ def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> float:
     idx = np.flatnonzero(members)
     if len(idx) == 0:
         return 1.0
-    chol = _linalg().cholesky(kernel[np.ix_(idx, idx)], lower=True)
-    return float(np.prod(np.diag(chol)) ** 2)
+    return _cholesky_det(_linalg(), kernel, idx)[1]
 
 
 def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
@@ -884,17 +852,18 @@ class _CobbCursor(_FamilyCursor):
         self._current = start
         self._logsum = float(delta @ start.to_bool_array())
 
-    def value(self) -> float:
+    def _scale(self) -> float:
+        """F(X) = exp(logsum), the factor of every marginal; overflow is an invariant error."""
         try:
             return math.exp(self._logsum)
         except OverflowError:
             raise _cobb_overflow(len(self._current), self._logsum) from None
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return self.value() * np.expm1(self._delta[ids - 1])
+        return self._scale() * np.expm1(self._delta[ids - 1])
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return -self.value() * np.expm1(-self._delta[ids - 1])
+        return -self._scale() * np.expm1(-self._delta[ids - 1])
 
     def add(self, u: int) -> None:
         self._current = self._current.add(u)
@@ -957,9 +926,6 @@ class _TabularCursor(_FamilyCursor):
         self._current = start
         self._mask = start.mask
 
-    def value(self) -> float:
-        return float(self._values[self._mask])
-
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._values[self._mask | (1 << (ids - 1))] - self._values[self._mask]
 
@@ -1014,34 +980,31 @@ def tabular_spec(values, seed: int = 0) -> FunctionSpec:
 
 
 def _random_submodular_table(n: int, rng: np.random.Generator) -> np.ndarray:
-    size = 1 << n
+    # row m of sel is the membership indicator of the set with mask m
+    sel = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
     kind = rng.integers(0, 2)
+    # each entry takes one dot per row: a matrix product sums in another
+    # order and would change the tables in their last bits
     if kind == 0:
         # concave over modular plus a signed modular part
         w1 = rng.uniform(0.1, 1.0, n)
         w2 = rng.uniform(0.0, 1.0, n)
         m = rng.uniform(-0.5, 0.5, n)
         beta = rng.uniform(0.5, 2.0)
-        table = np.empty(size)
-        for mask in range(size):
-            sel = SubsetBits(n, mask).to_bool_array()
-            table[mask] = beta * math.sqrt(float(w1 @ sel)) + float(w2 @ ~sel) + float(m @ sel)
+        table = np.array(
+            [beta * math.sqrt(float(w1 @ row)) + float(w2 @ ~row) + float(m @ row) for row in sel]
+        )
     else:
         # weighted coverage minus a modular cost
         m_items = 2 * n
         covers = rng.random((n, m_items)) < 0.3
         v = rng.uniform(0.0, 1.0, m_items)
         cost = rng.uniform(0.0, 0.6, n)
-        table = np.empty(size)
-        for mask in range(size):
-            sel = SubsetBits(n, mask).to_bool_array()
-            covered = covers[sel].any(axis=0) if sel.any() else np.zeros(m_items, dtype=bool)
-            table[mask] = float(v @ covered) - float(cost @ sel)
+        covered = (sel.view(np.uint8) @ covers.view(np.uint8)) > 0  # counts up to n: exact
+        table = np.array([float(v @ c) - float(cost @ row) for c, row in zip(covered, sel)])
     # tiny modular jitter keeps subset values generically distinct
     jitter = rng.uniform(0.0, 1.0, n) * 1e-4
-    for mask in range(size):
-        table[mask] += float(jitter @ SubsetBits(n, mask).to_bool_array())
-    return table
+    return table + np.array([float(jitter @ row) for row in sel])
 
 
 def _increasing_transform(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:

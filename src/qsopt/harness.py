@@ -25,7 +25,7 @@ from .baselines import (
     randomized_local_search,
 )
 from .errors import ConfigError, QsoptError
-from .exact import exact_opt
+from .exact import TABLE_MAX_N, exact_opt
 from .functions import FAMILIES, FunctionSpec, instantiate
 from .maximize import u_prefix, uqsfmax
 from .minimize import min_lattice
@@ -38,9 +38,6 @@ from .sets import (
 
 EXPERIMENTS = ("reduction", "ratio", "timing")
 RATIO_ALGORITHMS = ("rp", "urp", "rls", "urls", "rg", "urg", "dg", "udg")
-
-#: Full-table exact optimization is the ground truth up to this size.
-_EXACT_FULL_MAX_N = 20
 
 
 def _require_integer(key: str, value) -> None:
@@ -90,6 +87,8 @@ class ExperimentConfig:
             if not isinstance(entry, dict) or "n" not in entry:
                 raise ConfigError(f"size entries need an 'n' field, got {entry!r}")
             for key, value in entry.items():
+                if key not in ("n", "d"):
+                    raise ConfigError(f"unknown size field 'sizes[{i}].{key}'; pick from n, d")
                 _require_integer(f"sizes[{i}].{key}", value)
             if entry["n"] < 1:
                 raise ConfigError("sizes must have n >= 1")
@@ -290,7 +289,7 @@ def _algorithm_runner(name: str, cfg: ExperimentConfig, algo_seed: int):
 
 def _exact_max(oracle, n: int, cap: int) -> float:
     """Ground-truth maximum: full table when affordable, else over the reduced interval."""
-    if n <= _EXACT_FULL_MAX_N:
+    if n <= TABLE_MAX_N:
         lattice = IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n))
     else:
         lattice, _ = uqsfmax(oracle)

@@ -146,9 +146,6 @@ class _RestrictedCursor(Cursor):
         self._free_arr = np.asarray(free_ids, dtype=np.int64)
         self._current = start
 
-    def value(self) -> float:
-        return self._inner.value()
-
     def add_marginal(self, u: int) -> float:
         return self._inner.add_marginal(self._free_ids[u - 1])
 

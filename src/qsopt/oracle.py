@@ -5,8 +5,9 @@ anchored at a working set: it answers add/drop marginal queries against that
 set and can be moved one element at a time, which is what the reduction
 algorithms need to stay cheap at n in the thousands. Each benchmark family
 supplies its own cursor through a cursor factory; without one, the generic
-``Cursor`` answers from value differences. ``SetFunctionOracle.marginal`` and
-``drop_marginal`` are one-off queries answered through a fresh cursor.
+``Cursor`` answers from value differences. A cursor holds no value of its
+own: callers take F(X) from ``value``, so a cursor keeps only what its
+marginals need.
 
 Queries come in two shapes. ``add_marginal(u)``/``drop_marginal(d)`` answer one
 element; ``add_marginals(ids)``/``drop_marginals(ids)`` answer a whole array of
@@ -56,9 +57,12 @@ def values_close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = AB
 
 
 class Cursor:
-    """Incremental view of F anchored at a working set.
+    """Incremental view of F anchored at a working set: marginals and moves.
 
-    The default implementation answers every query with fresh evaluations;
+    A cursor answers marginal queries and moves; it does not report F(X),
+    which callers take from the oracle's ``value``, so it keeps only the state
+    its marginals need. The default implementation answers every query with
+    fresh evaluations, keeping F at its anchor to take differences against;
     benchmark families install replacements with cheap moves and vectorized
     batches. An epoch cursor defers the work of its moves to the next query:
     one pending move is an in-place update, more than one a refactor, and the
@@ -84,9 +88,6 @@ class Cursor:
 
     def members(self) -> SubsetBits:
         return self._current
-
-    def value(self) -> float:
-        return self._value
 
     def add_marginal(self, u: int) -> float:
         """F(u | X) for u outside the anchored set X."""
@@ -127,15 +128,15 @@ class SetFunctionOracle:
     """Evaluation access to F: 2^N -> R, through ``value`` and ``cursor``.
 
     Evaluation must be deterministic, and a cursor's marginals must equal the
-    value differences within relative 1e-9. ``marginal``/``drop_marginal``
-    answer through ``cursor(X)``.
+    value differences within relative 1e-9. A marginal query goes through
+    ``cursor(X)``; the oracle answers none itself.
 
-    The ``fast_marginal=``/``fast_drop_marginal=`` kwargs, the
-    ``_fast_marginal``/``_fast_drop``/``_cursor_factory`` attributes and
-    ``dense_table`` stay only because the benchmark's tracing proxy
-    (``perfbench/tracing.py``) builds its timing view from them; no family
-    passes the two closures any more. They go once the proxy moves onto
-    ``value`` and ``cursor``.
+    The ``fast_marginal=``/``fast_drop_marginal=`` kwargs and their
+    ``_fast_marginal``/``_fast_drop`` attributes are read by nothing in this
+    package. They stay only because the benchmark's tracing proxy
+    (``perfbench/tracing.py``) passes and reads them, as it reads
+    ``_cursor_factory`` and ``dense_table``, to build its timing view; they
+    go once the proxy moves onto ``value`` and ``cursor``.
     """
 
     def __init__(
@@ -166,22 +167,6 @@ class SetFunctionOracle:
     def value(self, x: SubsetBits) -> float:
         return float(self._eval(x))
 
-    def marginal(self, i: int, x: SubsetBits) -> float:
-        """Marginal gain F(i | X) = F(X + i) - F(X); requires i not in X."""
-        if x.contains(i):
-            raise ValueError(f"element {i} already in the set")
-        if self._fast_marginal is not None:
-            return float(self._fast_marginal(i, x))
-        return float(self.cursor(x).add_marginal(i))
-
-    def drop_marginal(self, d: int, x: SubsetBits) -> float:
-        """F(d | X - d) = F(X) - F(X - d); requires d in X."""
-        if not x.contains(d):
-            raise ValueError(f"element {d} not in the set")
-        if self._fast_drop is not None:
-            return float(self._fast_drop(d, x))
-        return float(self.cursor(x).drop_marginal(d))
-
     def cursor(self, start: SubsetBits) -> Cursor:
         if self._cursor_factory is not None:
             return self._cursor_factory(self, start)
@@ -199,9 +184,6 @@ class _CountingCursor(Cursor):
 
     def members(self) -> SubsetBits:
         return self._inner.members()
-
-    def value(self) -> float:
-        return self._inner.value()
 
     def add_marginal(self, u: int) -> float:
         self._counter.marginal_calls += 1

@@ -38,14 +38,19 @@ MALFORMED_SPECS = {
     ),
 }
 
-# Experiment configs with a field of the wrong type, each with the field the
-# config error must name; the rest of the config is a small valid run.
+# Experiment configs with a field of the wrong type or an unknown size key,
+# each with the field the config error must name; the rest of the config is a
+# small valid run.
 MALFORMED_CONFIGS = {
     "size_n_float": ({"sizes": [{"n": 8.7}]}, "sizes[0].n"),
     "size_n_bool": ({"sizes": [True]}, "sizes[0].n"),
     "size_d_float": (
         {"families": ["perturbed_facility"], "sizes": [{"n": 8, "d": 2.5}]},
         "sizes[0].d",
+    ),
+    "size_key_misspelt": (
+        {"families": ["perturbed_facility"], "sizes": [{"n": 8, "D": 48}]},
+        "sizes[0].D",
     ),
     "trials_float": ({"trials": 1.5}, "'trials'"),
     "trials_bool": ({"trials": True}, "'trials'"),

@@ -187,9 +187,6 @@ class _RefactoringCursor(Cursor):
     def members(self) -> SubsetBits:
         return self._inner.members()
 
-    def value(self) -> float:
-        return self._inner.value()
-
     def add_marginal(self, u: int) -> float:
         return self._inner.add_marginal(u)
 
@@ -245,9 +242,6 @@ class _RecordingCursor(Cursor):
 
     def members(self) -> SubsetBits:
         return self._inner.members()
-
-    def value(self) -> float:
-        return self._inner.value()
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._inner.add_marginals(ids)

@@ -180,6 +180,14 @@ class TestExact:
         assert proc.returncode == 3
         assert "marginal of element 1 is NaN" in proc.stderr
 
+    def test_nan_value_exit_code(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_spec(tabular_spec(NAN_TABLE), path)
+        proc = qsopt("exact", "--spec", str(path), "--direction", "max")
+        assert proc.returncode == 3
+        assert "value of {1} is NaN" in proc.stderr
+        assert "optimizers" not in proc.stdout
+
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
 def test_malformed_spec_is_config_error(case, tmp_path):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qsopt import (
     CapExceeded,
+    InternalInvariantError,
     SubsetBits,
     enumerate_local_optima,
     exact_opt,
@@ -14,6 +17,8 @@ from qsopt import (
 )
 from qsopt.functions import _stream
 from qsopt.sets import IntervalLattice
+
+from conftest import NAN_TABLE
 
 
 def full_lattice(n):
@@ -40,6 +45,15 @@ class TestExactOpt:
         within = IntervalLattice(SubsetBits.from_members(2, [1]), SubsetBits.full(2))
         value, argmax = exact_opt(prop_oracle, "max", within)
         assert value == 1.0  # {2} is outside this interval
+
+    def test_nan_value_is_invariant_error(self):
+        # F({1}) is NaN: it fails every comparison, so a silent optimum would skip it
+        F = make_tabular(NAN_TABLE)
+        with pytest.raises(InternalInvariantError, match=re.escape("value of {1} is NaN")):
+            exact_opt(F, "max", full_lattice(3))
+        below = IntervalLattice(SubsetBits.empty(3), SubsetBits.from_members(3, [1, 2]))
+        with pytest.raises(InternalInvariantError, match=re.escape("value of {1} is NaN")):
+            exact_opt(F, "max", below)
 
     def test_cap(self):
         F = make_random_qsb(8, 1)

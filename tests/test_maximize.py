@@ -102,8 +102,8 @@ class TestLatticeInvariants:
         F = make_random_qsb(n, 2400)
         _, trace = uqsfmax(F)
         empty, full = SubsetBits.empty(n), SubsetBits.full(n)
-        expect_in = {i for i in range(1, n + 1) if F.drop_marginal(i, full) > 0}
-        expect_keep = {i for i in range(1, n + 1) if F.marginal(i, empty) >= 0}
+        expect_in = {i for i in range(1, n + 1) if F.cursor(full).drop_marginal(i) > 0}
+        expect_keep = {i for i in range(1, n + 1) if F.cursor(empty).add_marginal(i) >= 0}
         assert set(trace.steps[0].added) == expect_in
         assert set(full.difference(trace.steps[0].removed)) == expect_keep
 
@@ -127,7 +127,9 @@ class TestRestrictedOracle:
         assert sub.n == 2
         got = sub.value(SubsetBits.from_members(2, [2]))
         assert got == F.value(SubsetBits.from_members(6, [2, 5]))
-        assert sub.marginal(1, SubsetBits.empty(2)) == F.marginal(4, SubsetBits.from_members(6, [2]))
+        assert sub.cursor(SubsetBits.empty(2)).add_marginal(1) == F.cursor(
+            SubsetBits.from_members(6, [2])
+        ).add_marginal(4)
 
     def test_point_lattice_rejected(self):
         F = make_iwata(3)

@@ -70,12 +70,12 @@ class TestFirstIterationSets:
         empty = SubsetBits.empty(n)
         full = SubsetBits.full(n)
         _, up = uqsfmin(F, empty)
-        expect_up = {i for i in range(1, n + 1) if F.marginal(i, empty) < 0}
+        expect_up = {i for i in range(1, n + 1) if F.cursor(empty).add_marginal(i) < 0}
         assert set(up.steps[0].added) == expect_up
         # from the full set the boundary is weak: dropping a zero-gain element stays
         _, down = uqsfmin(F, full)
         survivors = full.difference(down.steps[0].removed)
-        expect_keep = {i for i in range(1, n + 1) if F.drop_marginal(i, full) <= 0}
+        expect_keep = {i for i in range(1, n + 1) if F.cursor(full).drop_marginal(i) <= 0}
         assert set(survivors) == expect_keep
 
 

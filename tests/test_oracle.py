@@ -31,31 +31,23 @@ from conftest import PROP_TABLE
 
 def test_marginal_gain_reference_table():
     F = make_tabular(PROP_TABLE)
-    assert F.marginal(1, SubsetBits.empty(2)) == -1.0
+    assert F.cursor(SubsetBits.empty(2)).add_marginal(1) == -1.0
 
 
 def test_marginal_gain_deterministic():
     F = make_com(6, 3)
     x = SubsetBits.from_members(6, [2, 5])
-    assert F.marginal(3, x) == F.marginal(3, x)
+    assert F.cursor(x).add_marginal(3) == F.cursor(x).add_marginal(3)
 
 
 def test_marginal_gain_iwata():
     F = make_iwata(5)
-    assert F.marginal(5, SubsetBits.empty(5)) == -11.0
-
-
-def test_marginal_gain_requires_absent_element():
-    F = make_iwata(4)
-    with pytest.raises(ValueError):
-        F.marginal(2, SubsetBits.from_members(4, [2]))
-    with pytest.raises(ValueError):
-        F.marginal(9, SubsetBits.empty(4))
+    assert F.cursor(SubsetBits.empty(5)).add_marginal(5) == -11.0
 
 
 def test_drop_marginal_reference_table():
     F = make_tabular(PROP_TABLE)
-    assert F.drop_marginal(2, SubsetBits.full(2)) == 1.0
+    assert F.cursor(SubsetBits.full(2)).drop_marginal(2) == 1.0
 
 
 def test_drop_marginal_singleton_equals_gain_from_empty():
@@ -63,22 +55,16 @@ def test_drop_marginal_singleton_equals_gain_from_empty():
     for i in range(1, 6):
         single = SubsetBits.from_members(5, [i])
         assert values_close(
-            F.drop_marginal(i, single), F.marginal(i, SubsetBits.empty(5))
+            F.cursor(single).drop_marginal(i), F.cursor(SubsetBits.empty(5)).add_marginal(i)
         )
 
 
 def test_drop_marginal_iwata_full_set():
     # direct evaluation of both sets: F(N) - F(N - 1) = -25 - (-26)
     F = make_iwata(5)
-    assert F.drop_marginal(1, SubsetBits.full(5)) == 1.0
+    assert F.cursor(SubsetBits.full(5)).drop_marginal(1) == 1.0
     assert F.value(SubsetBits.full(5)) == -25.0
     assert F.value(SubsetBits.full(5).remove(1)) == -26.0
-
-
-def test_drop_marginal_requires_member():
-    F = make_iwata(4)
-    with pytest.raises(ValueError):
-        F.drop_marginal(1, SubsetBits.empty(4))
 
 
 FAMILY_INSTANCES = [
@@ -102,7 +88,7 @@ def test_telescoping_sum(name, build):
         x = SubsetBits.empty(n)
         total = 0.0
         for i in order:
-            total += F.marginal(int(i), x)
+            total += F.cursor(x).add_marginal(int(i))
             x = x.add(int(i))
         assert x == target
         assert values_close(total, F.value(target) - F.value(SubsetBits.empty(n)), rel=1e-9)
@@ -123,7 +109,7 @@ CURSOR_INSTANCES = FAMILY_INSTANCES + [
 
 @pytest.mark.parametrize("name,build", CURSOR_INSTANCES, ids=[f[0] for f in CURSOR_INSTANCES])
 def test_oracle_marginal_matches_eval_difference(name, build):
-    """``marginal``/``drop_marginal`` ask a fresh family cursor at each random anchor."""
+    """One-off marginals from a fresh family cursor at each random anchor."""
     F = build()
     n = F.n
     rng = _stream(77, 0)
@@ -131,10 +117,10 @@ def test_oracle_marginal_matches_eval_difference(name, build):
         x = SubsetBits.from_bool_array(rng.random(n) < 0.5)
         i = int(rng.integers(1, n + 1))
         if x.contains(i):
-            got = F.drop_marginal(i, x)
+            got = F.cursor(x).drop_marginal(i)
             want = F.value(x) - F.value(x.remove(i))
         else:
-            got = F.marginal(i, x)
+            got = F.cursor(x).add_marginal(i)
             want = F.value(x.add(i)) - F.value(x)
         assert values_close(got, want), (name, i, str(x), got, want)
 
@@ -180,7 +166,6 @@ def test_cursor_matches_oracle(name, build):
     x = SubsetBits.from_bool_array(rng.random(n) < 0.5)
     cursor = F.cursor(x)
     for _ in range(200):
-        assert values_close(cursor.value(), F.value(x))
         members = x.to_bool_array()
         outside = np.flatnonzero(~members) + 1
         inside = np.flatnonzero(members) + 1
@@ -232,8 +217,8 @@ MOVE_INSTANCES = CURSOR_INSTANCES + [
 ]
 
 
-def assert_cursor_agrees(cursor, fresh, x, exact=False, det_scaled=False):
-    """Value, both batches and the flip gains of ``cursor`` against a cursor built fresh at x.
+def assert_cursor_agrees(F, cursor, x, exact=False, det_scaled=False):
+    """Both batches and the flip gains of ``cursor`` against a cursor of F built fresh at x.
 
     The flip gains are compared with the vector made of the fresh cursor's
     two batches. ``exact`` asks for equal bits. Otherwise each number must be
@@ -241,6 +226,7 @@ def assert_cursor_agrees(cursor, fresh, x, exact=False, det_scaled=False):
     det * (ratio - 1), so its rounding error scales with det, not with the
     marginal: ``det_scaled`` scales the absolute floor by det.
     """
+    fresh = F.cursor(x)
     members = x.to_bool_array()
     outside = np.flatnonzero(~members) + 1
     inside = np.flatnonzero(members) + 1
@@ -250,12 +236,11 @@ def assert_cursor_agrees(cursor, fresh, x, exact=False, det_scaled=False):
     fresh_gains[outside - 1] = fresh_add
     fresh_gains[inside - 1] = -fresh_drop
     pairs = [
-        (np.array([cursor.value()]), np.array([fresh.value()])),
         (cursor.add_marginals(outside), fresh_add),
         (cursor.drop_marginals(inside), fresh_drop),
         (cursor.gains(), fresh_gains),
     ]
-    floor = max(REL_TOL * abs(fresh.value()), ABS_TOL) if det_scaled else ABS_TOL
+    floor = max(REL_TOL * abs(F.value(x)), ABS_TOL) if det_scaled else ABS_TOL
     for got, want in pairs:
         if exact:
             assert np.array_equal(got, want), (got, want)
@@ -280,7 +265,7 @@ def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
     def walk(mask, rounds):
         x = SubsetBits(n, mask)
         cursor = F.cursor(x)
-        assert_cursor_agrees(cursor, F.cursor(x), x, exact, det_scaled)
+        assert_cursor_agrees(F, cursor, x, exact, det_scaled)
         for moves in rounds:
             for i in moves:
                 if x.contains(i):
@@ -290,7 +275,7 @@ def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
                     cursor.add(i)
                     x = x.add(i)
             assert cursor.members() == x
-            assert_cursor_agrees(cursor, F.cursor(x), x, exact, det_scaled)
+            assert_cursor_agrees(F, cursor, x, exact, det_scaled)
 
     walk()
 
@@ -306,7 +291,7 @@ def test_determinant_update_chain(direction):
     F = make_determinant(n, 1)
     x = SubsetBits.full(n) if direction == "down" else SubsetBits.empty(n)
     cursor = F.cursor(x)
-    cursor.value()
+    cursor.add_marginals(np.array([], dtype=np.int64))  # the first query factors
     for i in range(1, n + 1):
         if direction == "down":
             cursor.remove(i)
@@ -314,7 +299,7 @@ def test_determinant_update_chain(direction):
         else:
             cursor.add(i)
             x = x.add(i)
-        assert_cursor_agrees(cursor, F.cursor(x), x, det_scaled=True)
+        assert_cursor_agrees(F, cursor, x, det_scaled=True)
 
 
 class TestCountingOracle:
@@ -336,8 +321,9 @@ class TestCountingOracle:
         # a family cursor: one anchor evaluation each, then counted marginal queries
         F = make_iwata(6)
         C = CountingOracle(F)
-        assert C.cursor(SubsetBits.empty(6)).add_marginal(3) == F.marginal(3, SubsetBits.empty(6))
-        assert C.cursor(SubsetBits.full(6)).drop_marginal(2) == F.drop_marginal(2, SubsetBits.full(6))
+        empty, full = SubsetBits.empty(6), SubsetBits.full(6)
+        assert C.cursor(empty).add_marginal(3) == F.cursor(empty).add_marginal(3)
+        assert C.cursor(full).drop_marginal(2) == F.cursor(full).drop_marginal(2)
         assert C.marginal_calls == 2
         assert C.eval_calls == 2
 
@@ -347,7 +333,7 @@ class TestCountingOracle:
         F = SetFunctionOracle(GroundSet(6), D.value)
         C = CountingOracle(F)
         gain = C.cursor(SubsetBits.empty(6)).add_marginal(3)
-        assert values_close(gain, D.marginal(3, SubsetBits.empty(6)))
+        assert values_close(gain, D.cursor(SubsetBits.empty(6)).add_marginal(3))
         assert C.eval_calls == 2
         assert C.marginal_calls == 0
 
@@ -369,7 +355,7 @@ class TestCountingOracle:
         assert C.eval_calls == 4  # the anchor plus one evaluation per id
         assert C.marginal_calls == 0
         for u, gain in zip((1, 2, 3), gains.tolist()):
-            assert values_close(gain, D.marginal(u, SubsetBits.empty(6)))
+            assert values_close(gain, D.cursor(SubsetBits.empty(6)).add_marginal(u))
 
     def test_counters_monotone(self):
         F = make_com(8, 2)
@@ -391,9 +377,6 @@ class _ScalarOnlyCursor(Cursor):
 
     def members(self) -> SubsetBits:
         return self._inner.members()
-
-    def value(self) -> float:
-        return self._inner.value()
 
     def add_marginal(self, u: int) -> float:
         return self._inner.add_marginal(u)
