@@ -49,10 +49,8 @@ def double_greedy(
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
     rng = _trial_rng(seed if seed is not None else 0, 0) if randomized else None
-    s1 = SubsetBits.empty(n)
-    s2 = SubsetBits.full(n)
-    c1 = counter.cursor(s1)
-    c2 = counter.cursor(s2)
+    c1 = counter.cursor(SubsetBits.empty(n))
+    c2 = counter.cursor(SubsetBits.full(n))
     for i in order:
         gain_add = c1.add_marginal(i)
         gain_remove = -c2.drop_marginal(i)
@@ -68,12 +66,11 @@ def double_greedy(
         else:
             keep = gain_add - gain_remove >= 0.0
         if keep:
-            s1 = s1.add(i)
             c1.add(i)
         else:
-            s2 = s2.remove(i)
             c2.remove(i)
-    assert s1 == s2, "double greedy must close the gap after one pass"
+    s1 = c1.members()
+    assert s1 == c2.members(), "double greedy must close the gap after one pass"
     value = counter.value(s1)
     return BaselineResult(s1, value, counter.total_calls, seed)
 
@@ -110,8 +107,7 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
     ids = np.arange(1, n + 1)
     for restart in range(restarts):
         rng = _trial_rng(seed, restart)
-        current = SubsetBits.from_bool_array(rng.random(n) < 0.5)
-        cursor = counter.cursor(current)
+        cursor = counter.cursor(SubsetBits.from_bool_array(rng.random(n) < 0.5))
         for step in itertools.count():
             gains = cursor.gains()
             require_no_nan(gains, ids, f"rls restart {restart} step {step}")
@@ -120,12 +116,11 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
             if gains[best] <= 0.0:
                 break
             best_flip = best + 1
-            if current.contains(best_flip):
-                current = current.remove(best_flip)
+            if cursor.members().contains(best_flip):
                 cursor.remove(best_flip)
             else:
-                current = current.add(best_flip)
                 cursor.add(best_flip)
+        current = cursor.members()
         value = counter.value(current)
         if value > best_value:
             best_value = value

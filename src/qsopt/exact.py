@@ -22,9 +22,18 @@ from .sets import (
 TABLE_MAX_N = 20
 
 
-def _nan_value(x: SubsetBits) -> InternalInvariantError:
+def _nan_value(where: str, x: SubsetBits) -> InternalInvariantError:
     # NaN fails every comparison, so a silent optimum would skip the set
-    return InternalInvariantError(f"exact_opt: value of {x} is NaN")
+    return InternalInvariantError(f"{where}: value of {x} is NaN")
+
+
+def _nan_free_table(oracle, n: int, where: str) -> np.ndarray:
+    """``eval_table`` over all 2**n sets; a NaN raises, naming the first set that has one."""
+    values = eval_table(oracle, n)
+    nan = np.flatnonzero(np.isnan(values))
+    if len(nan):
+        raise _nan_value(where, SubsetBits(n, int(nan[0])))
+    return values
 
 
 def exact_opt(
@@ -48,10 +57,7 @@ def exact_opt(
     sign = 1.0 if direction == "max" else -1.0
 
     if within.lower.mask == 0 and within.upper.mask == (1 << n) - 1 and n <= TABLE_MAX_N:
-        values = eval_table(oracle, n)
-        nan = np.flatnonzero(np.isnan(values))
-        if len(nan):
-            raise _nan_value(SubsetBits(n, int(nan[0])))
+        values = _nan_free_table(oracle, n, "exact_opt")
         best = float((sign * values).max())
         best_value = sign * best
         masks = np.flatnonzero(values == best_value)
@@ -62,7 +68,7 @@ def exact_opt(
     for member in enumerate_lattice(within, cap=cap):
         v = oracle.value(member)
         if math.isnan(v):
-            raise _nan_value(member)
+            raise _nan_value("exact_opt", member)
         if best_value is None or sign * v > sign * best_value:
             best_value = v
             argopt = [member]
@@ -75,13 +81,17 @@ def exact_opt(
 def enumerate_local_optima(
     oracle, n: int, kind: str, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[SubsetBits]:
-    """All sets where no single-element flip improves in the given direction."""
+    """All sets where no single-element flip improves in the given direction.
+
+    On the table path (n <= ``TABLE_MAX_N``) a NaN value raises
+    ``InternalInvariantError`` naming the first set that has one.
+    """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     if n > cap:
         raise CapExceeded(f"local-optima enumeration needs n <= {cap}, got {n}")
     if n <= TABLE_MAX_N:
-        values = eval_table(oracle, n)
+        values = _nan_free_table(oracle, n, "enumerate_local_optima")
         idx = np.arange(1 << n)
         ok = np.ones(1 << n, dtype=bool)
         for b in range(n):

@@ -5,6 +5,10 @@ negated maximization objective), perturbed_facility, determinant,
 cobb_douglas, and small tabular functions. Each family is a value formula
 plus one cursor class whose batch formulas take an id or an id array alike: a
 scalar query is the batch at the bare id, the reverse of the base ``Cursor``.
+A family cursor makes no move of its own: the base ``Cursor`` keeps the
+anchored set, and a family that keeps statistics over the members (com's
+w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
+in the ``_moved`` hook; iwata and tabular read the set itself.
 Instances are reproducible: parameter array k of a family is drawn from the
 PCG64 stream of ``SeedSequence(seed, spawn_key=(k,))``: (family, n, seed) pins every bit.
 """
@@ -71,37 +75,10 @@ class FunctionSpec:
                 raise ConfigError("tabular values length must be 2**n")
 
 
-def _json_render(value, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (exact double round trip).
-
-    Non-finite floats are written as the NaN/Infinity/-Infinity literals that
-    ``json`` reads back.
-    """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return json.dumps(value)  # NaN, Infinity, -Infinity: what json.loads reads back
-        return format(value, ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_json_render(v, indent + 1)}"
-            for k, v in sorted(value.items())
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        seq = [_json_render(v, indent + 1) for v in value]
-        if not seq:
-            return "[]"
-        return "[\n" + ",\n".join(inner + s for s in seq) + f"\n{pad}]"
+def _json_default(value):
+    """numpy arrays and scalars as the lists and numbers ``json`` writes."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -112,7 +89,9 @@ def save_spec(spec: FunctionSpec, path: str | Path) -> None:
         "seed": spec.seed,
         "params": spec.params,
     }
-    Path(path).write_text(_json_render(payload) + "\n")
+    # repr floats round-trip exactly; NaN and +-Infinity are literals json.loads reads back
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    Path(path).write_text(text + "\n")
 
 
 def load_spec(path: str | Path) -> FunctionSpec:
@@ -143,6 +122,15 @@ def _check_param(spec: FunctionSpec, key: str, kind: type, what: str) -> None:
 
 def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
     p = spec.params
+    known = {
+        "half_products": ("c_scale",),
+        "perturbed_facility": ("d",),
+        "determinant": tuple(DETERMINANT_DEFAULTS),
+        "tabular": ("values",),
+    }.get(spec.family, ())
+    for key in p:
+        if key not in known:
+            raise ConfigError(f"{spec.family} takes no parameter params.{key}")
     if spec.family == "iwata":
         return make_iwata(spec.n)
     if spec.family == "com":
@@ -172,6 +160,12 @@ def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
 class _FamilyCursor(Cursor):
     """Family cursor base: a scalar query is the batch formula at the bare id, bit for bit."""
 
+    def __init__(self, start: SubsetBits):
+        self._current = start  # no F at the anchor: the family formulas need none
+
+    def _moved(self, e: int, added: bool) -> None:
+        """Nothing to update; a family with statistics over the members overrides this."""
+
     def add_marginal(self, u: int) -> float:
         return float(self.add_marginals(u))
 
@@ -184,24 +178,15 @@ class _FamilyCursor(Cursor):
 
 
 class _IwataCursor(_FamilyCursor):
-    def __init__(self, oracle: SetFunctionOracle, start: SubsetBits, n: int):
+    def __init__(self, start: SubsetBits, n: int):
+        super().__init__(start)
         self._n = n
-        self._current = start
-        self._k = len(start)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(3 * self._n - 2 * self._k - 1 - 5 * ids, dtype=float)
+        return np.asarray(3 * self._n - 2 * len(self._current) - 1 - 5 * ids, dtype=float)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(3 * self._n - 2 * self._k + 1 - 5 * ids, dtype=float)
-
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._k += 1
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._k -= 1
+        return np.asarray(3 * self._n - 2 * len(self._current) + 1 - 5 * ids, dtype=float)
 
 
 def iwata_value(weights: np.ndarray, members: np.ndarray) -> float:
@@ -222,7 +207,7 @@ def make_iwata(n: int) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _IwataCursor(o, s, n),
+        cursor_factory=lambda o, s: _IwataCursor(s, n),
         params={"weights": weights},
         name=f"iwata(n={n})",
     )
@@ -233,12 +218,11 @@ def make_iwata(n: int) -> SetFunctionOracle:
 
 
 class _ComCursor(_FamilyCursor):
-    def __init__(self, oracle, start: SubsetBits, w1: np.ndarray, w2: np.ndarray):
+    def __init__(self, start: SubsetBits, w1: np.ndarray, w2: np.ndarray):
+        super().__init__(start)
         self._w1 = w1
         self._w2 = w2
-        self._current = start
-        m = start.to_bool_array()
-        self._s1 = float(w1 @ m)
+        self._s1 = float(w1 @ start.to_bool_array())
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0)
@@ -248,13 +232,11 @@ class _ComCursor(_FamilyCursor):
         s = max(self._s1, 0.0)
         return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1[ids - 1], 0.0)) - self._w2[ids - 1]
 
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._s1 += self._w1[u - 1]
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._s1 -= self._w1[d - 1]
+    def _moved(self, e: int, added: bool) -> None:
+        if added:
+            self._s1 += self._w1[e - 1]
+        else:
+            self._s1 -= self._w1[e - 1]
 
 
 def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> float:
@@ -274,7 +256,7 @@ def make_com(n: int, seed: int) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _ComCursor(o, s, w1, w2),
+        cursor_factory=lambda o, s: _ComCursor(s, w1, w2),
         params={"w1": w1, "w2": w2},
         name=f"com(n={n}, seed={seed})",
     )
@@ -296,7 +278,7 @@ class _EpochCursor(_FamilyCursor):
     """
 
     def __init__(self, start: SubsetBits):
-        self._current = start
+        super().__init__(start)
         self._ready = False
         self._moves = 0
         self._last = None
@@ -313,15 +295,9 @@ class _EpochCursor(_FamilyCursor):
             self._ready = True
         self._moves = 0
 
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
+    def _moved(self, e: int, added: bool) -> None:
         self._moves += 1
-        self._last = (True, u)
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._moves += 1
-        self._last = (False, d)
+        self._last = (added, e)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +312,7 @@ class _HalfProductsCursor(_EpochCursor):
     Every sync is the refactor: one O(n) cumsum is as cheap as any update.
     """
 
-    def __init__(self, oracle, start: SubsetBits, a, b, c):
+    def __init__(self, start: SubsetBits, a, b, c):
         super().__init__(start)
         self._a = a
         self._b = b
@@ -388,7 +364,7 @@ def make_half_products(n: int, seed: int, c_scale: float = 0.25) -> SetFunctionO
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _HalfProductsCursor(o, s, a, b, c),
+        cursor_factory=lambda o, s: _HalfProductsCursor(s, a, b, c),
         params={"a": a, "b": b, "c": c, "c_scale": c_scale},
         name=f"half_products(n={n}, seed={seed})",
     )
@@ -423,7 +399,7 @@ class _FacilityCursor(_EpochCursor):
     bit for bit to fresh batches; a refactor drops it.
     """
 
-    def __init__(self, oracle, start: SubsetBits, mat: np.ndarray, sigma: np.ndarray):
+    def __init__(self, start: SubsetBits, mat: np.ndarray, sigma: np.ndarray):
         super().__init__(start)
         self._mat = mat
         self._sigma = sigma
@@ -542,7 +518,7 @@ def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _FacilityCursor(o, s, mat, sigma),
+        cursor_factory=lambda o, s: _FacilityCursor(s, mat, sigma),
         params={"M": mat, "sigma": sigma, "d": d},
         name=f"perturbed_facility(n={n}, d={d}, seed={seed})",
     )
@@ -626,7 +602,7 @@ class _DeterminantCursor(_EpochCursor):
     updates, which bounds its rounding drift.
     """
 
-    def __init__(self, oracle, start: SubsetBits, kernel: np.ndarray, la: SimpleNamespace):
+    def __init__(self, start: SubsetBits, kernel: np.ndarray, la: SimpleNamespace):
         super().__init__(start)
         self._kernel = kernel
         self._la = la
@@ -835,7 +811,7 @@ def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _DeterminantCursor(o, s, kernel, la),
+        cursor_factory=lambda o, s: _DeterminantCursor(s, kernel, la),
         params={"kernel": kernel, **params},
         name=f"determinant(n={n}, seed={seed})",
     )
@@ -847,9 +823,9 @@ def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
 
 
 class _CobbCursor(_FamilyCursor):
-    def __init__(self, oracle, start: SubsetBits, delta: np.ndarray):
+    def __init__(self, start: SubsetBits, delta: np.ndarray):
+        super().__init__(start)
         self._delta = delta
-        self._current = start
         self._logsum = float(delta @ start.to_bool_array())
 
     def _scale(self) -> float:
@@ -865,13 +841,11 @@ class _CobbCursor(_FamilyCursor):
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         return -self._scale() * np.expm1(-self._delta[ids - 1])
 
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._logsum += self._delta[u - 1]
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._logsum -= self._delta[d - 1]
+    def _moved(self, e: int, added: bool) -> None:
+        if added:
+            self._logsum += self._delta[e - 1]
+        else:
+            self._logsum -= self._delta[e - 1]
 
 
 def cobb_log_factors(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -910,7 +884,7 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _CobbCursor(o, s, delta),
+        cursor_factory=lambda o, s: _CobbCursor(s, delta),
         params={"w": w, "alpha": alpha, "product_over": "members"},
         name=f"cobb_douglas(n={n}, seed={seed})",
     )
@@ -921,24 +895,17 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
 
 
 class _TabularCursor(_FamilyCursor):
-    def __init__(self, oracle, start: SubsetBits, values: np.ndarray):
+    def __init__(self, start: SubsetBits, values: np.ndarray):
+        super().__init__(start)
         self._values = values
-        self._current = start
-        self._mask = start.mask
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return self._values[self._mask | (1 << (ids - 1))] - self._values[self._mask]
+        mask = self._current.mask
+        return self._values[mask | (1 << (ids - 1))] - self._values[mask]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return self._values[self._mask] - self._values[self._mask & ~(1 << (ids - 1))]
-
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._mask = self._current.mask
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._mask = self._current.mask
+        mask = self._current.mask
+        return self._values[mask] - self._values[mask & ~(1 << (ids - 1))]
 
 
 def make_tabular(values) -> SetFunctionOracle:
@@ -958,7 +925,7 @@ def make_tabular(values) -> SetFunctionOracle:
     return SetFunctionOracle(
         ground,
         evaluate,
-        cursor_factory=lambda o, s: _TabularCursor(o, s, arr),
+        cursor_factory=lambda o, s: _TabularCursor(s, arr),
         dense_table=arr,
         params={"values": arr},
         name=f"tabular(n={n})",

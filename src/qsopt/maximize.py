@@ -56,12 +56,11 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
     """Shrink [empty, full] to the bracketing interval [X+, Y+]."""
     counter = CountingOracle(oracle)
     n = counter.n
-    x = SubsetBits.empty(n)
-    y = SubsetBits.full(n)
-    cursor_x = counter.cursor(x)
-    cursor_y = counter.cursor(y)
+    cursor_x = counter.cursor(SubsetBits.empty(n))
+    cursor_y = counter.cursor(SubsetBits.full(n))
     steps: list[MaxStep] = []
     for t in range(n + 2):
+        x, y = cursor_x.members(), cursor_y.members()
         fx = counter.value(x)
         fy = counter.value(y)
         free = np.flatnonzero(y.to_bool_array() & ~x.to_bool_array()) + 1
@@ -78,8 +77,7 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
             cursor_x.add(u)
         for d in removed:
             cursor_y.remove(d)
-        x_next = x.union(added_set)
-        y_next = y.difference(removed_set)
+        x_next, y_next = cursor_x.members(), cursor_y.members()
         if not x_next.is_subset(y_next):
             raise InternalInvariantError(
                 f"working interval collapsed: {x_next} not inside {y_next}; "
@@ -88,7 +86,6 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
         if not added and not removed:
             lattice = IntervalLattice(x, y)
             return lattice, MaxTrace(lattice, steps, counter.eval_calls, counter.marginal_calls)
-        x, y = x_next, y_next
     raise InternalInvariantError(
         f"no fixed interval within {n + 2} iterations; objective is likely "
         "not quasi-submodular"
@@ -141,10 +138,11 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
 
 class _RestrictedCursor(Cursor):
     def __init__(self, inner: Cursor, free_ids: list[int], start: SubsetBits):
+        # no super().__init__: the inner cursor answers every query
+        self._current = start
         self._inner = inner
         self._free_ids = free_ids
         self._free_arr = np.asarray(free_ids, dtype=np.int64)
-        self._current = start
 
     def add_marginal(self, u: int) -> float:
         return self._inner.add_marginal(self._free_ids[u - 1])
@@ -158,13 +156,11 @@ class _RestrictedCursor(Cursor):
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._inner.drop_marginals(self._free_arr[ids - 1])
 
-    def add(self, u: int) -> None:
-        self._current = self._current.add(u)
-        self._inner.add(self._free_ids[u - 1])
-
-    def remove(self, d: int) -> None:
-        self._current = self._current.remove(d)
-        self._inner.remove(self._free_ids[d - 1])
+    def _moved(self, e: int, added: bool) -> None:
+        if added:
+            self._inner.add(self._free_ids[e - 1])
+        else:
+            self._inner.remove(self._free_ids[e - 1])
 
 
 def u_prefix(

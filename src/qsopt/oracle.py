@@ -9,6 +9,13 @@ supplies its own cursor through a cursor factory; without one, the generic
 own: callers take F(X) from ``value``, so a cursor keeps only what its
 marginals need.
 
+The base ``Cursor`` owns the anchored set. Its ``add``/``remove`` are the
+one move path: each updates the set and then calls one hook,
+``_moved(e, added)``, where a subclass brings whatever it keeps along (the
+generic cursor re-evaluates F; a family cursor with no statistics does
+nothing). ``members()`` reads the set back, so an algorithm keeps no copy
+of its working set beside its cursor.
+
 Queries come in two shapes. ``add_marginal(u)``/``drop_marginal(d)`` answer one
 element; ``add_marginals(ids)``/``drop_marginals(ids)`` answer a whole array of
 1-based ids against the same anchored set and return a float ndarray. The
@@ -61,18 +68,22 @@ class Cursor:
 
     A cursor answers marginal queries and moves; it does not report F(X),
     which callers take from the oracle's ``value``, so it keeps only the state
-    its marginals need. The default implementation answers every query with
-    fresh evaluations, keeping F at its anchor to take differences against;
-    benchmark families install replacements with cheap moves and vectorized
-    batches. An epoch cursor defers the work of its moves to the next query:
-    one pending move is an in-place update, more than one a refactor, and the
-    answers agree either way. The base batch queries loop over the scalar
-    ones, so a wrapper that overrides only ``add_marginal``/``drop_marginal``
-    (a timing proxy around a family cursor, say) still sees every query of a
-    batch, one at a time, and needs no ``_oracle`` of its own. The family
-    cursors go the other way: each has one formula per marginal, written for
-    an id or an id array alike, and a scalar query is that batch formula at
-    the bare id.
+    its marginals need. The base class owns the anchored set: ``add`` and
+    ``remove`` update it and then call ``_moved(e, added)``, the one hook a
+    subclass overrides to bring its own state along; only wrappers that
+    forward to an inner cursor override the moves themselves. The default
+    implementation answers every query with fresh evaluations, keeping F at
+    its anchor to take differences against, and its hook re-evaluates F at
+    the new anchor; benchmark families install replacements with cheap
+    hooks and vectorized batches. An epoch cursor defers the work of its
+    moves to the next query: one pending move is an in-place update, more
+    than one a refactor, and the answers agree either way. The base batch
+    queries loop over the scalar ones, so a wrapper that overrides only
+    ``add_marginal``/``drop_marginal`` (a timing proxy around a family
+    cursor, say) still sees every query of a batch, one at a time, and needs
+    no ``_oracle`` of its own. The family cursors go the other way: each has
+    one formula per marginal, written for an id or an id array alike, and a
+    scalar query is that batch formula at the bare id.
 
     ``gains()`` is the signed flip-gain vector over all n elements: the add
     marginal of each element outside the anchored set and minus the drop
@@ -116,11 +127,17 @@ class Cursor:
         return out
 
     def add(self, u: int) -> None:
+        """Move the anchor to X + u."""
         self._current = self._current.add(u)
-        self._value = self._oracle.value(self._current)
+        self._moved(u, True)
 
     def remove(self, d: int) -> None:
+        """Move the anchor to X - d."""
         self._current = self._current.remove(d)
+        self._moved(d, False)
+
+    def _moved(self, e: int, added: bool) -> None:
+        """Bring the cursor's own state to the new anchor after element e moved in or out."""
         self._value = self._oracle.value(self._current)
 
 

@@ -16,8 +16,8 @@ TWIN_PEAKS_TABLE = [1.0, 1.5, 1.5, 1.0]
 # Three elements, values 7..0 by bitmask, with F({1}) = NaN: every strict sign
 # test on a NaN marginal is false, so a silent run would report a "fixed point".
 NAN_TABLE = [7.0, float("nan"), 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
-# Instance files with a parameter of the wrong type, each with the field
-# the config error must name.
+# Instance files with a parameter of the wrong type or an unknown parameter
+# key, each with the field the config error must name.
 MALFORMED_SPECS = {
     "facility_params_list": ({"family": "perturbed_facility", "n": 4, "params": [1, 2]}, "params"),
     "tabular_params_list": ({"family": "tabular", "n": 1, "params": [1, 2]}, "params"),
@@ -35,6 +35,14 @@ MALFORMED_SPECS = {
     "determinant_length_scale_string": (
         {"family": "determinant", "n": 4, "params": {"length_scale": "0.35"}},
         "params.length_scale",
+    ),
+    # a key the family does not take: never silently dropped
+    "facility_key_misspelt": ({"family": "perturbed_facility", "n": 4, "params": {"D": 16}}, "params.D"),
+    "com_key_unknown": ({"family": "com", "n": 4, "params": {"d": 16}}, "params.d"),
+    "determinant_key_unknown": ({"family": "determinant", "n": 4, "params": {"sigma": 1.0}}, "params.sigma"),
+    "tabular_key_unknown": (
+        {"family": "tabular", "n": 1, "params": {"values": [0.0, 1.0], "seed": 3}},
+        "params.seed",
     ),
 }
 

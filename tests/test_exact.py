@@ -92,6 +92,15 @@ class TestLocalOptimaEnumeration:
     def test_reference_table_min(self, prop_oracle):
         assert enumerate_local_optima(prop_oracle, 2, "min") == [SubsetBits.from_members(2, [1])]
 
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_nan_value_is_invariant_error(self, kind):
+        # F({1}) is NaN: every comparison with it is false, so "max" would miss {} (7.0)
+        F = make_tabular(NAN_TABLE)
+        with pytest.raises(
+            InternalInvariantError, match=re.escape("enumerate_local_optima: value of {1} is NaN")
+        ):
+            enumerate_local_optima(F, 3, kind)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_global_optima_are_local(self, seed):
         n = 5 + seed % 4

@@ -254,6 +254,12 @@ class TestSpecPersistence:
         assert np.array_equal(loaded.params["values"], np.array(values))
 
 
+    def test_numpy_scalars_saved_as_numbers(self, tmp_path):
+        spec = FunctionSpec("perturbed_facility", np.int64(8), np.int64(3), {"d": np.int64(16)})
+        path = tmp_path / "spec.json"
+        save_spec(spec, path)
+        assert load_spec(path) == FunctionSpec("perturbed_facility", 8, 3, {"d": 16})
+
     def test_non_finite_values_round_trip(self, tmp_path):
         values = [7.0, math.nan, 5.0, math.inf, -math.inf, 2.0, 1.0, 0.0]
         path = tmp_path / "t.json"

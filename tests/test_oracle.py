@@ -204,12 +204,19 @@ def tied_facility():
     return SetFunctionOracle(
         GroundSet(10),
         lambda x: facility_value(mat, sigma, x.to_bool_array()),
-        cursor_factory=lambda o, s: _FacilityCursor(o, s, mat, sigma),
+        cursor_factory=lambda o, s: _FacilityCursor(s, mat, sigma),
     )
+
+
+def generic_com():
+    """com with no cursor factory: the base ``Cursor``, which answers from value differences."""
+    F = make_com(12, 5)
+    return SetFunctionOracle(F.ground, F.value)
 
 
 # the small instances walk through 0, 1 and 2 members, where the updates special-case
 MOVE_INSTANCES = CURSOR_INSTANCES + [
+    ("generic", generic_com),
     ("restricted_determinant", restricted_determinant),
     ("tied_facility", tied_facility),
     ("small_facility", lambda: make_perturbed_facility(5, 8, 5)),
@@ -255,7 +262,8 @@ def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
     """Single moves between queries take the update path, bursts take the refactor."""
     F = build()
     n = F.n
-    exact = "facility" in name or name == "half_products"  # exact updates, or a refactor at every sync
+    # exact updates, a refactor at every sync, or (generic) F evaluated afresh at every move
+    exact = "facility" in name or name in ("half_products", "generic")
     det_scaled = "determinant" in name
     single = st.lists(st.integers(1, n), min_size=1, max_size=1)
     burst = st.lists(st.integers(1, n), min_size=2, max_size=5)
