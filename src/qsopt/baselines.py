@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -75,20 +75,28 @@ def double_greedy(
     return BaselineResult(s1, value, counter.total_calls, seed)
 
 
-def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
-    """Best of ``trials`` deterministic double-greedy passes over random orders."""
+def _best_of(trials: int, seed: int, run_trial: Callable[[int], BaselineResult]) -> BaselineResult:
+    """Best of ``run_trial(t)`` for t < trials: the first strict best, with all calls summed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    n = oracle.n
     best: Optional[BaselineResult] = None
     calls = 0
     for trial in range(trials):
-        order = [int(v) for v in _trial_rng(seed, trial).permutation(n) + 1]
-        result = double_greedy(oracle, order)
+        result = run_trial(trial)
         calls += result.oracle_calls
         if best is None or result.value > best.value:
             best = result
     return BaselineResult(best.set, best.value, calls, seed)
+
+
+def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
+    """Best of ``trials`` deterministic double-greedy passes over random orders."""
+
+    def run_trial(trial: int) -> BaselineResult:
+        order = [int(v) for v in _trial_rng(seed, trial).permutation(oracle.n) + 1]
+        return double_greedy(oracle, order)
+
+    return _best_of(trials, seed, run_trial)
 
 
 def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
@@ -130,16 +138,10 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
 
 def randomized_bidirectional_greedy(oracle, trials: int, seed: int) -> BaselineResult:
     """Best of ``trials`` randomized double-greedy passes in natural order."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    n = oracle.n
-    order = list(range(1, n + 1))
-    best: Optional[BaselineResult] = None
-    calls = 0
-    for trial in range(trials):
+    order = list(range(1, oracle.n + 1))
+
+    def run_trial(trial: int) -> BaselineResult:
         sub_seed = int(_trial_rng(seed, trial).integers(0, 2**63 - 1))
-        result = double_greedy(oracle, order, randomized=True, seed=sub_seed)
-        calls += result.oracle_calls
-        if best is None or result.value > best.value:
-            best = result
-    return BaselineResult(best.set, best.value, calls, seed)
+        return double_greedy(oracle, order, randomized=True, seed=sub_seed)
+
+    return _best_of(trials, seed, run_trial)

@@ -9,8 +9,12 @@ A family cursor makes no move of its own: the base ``Cursor`` keeps the
 anchored set, and a family that keeps statistics over the members (com's
 w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
 in the ``_moved`` hook; iwata and tabular read the set itself.
+A ``FunctionSpec`` names an instance and is the one place that checks one:
+the family, integer n >= 1 and seed, and the parameters the family takes,
+perturbed_facility's integer ``d`` (400 when absent) and tabular's list
+``values``. Every other constant of a family is fixed in its generator.
 Instances are reproducible: parameter array k of a family is drawn from the
-PCG64 stream of ``SeedSequence(seed, spawn_key=(k,))``: (family, n, seed) pins every bit.
+PCG64 stream of ``SeedSequence(seed, spawn_key=(k,))``: the spec pins every bit.
 """
 
 from __future__ import annotations
@@ -47,9 +51,23 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
+#: The parameters each family takes, each with the kind its value must be and
+#: how a config error names that kind; a family not listed takes none.
+_FAMILY_PARAMS = {
+    "perturbed_facility": {"d": (numbers.Integral, "an integer")},
+    "tabular": {"values": (list, "a list")},
+}
+
+
+def _require(value, kind: type, what: str, name: str) -> None:
+    """Reject ``value`` unless it is a ``kind``; a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class FunctionSpec:
-    """Serializable description of a benchmark instance."""
+    """Serializable description of a benchmark instance, checked on construction."""
 
     family: str
     n: int
@@ -59,19 +77,23 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError(f"unsupported family {self.family!r}")
+        _require(self.n, numbers.Integral, "an integer", "field 'n'")
+        _require(self.seed, numbers.Integral, "an integer", "field 'seed'")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be an object, got {self.params!r}")
+        takes = _FAMILY_PARAMS.get(self.family, {})
+        for key, value in self.params.items():
+            if key not in takes:
+                raise ConfigError(f"{self.family} takes no parameter params.{key}")
+            _require(value, *takes[key], f"{self.family} params.{key}")
         if self.family == "tabular":
-            values = self.params.get("values")
-            if values is None:
+            if "values" not in self.params:
                 raise ConfigError("tabular spec needs params.values")
-            if not isinstance(values, list):
-                raise ConfigError(f"tabular params.values must be a list, got {values!r}")
             if self.n > TABULAR_MAX_N:
                 raise ConfigError(f"tabular capped at n <= {TABULAR_MAX_N}")
-            if len(values) != (1 << self.n):
+            if len(self.params["values"]) != (1 << self.n):
                 raise ConfigError("tabular values length must be 2**n")
 
 
@@ -95,6 +117,7 @@ def save_spec(spec: FunctionSpec, path: str | Path) -> None:
 
 
 def load_spec(path: str | Path) -> FunctionSpec:
+    """Read an instance file; ``FunctionSpec`` checks it, and its errors name the file."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -105,56 +128,27 @@ def load_spec(path: str | Path) -> FunctionSpec:
         family, n, seed = payload["family"], payload["n"], payload.get("seed", 0)
     except KeyError as exc:
         raise ConfigError(f"instance file {path} missing field {exc}") from exc
-    for key, value in (("n", n), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"instance file {path}: field '{key}' must be an integer, got {value!r}")
-    return FunctionSpec(family=family, n=n, seed=seed, params=payload.get("params") or {})
-
-
-def _check_param(spec: FunctionSpec, key: str, kind: type, what: str) -> None:
-    """Reject ``spec.params[key]``, when given, unless it is a ``kind`` (never a bool)."""
-    if key not in spec.params:
-        return
-    value = spec.params[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{spec.family} params.{key} must be {what}, got {value!r}")
+    try:
+        return FunctionSpec(family=family, n=n, seed=seed, params=payload.get("params") or {})
+    except ConfigError as exc:
+        raise ConfigError(f"instance file {path}: {exc}") from exc
 
 
 def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
-    p = spec.params
-    known = {
-        "half_products": ("c_scale",),
-        "perturbed_facility": ("d",),
-        "determinant": tuple(DETERMINANT_DEFAULTS),
-        "tabular": ("values",),
-    }.get(spec.family, ())
-    for key in p:
-        if key not in known:
-            raise ConfigError(f"{spec.family} takes no parameter params.{key}")
+    """The oracle of a spec, which its construction has checked."""
     if spec.family == "iwata":
         return make_iwata(spec.n)
     if spec.family == "com":
         return make_com(spec.n, spec.seed)
     if spec.family == "half_products":
-        _check_param(spec, "c_scale", numbers.Real, "a number")
-        if "c_scale" in p:
-            return make_half_products(spec.n, spec.seed, c_scale=p["c_scale"])
         return make_half_products(spec.n, spec.seed)
     if spec.family == "perturbed_facility":
-        _check_param(spec, "d", numbers.Integral, "an integer")
-        return make_perturbed_facility(spec.n, p.get("d", 400), spec.seed)
+        return make_perturbed_facility(spec.n, spec.params.get("d", 400), spec.seed)
     if spec.family == "determinant":
-        for key in DETERMINANT_DEFAULTS:
-            if key == "dim":
-                _check_param(spec, key, numbers.Integral, "an integer")
-            else:
-                _check_param(spec, key, numbers.Real, "a number")
-        return make_determinant(spec.n, spec.seed, **{k: v for k, v in p.items()})
+        return make_determinant(spec.n, spec.seed)
     if spec.family == "cobb_douglas":
         return make_cobb_douglas(spec.n, spec.seed)
-    if spec.family == "tabular":
-        return make_tabular(p["values"])
-    raise ConfigError(f"unsupported family {spec.family!r}")
+    return make_tabular(spec.params["values"])
 
 
 class _FamilyCursor(Cursor):
@@ -351,12 +345,12 @@ def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np
     return float(c @ members) - t
 
 
-def make_half_products(n: int, seed: int, c_scale: float = 0.25) -> SetFunctionOracle:
-    """Negated half-products; c is uniform in [0, c_scale * n] (default n/4)."""
+def make_half_products(n: int, seed: int) -> SetFunctionOracle:
+    """Negated half-products; c is uniform in [0, n/4]."""
     ground = GroundSet(n)
     a = _stream(seed, 0).uniform(0.0, 1.0, n)
     b = _stream(seed, 1).uniform(0.0, 1.0, n)
-    c = _stream(seed, 2).uniform(0.0, c_scale * n, n)
+    c = _stream(seed, 2).uniform(0.0, 0.25 * n, n)
 
     def evaluate(x: SubsetBits) -> float:
         return half_products_value(a, b, c, x.to_bool_array())
@@ -365,7 +359,7 @@ def make_half_products(n: int, seed: int, c_scale: float = 0.25) -> SetFunctionO
         ground,
         evaluate,
         cursor_factory=lambda o, s: _HalfProductsCursor(s, a, b, c),
-        params={"a": a, "b": b, "c": c, "c_scale": c_scale},
+        params={"a": a, "b": b, "c": c},
         name=f"half_products(n={n}, seed={seed})",
     )
 
@@ -533,7 +527,9 @@ def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
 # the mix shapes how much of the ground set the reductions leave undecided.
 # det over the empty index set is 1.
 
-DETERMINANT_DEFAULTS = {
+#: The kernel's fixed shape: point dimension, length scale l, the quality and
+#: correlation ranges of clustered points, and the cluster-kind probabilities.
+_KERNEL_PARAMS = {
     "dim": 8,
     "length_scale": 0.35,
     "q_lo": 0.82,
@@ -733,7 +729,8 @@ class _DeterminantCursor(_EpochCursor):
 _KERNEL_BLOCK = 64
 
 
-def _determinant_kernel(n: int, seed: int, p: dict) -> np.ndarray:
+def _determinant_kernel(n: int, seed: int) -> np.ndarray:
+    p = _KERNEL_PARAMS
     rng = _stream(seed, 0)
     qrng = _stream(seed, 1)
     dim = p["dim"]
@@ -794,15 +791,10 @@ def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> float:
     return _cholesky_det(_linalg(), kernel, idx)[1]
 
 
-def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
+def make_determinant(n: int, seed: int) -> SetFunctionOracle:
     """det of the principal submatrix of a clustered quality-diversity kernel."""
-    params = dict(DETERMINANT_DEFAULTS)
-    unknown = set(knobs) - set(params)
-    if unknown:
-        raise ValueError(f"unknown determinant knobs: {sorted(unknown)}")
-    params.update(knobs)
     ground = GroundSet(n)
-    kernel = _determinant_kernel(n, seed, params)
+    kernel = _determinant_kernel(n, seed)
     la = _linalg()
 
     def evaluate(x: SubsetBits) -> float:
@@ -812,7 +804,7 @@ def make_determinant(n: int, seed: int, **knobs) -> SetFunctionOracle:
         ground,
         evaluate,
         cursor_factory=lambda o, s: _DeterminantCursor(s, kernel, la),
-        params={"kernel": kernel, **params},
+        params={"kernel": kernel},
         name=f"determinant(n={n}, seed={seed})",
     )
 

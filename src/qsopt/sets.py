@@ -6,6 +6,7 @@ formats; bit k-1 of the internal mask represents element k.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -69,22 +70,21 @@ class SubsetBits:
     def from_members(cls, capacity: int, members: Iterable[int]) -> "SubsetBits":
         mask = 0
         for i in members:
-            _check_element(capacity, i)
-            mask |= 1 << (i - 1)
+            mask |= 1 << (_check_element(capacity, i) - 1)
         return cls(capacity, mask)
 
     # -- element ops ------------------------------------------------------
 
     def add(self, i: int) -> "SubsetBits":
-        _check_element(self.capacity, i)
+        i = _check_element(self.capacity, i)
         return SubsetBits(self.capacity, self.mask | (1 << (i - 1)))
 
     def remove(self, i: int) -> "SubsetBits":
-        _check_element(self.capacity, i)
+        i = _check_element(self.capacity, i)
         return SubsetBits(self.capacity, self.mask & ~(1 << (i - 1)))
 
     def contains(self, i: int) -> bool:
-        _check_element(self.capacity, i)
+        i = _check_element(self.capacity, i)
         return bool((self.mask >> (i - 1)) & 1)
 
     def __contains__(self, i: int) -> bool:
@@ -223,9 +223,12 @@ def enumerate_lattice(
         yield SubsetBits(n, mask)
 
 
-def _check_element(capacity: int, i: int) -> None:
+def _check_element(capacity: int, i: int) -> int:
+    """``i`` as a Python int in 1..capacity: a numpy int would overflow ``1 << (i - 1)`` past bit 63."""
+    i = operator.index(i)
     if not 1 <= i <= capacity:
         raise ValueError(f"element id {i} out of range 1..{capacity}")
+    return i
 
 
 def _check_same_capacity(x: SubsetBits, y: SubsetBits) -> None:

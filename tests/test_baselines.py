@@ -9,6 +9,7 @@ from qsopt import (
     double_greedy,
     exact_opt,
     instantiate,
+    make_com,
     make_determinant,
     make_perturbed_facility,
     make_random_qsb,
@@ -46,6 +47,11 @@ class TestDoubleGreedy:
             double_greedy(prop_oracle, [1, 1])
         with pytest.raises(ValueError):
             double_greedy(prop_oracle, [1])
+
+    @pytest.mark.parametrize("build", [make_com, make_determinant], ids=["com", "determinant"])
+    def test_numpy_order_equals_list_order(self, build):
+        F = build(100, 1)
+        assert double_greedy(F, np.arange(1, 101)) == double_greedy(F, list(range(1, 101)))
 
     def test_randomized_tie_rule_adds(self):
         table = np.zeros(8)  # every marginal is 0, so a = b = 0 at each step

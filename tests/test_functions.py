@@ -144,9 +144,10 @@ class TestDeterminant:
 
         37 rows fit in one block of 64, 64 fill it, 150 and 200 end on a partial block.
         """
-        blocked = make_determinant(n, 7, dim=dim).params["kernel"]
+        monkeypatch.setitem(functions._KERNEL_PARAMS, "dim", dim)
+        blocked = make_determinant(n, 7).params["kernel"]
         monkeypatch.setattr(functions, "_KERNEL_BLOCK", n)  # one block: the one-shot formula
-        one_shot = make_determinant(n, 7, dim=dim).params["kernel"]
+        one_shot = make_determinant(n, 7).params["kernel"]
         assert np.array_equal(blocked, one_shot)
 
 
@@ -207,7 +208,7 @@ class TestSpecPersistence:
         [
             FunctionSpec("iwata", 20),
             FunctionSpec("com", 15, 42),
-            FunctionSpec("half_products", 10, 7, {"c_scale": 0.25}),
+            FunctionSpec("half_products", 10, 7),
             FunctionSpec("perturbed_facility", 8, 3, {"d": 16}),
             FunctionSpec("determinant", 12, 9),
             FunctionSpec("cobb_douglas", 14, 5),
@@ -277,6 +278,8 @@ class TestSpecPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=field):
             instantiate(load_spec(path))
+        with pytest.raises(ConfigError, match=field):
+            FunctionSpec(**payload)
 
 
 class TestRandomQsb:

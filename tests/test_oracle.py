@@ -189,6 +189,17 @@ def test_cursor_matches_oracle(name, build):
     assert cursor.members() == x
 
 
+def test_cursor_moves_take_numpy_ids():
+    """A numpy id past bit 63 moves the set and the running sum alike."""
+    F = make_com(100, 1)
+    cursor = F.cursor(SubsetBits.empty(100))
+    cursor.add(np.int64(70))
+    assert cursor.members() == SubsetBits.from_members(100, [70])
+    assert cursor.add_marginal(3) == F.cursor(cursor.members()).add_marginal(3)
+    cursor.remove(np.int64(70))
+    assert cursor.members() == SubsetBits.empty(100)
+
+
 def restricted_determinant():
     """determinant over 40 elements seen through the 30 free elements of [{1..5}, N - {36..40}]."""
     lower = SubsetBits.from_members(40, range(1, 6))

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +50,12 @@ class TestSubsetOps:
             SubsetBits.empty(3).add(4)
         with pytest.raises(ValueError):
             SubsetBits.empty(3).contains(0)
+
+    def test_numpy_ids_past_bit_63(self):
+        assert SubsetBits.from_members(100, np.array([3, 70])) == bits(100, 3, 70)
+        x = SubsetBits.empty(100).add(np.int64(70))
+        assert x == bits(100, 70) and x.contains(np.int64(70))
+        assert x.remove(np.int64(70)) == SubsetBits.empty(100)
 
     def test_members_are_one_based_ascending(self):
         assert bits(6, 5, 1, 3).members() == [1, 3, 5]
