@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
+from .functions import _stream
 from .oracle import CountingOracle, require_no_nan
 from .sets import SubsetBits
 
@@ -25,10 +26,6 @@ class BaselineResult:
     value: float
     oracle_calls: int
     seed: Optional[int] = None
-
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(trial,))))
 
 
 def double_greedy(
@@ -48,7 +45,7 @@ def double_greedy(
     n = counter.n
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    rng = _trial_rng(seed if seed is not None else 0, 0) if randomized else None
+    rng = _stream(seed if seed is not None else 0, 0) if randomized else None
     c1 = counter.cursor(SubsetBits.empty(n))
     c2 = counter.cursor(SubsetBits.full(n))
     for i in order:
@@ -93,7 +90,7 @@ def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
     """Best of ``trials`` deterministic double-greedy passes over random orders."""
 
     def run_trial(trial: int) -> BaselineResult:
-        order = [int(v) for v in _trial_rng(seed, trial).permutation(oracle.n) + 1]
+        order = [int(v) for v in _stream(seed, trial).permutation(oracle.n) + 1]
         return double_greedy(oracle, order)
 
     return _best_of(trials, seed, run_trial)
@@ -114,7 +111,7 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
     best_value = -np.inf
     ids = np.arange(1, n + 1)
     for restart in range(restarts):
-        rng = _trial_rng(seed, restart)
+        rng = _stream(seed, restart)
         cursor = counter.cursor(SubsetBits.from_bool_array(rng.random(n) < 0.5))
         for step in itertools.count():
             gains = cursor.gains()
@@ -141,7 +138,7 @@ def randomized_bidirectional_greedy(oracle, trials: int, seed: int) -> BaselineR
     order = list(range(1, oracle.n + 1))
 
     def run_trial(trial: int) -> BaselineResult:
-        sub_seed = int(_trial_rng(seed, trial).integers(0, 2**63 - 1))
+        sub_seed = int(_stream(seed, trial).integers(0, 2**63 - 1))
         return double_greedy(oracle, order, randomized=True, seed=sub_seed)
 
     return _best_of(trials, seed, run_trial)

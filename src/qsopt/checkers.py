@@ -27,6 +27,7 @@ alone.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -313,23 +314,21 @@ def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
     )
 
 
-def is_local_min(oracle, x: SubsetBits) -> bool:
-    """No single-element flip lowers the value (both dropping and adding)."""
+def _no_improving_flip(oracle, x: SubsetBits, improves) -> bool:
+    """True when no single-element flip of x gives a value that ``improves(value, F(x))``."""
     fx = oracle.value(x)
-    n = x.capacity
-    for i in range(1, n + 1):
+    for i in range(1, x.capacity + 1):
         neighbor = x.remove(i) if x.contains(i) else x.add(i)
-        if oracle.value(neighbor) < fx:
+        if improves(oracle.value(neighbor), fx):
             return False
     return True
+
+
+def is_local_min(oracle, x: SubsetBits) -> bool:
+    """No single-element flip lowers the value (both dropping and adding)."""
+    return _no_improving_flip(oracle, x, operator.lt)
 
 
 def is_local_max(oracle, x: SubsetBits) -> bool:
     """No single-element flip raises the value."""
-    fx = oracle.value(x)
-    n = x.capacity
-    for i in range(1, n + 1):
-        neighbor = x.remove(i) if x.contains(i) else x.add(i)
-        if oracle.value(neighbor) > fx:
-            return False
-    return True
+    return _no_improving_flip(oracle, x, operator.gt)

@@ -11,8 +11,9 @@ w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
 in the ``_moved`` hook; iwata and tabular read the set itself.
 A ``FunctionSpec`` names an instance and is the one place that checks one:
 the family, integer n >= 1 and seed, and the parameters the family takes,
-perturbed_facility's integer ``d`` (400 when absent) and tabular's list
-``values``. Every other constant of a family is fixed in its generator.
+perturbed_facility's integer ``d`` >= 1 (400 when absent) and tabular's list
+``values`` of 2**n numbers, n <= ``TABLE_MAX_N`` (NaN and +-inf are numbers).
+Every other constant of a family is fixed in its generator.
 Instances are reproducible: parameter array k of a family is drawn from the
 PCG64 stream of ``SeedSequence(seed, spawn_key=(k,))``: the spec pins every bit.
 """
@@ -30,10 +31,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ConfigError, InternalInvariantError
+from .exact import TABLE_MAX_N
 from .oracle import Cursor, SetFunctionOracle
 from .sets import GroundSet, SubsetBits
-
-TABULAR_MAX_N = 20
 
 FAMILIES = (
     "iwata",
@@ -88,13 +88,22 @@ class FunctionSpec:
             if key not in takes:
                 raise ConfigError(f"{self.family} takes no parameter params.{key}")
             _require(value, *takes[key], f"{self.family} params.{key}")
+        if self.family == "perturbed_facility" and self.params.get("d", 400) < 1:
+            raise ConfigError(f"perturbed_facility params.d must be >= 1, got {self.params['d']}")
         if self.family == "tabular":
-            if "values" not in self.params:
+            values = self.params.get("values")
+            if values is None:
                 raise ConfigError("tabular spec needs params.values")
-            if self.n > TABULAR_MAX_N:
-                raise ConfigError(f"tabular capped at n <= {TABULAR_MAX_N}")
-            if len(self.params["values"]) != (1 << self.n):
-                raise ConfigError("tabular values length must be 2**n")
+            if self.n > TABLE_MAX_N:
+                raise ConfigError(f"tabular capped at n <= {TABLE_MAX_N}")
+            if len(values) != (1 << self.n):
+                raise ConfigError("tabular params.values length must be 2**n")
+            # judged per entry type, not per entry: 2**20 isinstance checks take a second.
+            # NaN and +-inf are floats and load; the exact layer names a NaN set itself
+            bad = {t for t in set(map(type, values)) if t is bool or not issubclass(t, numbers.Real)}
+            if bad:
+                i = next(i for i, v in enumerate(values) if type(v) in bad)
+                raise ConfigError(f"tabular params.values[{i}] must be a number, got {values[i]!r}")
 
 
 def _json_default(value):
@@ -907,8 +916,8 @@ def make_tabular(values) -> SetFunctionOracle:
     n = size.bit_length() - 1
     if size < 2 or (1 << n) != size:
         raise ValueError(f"table length {size} is not a power of two >= 2")
-    if n > TABULAR_MAX_N:
-        raise ValueError(f"tabular capped at n <= {TABULAR_MAX_N}, got {n}")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"tabular capped at n <= {TABLE_MAX_N}, got {n}")
     ground = GroundSet(n)
 
     def evaluate(x: SubsetBits) -> float:
@@ -979,8 +988,8 @@ def _increasing_transform(table: np.ndarray, rng: np.random.Generator) -> np.nda
 
 def make_random_qsb(n: int, seed: int) -> SetFunctionOracle:
     """Seeded random quasi-submodular tabular instance (n <= 20)."""
-    if n > TABULAR_MAX_N:
-        raise ValueError(f"random tabular instances capped at n <= {TABULAR_MAX_N}")
+    if n > TABLE_MAX_N:
+        raise ValueError(f"random tabular instances capped at n <= {TABLE_MAX_N}")
     rng = _stream(seed, 0)
     table = _increasing_transform(_random_submodular_table(n, rng), rng)
     oracle = make_tabular(table)

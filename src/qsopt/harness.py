@@ -26,7 +26,7 @@ from .baselines import (
 )
 from .errors import ConfigError, QsoptError
 from .exact import TABLE_MAX_N, exact_opt
-from .functions import FAMILIES, FunctionSpec, instantiate
+from .functions import FunctionSpec, instantiate
 from .maximize import u_prefix, uqsfmax
 from .minimize import min_lattice
 from .sets import (
@@ -75,9 +75,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.format!r}")
         if not self.families:
             raise ConfigError("families must be non-empty")
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise ConfigError(f"unknown family {fam!r}")
         if not self.sizes:
             raise ConfigError("sizes must be non-empty")
         norm = []
@@ -90,10 +87,15 @@ class ExperimentConfig:
                 if key not in ("n", "d"):
                     raise ConfigError(f"unknown size field 'sizes[{i}].{key}'; pick from n, d")
                 _require_integer(f"sizes[{i}].{key}", value)
-            if entry["n"] < 1:
-                raise ConfigError("sizes must have n >= 1")
             norm.append({k: int(v) for k, v in entry.items()})
         self.sizes = norm
+        # the spec of each family x size cell is the one check of what the cell builds
+        for fi, family in enumerate(self.families):
+            for si, size in enumerate(self.sizes):
+                try:
+                    _instance_spec(family, size, 0)
+                except ConfigError as exc:
+                    raise ConfigError(f"families[{fi}] at sizes[{si}] {size}: {exc}") from None
         for alg in self.algorithms:
             if alg not in RATIO_ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {alg!r}; pick from {RATIO_ALGORITHMS}")

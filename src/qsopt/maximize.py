@@ -105,25 +105,18 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
     """The induced objective over the lattice's free elements.
 
     Free elements are relabeled 1..m ascending; evaluating a relabeled set T
-    evaluates the original objective at lower | mapped(T).
+    evaluates the original objective at ``lattice.member(T.mask)``.
     """
     free_ids = lattice.free_elements()
     m = len(free_ids)
     if m == 0:
         raise ValueError("point lattice leaves nothing to restrict to")
-    base = lattice.lower
-
-    def lift(t: SubsetBits) -> SubsetBits:
-        out = base
-        for j in t:
-            out = out.add(free_ids[j - 1])
-        return out
 
     def evaluate(t: SubsetBits) -> float:
-        return oracle.value(lift(t))
+        return oracle.value(lattice.member(t.mask))
 
     def cursor_factory(_owner, start: SubsetBits) -> Cursor:
-        return _RestrictedCursor(oracle.cursor(lift(start)), free_ids, start)
+        return _RestrictedCursor(oracle.cursor(lattice.member(start.mask)), free_ids, start)
 
     return (
         SetFunctionOracle(
@@ -176,11 +169,9 @@ def u_prefix(
     base_value = oracle.value(lattice.lower)
     if lattice.is_point():
         return UPrefixResult(base_value, lattice.lower, lattice, trace, None)
-    sub, free_ids = restricted_oracle(oracle, lattice)
+    sub, _ = restricted_oracle(oracle, lattice)
     inner_result = inner_algorithm(sub)
-    lifted = lattice.lower
-    for j in inner_result.set:
-        lifted = lifted.add(free_ids[j - 1])
+    lifted = lattice.member(inner_result.set.mask)
     if inner_result.value >= base_value:
         return UPrefixResult(inner_result.value, lifted, lattice, trace, inner_result)
     return UPrefixResult(base_value, lattice.lower, lattice, trace, inner_result)

@@ -191,6 +191,25 @@ class IntervalLattice:
     def free_elements(self) -> list[int]:
         return list(iter_bits(self.free_mask()))
 
+    def member(self, index: int) -> SubsetBits:
+        """The member whose free elements, taken ascending, are picked by the bits of ``index``.
+
+        Bit j of ``index`` sets the (j+1)-th smallest free element, so member 0 is
+        ``lower`` and member 2**free_count - 1 is ``upper``; members come in
+        ascending mask order as ``index`` ascends.
+        """
+        free = self.free_mask()
+        if not 0 <= index < 1 << free.bit_count():
+            raise ValueError(f"member index {index} out of range for {free.bit_count()} free elements")
+        mask = self.lower.mask
+        while index:
+            low = free & -free
+            if index & 1:
+                mask |= low
+            free ^= low
+            index >>= 1
+        return SubsetBits(self.capacity, mask)
+
     def __repr__(self) -> str:
         return f"IntervalLattice({format_set(self.lower)}, {format_set(self.upper)})"
 
@@ -207,20 +226,22 @@ def enumerate_lattice(
 ) -> Iterator[SubsetBits]:
     """Yield every member of the lattice exactly once, 2**free_count in total.
 
+    Members come in ascending mask order, the order of ``lattice.member(i)``
+    for i = 0, 1, ...: the walk visits the submasks of the free mask upward.
     Raises CapExceeded when more than 2**cap members would be produced.
     """
     free = lattice_free_count(lattice)
     if free > cap:
         raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
-    positions = [i - 1 for i in lattice.free_elements()]
+    free_mask = lattice.free_mask()
     base = lattice.lower.mask
     n = lattice.capacity
-    for combo in range(1 << free):
-        mask = base
-        for j, pos in enumerate(positions):
-            if (combo >> j) & 1:
-                mask |= 1 << pos
-        yield SubsetBits(n, mask)
+    sub = 0
+    while True:
+        yield SubsetBits(n, base | sub)
+        sub = (sub - free_mask) & free_mask
+        if sub == 0:
+            return
 
 
 def _check_element(capacity: int, i: int) -> int:

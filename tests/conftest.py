@@ -16,8 +16,8 @@ TWIN_PEAKS_TABLE = [1.0, 1.5, 1.5, 1.0]
 # Three elements, values 7..0 by bitmask, with F({1}) = NaN: every strict sign
 # test on a NaN marginal is false, so a silent run would report a "fixed point".
 NAN_TABLE = [7.0, float("nan"), 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
-# Instance files with a parameter of the wrong type or an unknown parameter
-# key, each with the field the config error must name.
+# Instance files with a parameter of the wrong type or value or an unknown
+# parameter key, each with the field the config error must name.
 MALFORMED_SPECS = {
     "facility_params_list": ({"family": "perturbed_facility", "n": 4, "params": [1, 2]}, "params"),
     "tabular_params_list": ({"family": "tabular", "n": 1, "params": [1, 2]}, "params"),
@@ -44,11 +44,14 @@ MALFORMED_SPECS = {
         {"family": "tabular", "n": 1, "params": {"values": [0.0, 1.0], "seed": 3}},
         "params.seed",
     ),
+    # values no instance can be built from: a table entry that is no number, no facility
+    "tabular_values_string": ({"family": "tabular", "n": 1, "params": {"values": ["a", 1]}}, "params.values"),
+    "facility_d_zero": ({"family": "perturbed_facility", "n": 4, "params": {"d": 0}}, "params.d"),
 }
 
-# Experiment configs with a field of the wrong type or an unknown size key,
-# each with the field the config error must name; the rest of the config is a
-# small valid run.
+# Experiment configs with a field of the wrong type, an unknown size key or a
+# family x size cell that cannot build, each with the field the config error
+# must name; the rest of the config is a small valid run.
 MALFORMED_CONFIGS = {
     "size_n_float": ({"sizes": [{"n": 8.7}]}, "sizes[0].n"),
     "size_n_bool": ({"sizes": [True]}, "sizes[0].n"),
@@ -66,6 +69,9 @@ MALFORMED_CONFIGS = {
     "baseline_trials_float": ({"baseline_trials": 2.5}, "'baseline_trials'"),
     "ls_restarts_string": ({"ls_restarts": "3"}, "'ls_restarts'"),
     "enumeration_cap_float": ({"enumeration_cap": 1e6}, "'enumeration_cap'"),
+    # cells whose instance spec can never build
+    "family_tabular": ({"families": ["tabular"], "sizes": [4]}, "families[0]"),
+    "size_d_zero": ({"families": ["perturbed_facility"], "sizes": [{"n": 8, "d": 0}]}, "sizes[0]"),
 }
 
 

@@ -45,6 +45,21 @@ class TestExactOpt:
         within = IntervalLattice(SubsetBits.from_members(2, [1]), SubsetBits.full(2))
         value, argmax = exact_opt(prop_oracle, "max", within)
         assert value == 1.0  # {2} is outside this interval
+        assert argmax == [SubsetBits.full(2)]
+        point = SubsetBits.from_members(2, [2])
+        for direction in ("min", "max"):
+            assert exact_opt(prop_oracle, direction, IntervalLattice(point, point)) == (1.5, [point])
+        # a tie inside a sub-interval of the cube: every optimizer, ascending
+        F = make_tabular([0.0, 2.0, 2.0, 1.0, 5.0, 2.0, 2.0, 0.0])
+        below = IntervalLattice(SubsetBits.empty(3), SubsetBits.from_members(3, [1, 2]))
+        assert exact_opt(F, "max", below) == (
+            2.0,
+            [SubsetBits.from_members(3, [1]), SubsetBits.from_members(3, [2])],
+        )
+        above = IntervalLattice(SubsetBits.from_members(3, [3]), SubsetBits.full(3))
+        assert exact_opt(F, "min", above) == (0.0, [SubsetBits.full(3)])
+        middle = IntervalLattice(SubsetBits.from_members(3, [2]), SubsetBits.from_members(3, [2, 3]))
+        assert exact_opt(F, "max", middle) == (2.0, [middle.lower, middle.upper])
 
     def test_nan_value_is_invariant_error(self):
         # F({1}) is NaN: it fails every comparison, so a silent optimum would skip it
@@ -100,6 +115,17 @@ class TestLocalOptimaEnumeration:
             InternalInvariantError, match=re.escape("enumerate_local_optima: value of {1} is NaN")
         ):
             enumerate_local_optima(F, 3, kind)
+
+    def test_above_table_cap_raises_before_any_evaluation(self):
+        class Unevaluable:
+            n = 21
+
+            def value(self, x):
+                raise AssertionError(f"evaluated {x}")
+
+        for kind in ("min", "max"):
+            with pytest.raises(CapExceeded, match="n <= 20, got 21"):
+                enumerate_local_optima(Unevaluable(), 21, kind)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_global_optima_are_local(self, seed):

@@ -144,6 +144,17 @@ class TestIntervalLattice:
         quad = IntervalLattice(SubsetBits.empty(2), SubsetBits.full(2))
         assert len(list(enumerate_lattice(quad))) == 4
 
+    def test_member_sets_free_elements_ascending(self):
+        lat = IntervalLattice(bits(4, 2), bits(4, 1, 2, 4))
+        assert [lat.member(i) for i in range(4)] == [
+            bits(4, 2), bits(4, 1, 2), bits(4, 2, 4), bits(4, 1, 2, 4)
+        ]
+        point = IntervalLattice(bits(3, 1), bits(3, 1))
+        assert point.member(0) == bits(3, 1)
+        for index in (-1, 4):
+            with pytest.raises(ValueError):
+                lat.member(index)
+
     def test_enumerate_cap(self):
         lat = IntervalLattice(SubsetBits.empty(6), SubsetBits.full(6))
         with pytest.raises(CapExceeded):
@@ -165,6 +176,9 @@ class TestIntervalLattice:
         assert len(out) == 1 << lattice_free_count(lat)
         assert len({s.mask for s in out}) == len(out)
         assert all(lat.contains(s) for s in out)
+        masks = [s.mask for s in out]
+        assert masks == sorted(masks)
+        assert out == [lat.member(i) for i in range(len(out))]
 
 
 def test_ground_set():
