@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import InternalInvariantError
-from .functions import _stream
+from .functions import seeded_stream
 from .oracle import CountingOracle, require_no_nan
 from .sets import SubsetBits
 
@@ -45,7 +45,7 @@ def double_greedy(
     n = counter.n
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("order must be a permutation of 1..n")
-    rng = _stream(seed if seed is not None else 0, 0) if randomized else None
+    rng = seeded_stream(seed if seed is not None else 0, 0) if randomized else None
     c1 = counter.cursor(SubsetBits.empty(n))
     c2 = counter.cursor(SubsetBits.full(n))
     for i in order:
@@ -90,7 +90,7 @@ def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
     """Best of ``trials`` deterministic double-greedy passes over random orders."""
 
     def run_trial(trial: int) -> BaselineResult:
-        order = [int(v) for v in _stream(seed, trial).permutation(oracle.n) + 1]
+        order = [int(v) for v in seeded_stream(seed, trial).permutation(oracle.n) + 1]
         return double_greedy(oracle, order)
 
     return _best_of(trials, seed, run_trial)
@@ -111,7 +111,7 @@ def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
     best_value = -np.inf
     ids = np.arange(1, n + 1)
     for restart in range(restarts):
-        rng = _stream(seed, restart)
+        rng = seeded_stream(seed, restart)
         cursor = counter.cursor(SubsetBits.from_bool_array(rng.random(n) < 0.5))
         for step in itertools.count():
             gains = cursor.gains()
@@ -138,7 +138,7 @@ def randomized_bidirectional_greedy(oracle, trials: int, seed: int) -> BaselineR
     order = list(range(1, oracle.n + 1))
 
     def run_trial(trial: int) -> BaselineResult:
-        sub_seed = int(_stream(seed, trial).integers(0, 2**63 - 1))
+        sub_seed = int(seeded_stream(seed, trial).integers(0, 2**63 - 1))
         return double_greedy(oracle, order, randomized=True, seed=sub_seed)
 
     return _best_of(trials, seed, run_trial)

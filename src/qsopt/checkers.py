@@ -1,16 +1,20 @@
 """Exhaustive verification of submodularity-type properties on small ground sets.
 
-Every checker evaluates F once on all 2**n subsets and tests its defining
-condition over that table in whole-array passes. On failure it returns a
-witness carrying the participating sets and the values that violate the
-condition, so the verdict can be replayed against the oracle.
+Every checker takes F on all 2**n subsets from ``exact.checked_table``, which
+applies its size cap and the NaN rule, and tests its defining condition over
+that table in whole-array passes. On failure it returns a witness carrying the
+participating sets and the values that violate the condition, so the verdict
+can be replayed against the oracle. ``is_local_min``/``is_local_max`` take
+each value from ``exact.checked_value``, under the same NaN rule.
+``_crossing`` states once the weak and strict ordinal implication of the
+pair, single sub-crossing and weak marginal conditions.
 
 Cost, with the table already evaluated:
 
 - ``is_submodular``: O(n^2 2^n). For each element i, the subset-min transform
   of the gains F(i|A) gives every B its smallest gain over A <= B at once.
-- ``satisfies_weak_marginal``: O(n^2 2^n). The same with the subset-OR
-  transforms of the masks F(i|A) <= 0 and F(i|A) < 0.
+- ``satisfies_weak_marginal``: O(n^2 2^n). The same transform: some A <= B
+  has F(i|A) <= 0 (or < 0) exactly when that smallest gain does.
 - ``satisfies_ssbc``: O(n 3^n). For each element i, one pass over all
   pairs A <= B <= N - i (3^(n-1), 1.6 M at the n = 14 cap), in blocks of
   ascending B so that a failure stops the scan after its block.
@@ -33,8 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapExceeded
-from .oracle import eval_table
+from .exact import checked_table, checked_value
 from .sets import SubsetBits
 
 SUBMODULAR_MAX_N = 14
@@ -79,6 +82,31 @@ _QSB_BLOCK = 1 << 14
 #: higher elements of B are fixed per block, so blocks come in ascending B.
 _SSBC_BLOCK_N = 9
 
+#: Witness conditions: the weak then the strict half of each implication.
+_QSB_TEXTS = ("F(X&Y) >= F(X) but F(Y) < F(X|Y)", "F(X&Y) > F(X) but F(Y) <= F(X|Y)")
+_SSBC_TEXTS = ("F(A) >= F(B) but F(A+i) < F(B+i)", "F(A) > F(B) but F(A+i) <= F(B+i)")
+_WEAK_TEXTS = ("F(i|A) <= 0 but F(i|B) > 0", "F(i|A) < 0 but F(i|B) >= 0")
+
+
+def _crossing(p_a, p_b, q_a, q_b) -> tuple[np.ndarray, np.ndarray]:
+    """Violations of "p_a >= p_b implies q_a >= q_b" and of "p_a > p_b implies q_a > q_b"."""
+    return (p_a >= p_b) & (q_a < q_b), (p_a > p_b) & (q_a <= q_b)
+
+
+def _condition(weak_bad: np.ndarray, at, texts: tuple[str, str]) -> str:
+    """The (weak, strict) text of the half failing at ``at``; the weak one when both fail."""
+    return texts[0] if weak_bad[at] else texts[1]
+
+
+def _pair_values(values: np.ndarray, x_mask: int, y_mask: int) -> dict:
+    """F(X), F(Y), F(X&Y) and F(X|Y), as a witness reports them."""
+    return {
+        "F(X)": float(values[x_mask]),
+        "F(Y)": float(values[y_mask]),
+        "F(X&Y)": float(values[x_mask & y_mask]),
+        "F(X|Y)": float(values[x_mask | y_mask]),
+    }
+
 
 def _subset_reduce(table: np.ndarray, ufunc) -> np.ndarray:
     """Along the last axis, entry B becomes ``ufunc`` reduced over the entries A <= B."""
@@ -93,7 +121,10 @@ def _subset_reduce(table: np.ndarray, ufunc) -> np.ndarray:
 
 
 def _gains(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row i-1 holds F(i|B) for every mask B, and whether B leaves out i."""
+    """Row i-1 holds F(i|B) for every mask B, and whether B leaves out i.
+
+    Gains inf - inf are NaN and fail every comparison; ``np.fmin`` skips them too.
+    """
     masks = np.arange(1 << n)
     bits = (1 << np.arange(n))[:, None]
     return values[masks | bits] - values[masks], (masks & bits) == 0
@@ -139,8 +170,8 @@ def _ssbc_first_failure(values: np.ndarray, n: int) -> Optional[tuple[int, int]]
             a = a_high | pair_a[cols]
             b = b_base | pair_b[cols]
             fa, fai = values[a], values[a | ibit]
-            fb, fbi = values[b], values[b | ibit]
-            bad = (((fa >= fb) & (fai < fbi)) | ((fa > fb) & (fai <= fbi))).any(axis=0)
+            weak_bad, strict_bad = _crossing(fa, values[b], fai, values[b | ibit])
+            bad = (weak_bad | strict_bad).any(axis=0)
             if bad.any():
                 b_mask = int(b[bad].min())
                 if first is None or b_mask < first[0]:
@@ -152,11 +183,8 @@ def _ssbc_first_failure(values: np.ndarray, n: int) -> Optional[tuple[int, int]]
 
 def is_submodular(oracle, n: int) -> PropertyVerdict:
     """Check diminishing returns: F(i|A) >= F(i|B) for all A <= B <= N-i."""
-    if n > SUBMODULAR_MAX_N:
-        raise CapExceeded(f"submodularity check capped at n <= {SUBMODULAR_MAX_N}")
-    values = eval_table(oracle, n)
+    values = checked_table(oracle, n, SUBMODULAR_MAX_N, "is_submodular")
     gains, excludes = _gains(values, n)
-    # fmin skips NaN gains, which break no inequality
     lowest = _subset_reduce(gains, np.fmin)
     bad = (lowest < gains - SUBMODULAR_ATOL) & excludes
     if not bad.any():
@@ -177,12 +205,7 @@ def is_submodular(oracle, n: int) -> PropertyVerdict:
                 "Y": SubsetBits(n, y_mask),
             },
             element=i,
-            values={
-                "F(X)": float(values[x_mask]),
-                "F(Y)": float(values[y_mask]),
-                "F(X&Y)": float(values[x_mask & y_mask]),
-                "F(X|Y)": float(values[x_mask | y_mask]),
-            },
+            values=_pair_values(values, x_mask, y_mask),
         ),
     )
 
@@ -194,40 +217,23 @@ def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
       F(X & Y) >= F(X)  implies  F(Y) >= F(X | Y)
       F(X & Y) >  F(X)  implies  F(Y) >  F(X | Y)
     """
-    if n > QSB_MAX_N:
-        raise CapExceeded(f"quasi-submodularity check capped at n <= {QSB_MAX_N}")
-    values = eval_table(oracle, n)
+    values = checked_table(oracle, n, QSB_MAX_N, "is_quasi_submodular")
     size = 1 << n
     ys = np.arange(size)
     rows = max(1, _QSB_BLOCK >> n)
     for start in range(0, size, rows):
         xs = np.arange(start, min(start + rows, size))[:, None]
-        fx = values[xs]
-        f_inter = values[xs & ys]
-        f_union = values[xs | ys]
-        weak_bad = (f_inter >= fx) & (values < f_union)
-        strict_bad = (f_inter > fx) & (values <= f_union)
+        weak_bad, strict_bad = _crossing(values[xs & ys], values[xs], values, values[xs | ys])
         bad = weak_bad | strict_bad
         if bad.any():
             row, y_mask = divmod(int(np.argmax(bad)), size)
             x_mask = start + row
-            strict = bool(strict_bad[row, y_mask]) and not bool(weak_bad[row, y_mask])
-            cond = (
-                "F(X&Y) > F(X) but F(Y) <= F(X|Y)"
-                if strict
-                else "F(X&Y) >= F(X) but F(Y) < F(X|Y)"
-            )
             return PropertyVerdict(
                 False,
                 Witness(
-                    condition=cond,
+                    condition=_condition(weak_bad, (row, y_mask), _QSB_TEXTS),
                     sets={"X": SubsetBits(n, x_mask), "Y": SubsetBits(n, y_mask)},
-                    values={
-                        "F(X)": float(values[x_mask]),
-                        "F(Y)": float(values[y_mask]),
-                        "F(X&Y)": float(values[x_mask & y_mask]),
-                        "F(X|Y)": float(values[x_mask | y_mask]),
-                    },
+                    values=_pair_values(values, x_mask, y_mask),
                 ),
             )
     return PropertyVerdict(True)
@@ -240,9 +246,7 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
       F(A) >= F(B)  implies  F(A+i) >= F(B+i)
       F(A) >  F(B)  implies  F(A+i) >  F(B+i)
     """
-    if n > SSBC_MAX_N:
-        raise CapExceeded(f"single sub-crossing check capped at n <= {SSBC_MAX_N}")
-    values = eval_table(oracle, n)
+    values = checked_table(oracle, n, SSBC_MAX_N, "satisfies_ssbc")
     first = _ssbc_first_failure(values, n)
     if first is None:
         return PropertyVerdict(True)
@@ -250,19 +254,12 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
     ibit = 1 << (i - 1)
     fb, fbi = values[b_mask], values[b_mask | ibit]
     fai = values[np.arange(1 << n) | ibit]
-    weak_bad = (values >= fb) & (fai < fbi)
-    strict_bad = (values > fb) & (fai <= fbi)
+    weak_bad, strict_bad = _crossing(values, fb, fai, fbi)
     a_mask = _first_submask(b_mask, weak_bad | strict_bad)
-    strict = bool(strict_bad[a_mask]) and not bool(weak_bad[a_mask])
-    cond = (
-        "F(A) > F(B) but F(A+i) <= F(B+i)"
-        if strict
-        else "F(A) >= F(B) but F(A+i) < F(B+i)"
-    )
     return PropertyVerdict(
         False,
         Witness(
-            condition=cond,
+            condition=_condition(weak_bad, a_mask, _SSBC_TEXTS),
             sets={"A": SubsetBits(n, a_mask), "B": SubsetBits(n, b_mask)},
             element=i,
             values={
@@ -282,31 +279,21 @@ def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
       F(i|A) <= 0  implies  F(i|B) <= 0
       F(i|A) <  0  implies  F(i|B) <  0
     """
-    if n > WEAK_MARGINAL_MAX_N:
-        raise CapExceeded(f"weak marginal check capped at n <= {WEAK_MARGINAL_MAX_N}")
-    values = eval_table(oracle, n)
+    values = checked_table(oracle, n, WEAK_MARGINAL_MAX_N, "satisfies_weak_marginal")
     gains, excludes = _gains(values, n)
-    weak_bad = _subset_reduce(gains <= 0.0, np.logical_or) & (gains > 0.0)
-    strict_bad = _subset_reduce(gains < 0.0, np.logical_or) & (gains >= 0.0)
+    weak_bad, strict_bad = _crossing(0.0, _subset_reduce(gains, np.fmin), 0.0, gains)
     bad = (weak_bad | strict_bad) & excludes
     if not bad.any():
         return PropertyVerdict(True)
     row, b_mask = divmod(int(np.argmax(bad)), 1 << n)
     gain = gains[row]
     gain_b = gain[b_mask]
-    weak_bad = (gain <= 0.0) & (gain_b > 0.0)
-    strict_bad = (gain < 0.0) & (gain_b >= 0.0)
+    weak_bad, strict_bad = _crossing(0.0, gain, 0.0, gain_b)
     a_mask = _first_submask(b_mask, weak_bad | strict_bad)
-    strict = bool(strict_bad[a_mask]) and not bool(weak_bad[a_mask])
-    cond = (
-        "F(i|A) < 0 but F(i|B) >= 0"
-        if strict
-        else "F(i|A) <= 0 but F(i|B) > 0"
-    )
     return PropertyVerdict(
         False,
         Witness(
-            condition=cond,
+            condition=_condition(weak_bad, a_mask, _WEAK_TEXTS),
             sets={"A": SubsetBits(n, a_mask), "B": SubsetBits(n, b_mask)},
             element=row + 1,
             values={"F(i|A)": float(gain[a_mask]), "F(i|B)": float(gain_b)},
@@ -314,21 +301,21 @@ def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
     )
 
 
-def _no_improving_flip(oracle, x: SubsetBits, improves) -> bool:
-    """True when no single-element flip of x gives a value that ``improves(value, F(x))``."""
-    fx = oracle.value(x)
+def _no_improving_flip(oracle, x: SubsetBits, improves, where: str) -> bool:
+    """True when no flip y of x, tried in element order, has ``improves(F(y), F(x))``."""
+    fx = checked_value(oracle, x, where)
     for i in range(1, x.capacity + 1):
         neighbor = x.remove(i) if x.contains(i) else x.add(i)
-        if improves(oracle.value(neighbor), fx):
+        if improves(checked_value(oracle, neighbor, where), fx):
             return False
     return True
 
 
 def is_local_min(oracle, x: SubsetBits) -> bool:
     """No single-element flip lowers the value (both dropping and adding)."""
-    return _no_improving_flip(oracle, x, operator.lt)
+    return _no_improving_flip(oracle, x, operator.lt, "is_local_min")
 
 
 def is_local_max(oracle, x: SubsetBits) -> bool:
     """No single-element flip raises the value."""
-    return _no_improving_flip(oracle, x, operator.gt)
+    return _no_improving_flip(oracle, x, operator.gt, "is_local_max")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import click
@@ -29,7 +29,14 @@ from .harness import BASELINES, ExperimentConfig, baseline_runner, reduction_rat
 from .maximize import u_prefix, uqsfmax
 from .minimize import min_lattice, uqsfmin
 from .oracle import eval_table
-from .sets import IntervalLattice, SubsetBits, format_set, lattice_free_count, parse_set
+from .sets import (
+    DEFAULT_ENUMERATION_CAP,
+    IntervalLattice,
+    SubsetBits,
+    format_set,
+    lattice_free_count,
+    parse_set,
+)
 
 
 @dataclass
@@ -62,7 +69,8 @@ def cli(ctx: click.Context, seed: Optional[int], fmt: Optional[str], quiet: bool
 def _load_oracle(state: CliState, spec_path: str):
     spec = load_spec(spec_path)
     if state.seed is not None:
-        spec.seed = state.seed
+        # a new spec, so the override is checked like a seed in the file
+        spec = replace(spec, seed=state.seed)
     return instantiate(spec), spec
 
 
@@ -208,7 +216,7 @@ def baseline(
     default="full",
     show_default=True,
 )
-@click.option("--cap", type=int, default=25, show_default=True)
+@click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True)
 @click.pass_obj
 def exact(state: CliState, spec_path: str, direction: str, within_from: str, cap: int) -> None:
     """Exhaustive optimum over the full cube or a reduced interval."""

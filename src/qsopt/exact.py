@@ -9,11 +9,15 @@ call per member. A NaN entry fails every comparison, so it raises
 
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
 256 MiB for an interval at the default enumeration cap of 25 free elements.
-Local-optima enumeration needs the full table, so it is capped at
-``TABLE_MAX_N``.
+``checked_table`` is the full-cube step shared with the exhaustive checkers:
+a size cap checked before any evaluation, ``eval_table``, then the NaN rule.
+Local-optima enumeration takes it with the cap ``TABLE_MAX_N``;
+``checked_value`` is the same rule for one set.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +43,27 @@ def _require_no_nan_values(values: np.ndarray, lattice: IntervalLattice, where: 
     nan = np.flatnonzero(np.isnan(values))
     if len(nan):
         raise InternalInvariantError(f"{where}: value of {lattice.member(int(nan[0]))} is NaN")
+
+
+def checked_table(oracle, n: int, cap: int, where: str) -> np.ndarray:
+    """F on all 2**n subsets in mask order; ``where`` names the caller in errors.
+
+    n above ``cap`` raises ``CapExceeded`` before any evaluation, and a NaN
+    value raises ``InternalInvariantError`` naming the first set that has one.
+    """
+    if n > cap:
+        raise CapExceeded(f"{where} needs n <= {cap}, got {n}")
+    values = eval_table(oracle, n)
+    _require_no_nan_values(values, IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n)), where)
+    return values
+
+
+def checked_value(oracle, x: SubsetBits, where: str) -> float:
+    """F(x); a NaN raises ``InternalInvariantError`` naming x, as in ``checked_table``."""
+    value = oracle.value(x)
+    if math.isnan(value):
+        raise InternalInvariantError(f"{where}: value of {x} is NaN")
+    return value
 
 
 def exact_opt(
@@ -80,11 +105,7 @@ def enumerate_local_optima(oracle, n: int, kind: str) -> list[SubsetBits]:
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    if n > TABLE_MAX_N:
-        raise CapExceeded(f"local-optima enumeration needs n <= {TABLE_MAX_N}, got {n}")
-    values = eval_table(oracle, n)
-    full = IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n))
-    _require_no_nan_values(values, full, "enumerate_local_optima")
+    values = checked_table(oracle, n, TABLE_MAX_N, "enumerate_local_optima")
     idx = np.arange(1 << n)
     ok = np.ones(1 << n, dtype=bool)
     for b in range(n):

@@ -10,7 +10,7 @@ anchored set, and a family that keeps statistics over the members (com's
 w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
 in the ``_moved`` hook; iwata and tabular read the set itself.
 A ``FunctionSpec`` names an instance and is the one place that checks one:
-the family, integer n >= 1 and seed, and the parameters the family takes,
+the family, integer n >= 1 and seed >= 0, and the parameters the family takes,
 perturbed_facility's integer ``d`` >= 1 (400 when absent) and tabular's list
 ``values`` of 2**n numbers, n <= ``TABLE_MAX_N`` (NaN and +-inf are numbers).
 Every other constant of a family is fixed in its generator.
@@ -30,6 +30,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .checkers import SSBC_MAX_N, satisfies_ssbc
 from .errors import ConfigError, InternalInvariantError
 from .exact import TABLE_MAX_N
 from .oracle import Cursor, SetFunctionOracle
@@ -46,9 +47,12 @@ FAMILIES = (
 )
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """Named generator for parameter array ``index`` of an instance."""
+def seeded_stream(seed: int, index: int) -> np.random.Generator:
+    """Generator ``index`` of ``seed``: an instance's parameter array or a baseline's trial."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
+
+
+_stream = seeded_stream  # the name the acceptance suite imports
 
 
 #: The parameters each family takes, each with the kind its value must be and
@@ -81,6 +85,8 @@ class FunctionSpec:
         _require(self.seed, numbers.Integral, "an integer", "field 'seed'")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"field 'seed' must be >= 0, got {self.seed}")
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be an object, got {self.params!r}")
         takes = _FAMILY_PARAMS.get(self.family, {})
@@ -250,8 +256,8 @@ def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> float:
 def make_com(n: int, seed: int) -> SetFunctionOracle:
     """Concave-over-modular: sqrt of one modular weight plus the complement of another."""
     ground = GroundSet(n)
-    w1 = _stream(seed, 0).uniform(0.0, 1.0, n)
-    w2 = _stream(seed, 1).uniform(0.0, 1.0, n)
+    w1 = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
+    w2 = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
 
     def evaluate(x: SubsetBits) -> float:
         return com_value(w1, w2, x.to_bool_array())
@@ -357,9 +363,9 @@ def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np
 def make_half_products(n: int, seed: int) -> SetFunctionOracle:
     """Negated half-products; c is uniform in [0, n/4]."""
     ground = GroundSet(n)
-    a = _stream(seed, 0).uniform(0.0, 1.0, n)
-    b = _stream(seed, 1).uniform(0.0, 1.0, n)
-    c = _stream(seed, 2).uniform(0.0, 0.25 * n, n)
+    a = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
+    b = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
+    c = seeded_stream(seed, 2).uniform(0.0, 0.25 * n, n)
 
     def evaluate(x: SubsetBits) -> float:
         return half_products_value(a, b, c, x.to_bool_array())
@@ -512,8 +518,8 @@ def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     ground = GroundSet(n)
-    mat = _stream(seed, 0).uniform(0.5, 1.0, (n, d))
-    sigma = _stream(seed, 1).uniform(-0.01, 0.01, n)
+    mat = seeded_stream(seed, 0).uniform(0.5, 1.0, (n, d))
+    sigma = seeded_stream(seed, 1).uniform(-0.01, 0.01, n)
 
     def evaluate(x: SubsetBits) -> float:
         return facility_value(mat, sigma, x.to_bool_array())
@@ -740,8 +746,8 @@ _KERNEL_BLOCK = 64
 
 def _determinant_kernel(n: int, seed: int) -> np.ndarray:
     p = _KERNEL_PARAMS
-    rng = _stream(seed, 0)
-    qrng = _stream(seed, 1)
+    rng = seeded_stream(seed, 0)
+    qrng = seeded_stream(seed, 1)
     dim = p["dim"]
     ell = float(p["length_scale"])
     points = np.zeros((n, dim))
@@ -875,8 +881,8 @@ def cobb_value(delta: np.ndarray, members: np.ndarray) -> float:
 def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
     """Product over members of w(i)**alpha_i with w in [0.5,2], alpha in [0,1]."""
     ground = GroundSet(n)
-    w = _stream(seed, 0).uniform(0.5, 2.0, n)
-    alpha = _stream(seed, 1).uniform(0.0, 1.0, n)
+    w = seeded_stream(seed, 0).uniform(0.5, 2.0, n)
+    alpha = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
     delta = cobb_log_factors(w, alpha)
 
     def evaluate(x: SubsetBits) -> float:
@@ -944,7 +950,7 @@ def tabular_spec(values, seed: int = 0) -> FunctionSpec:
 # with a random strictly increasing cubic. The reordering-free transform keeps
 # every ordinal property of the base, so the result stays quasi-submodular;
 # satisfies_ssbc double-checks each instance before it is released (the
-# exhaustive check is skipped above n=14 where it stops being affordable).
+# exhaustive check is skipped above its cap, SSBC_MAX_N).
 
 
 def _random_submodular_table(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -990,12 +996,10 @@ def make_random_qsb(n: int, seed: int) -> SetFunctionOracle:
     """Seeded random quasi-submodular tabular instance (n <= 20)."""
     if n > TABLE_MAX_N:
         raise ValueError(f"random tabular instances capped at n <= {TABLE_MAX_N}")
-    rng = _stream(seed, 0)
+    rng = seeded_stream(seed, 0)
     table = _increasing_transform(_random_submodular_table(n, rng), rng)
     oracle = make_tabular(table)
-    if n <= 14:
-        from .checkers import satisfies_ssbc
-
+    if n <= SSBC_MAX_N:
         verdict = satisfies_ssbc(oracle, n)
         if not verdict.holds:
             raise InternalInvariantError(

@@ -40,6 +40,16 @@ EXPERIMENTS = ("reduction", "ratio", "timing")
 RATIO_ALGORITHMS = ("rp", "urp", "rls", "urls", "rg", "urg", "dg", "udg")
 
 
+#: The integer fields of a config, each with its least allowed value.
+_INTEGER_FIELDS = {
+    "trials": 1,
+    "master_seed": 0,
+    "enumeration_cap": 0,
+    "baseline_trials": 1,
+    "ls_restarts": 1,
+}
+
+
 def _require_integer(key: str, value) -> None:
     """Reject a config value that is not an integer; a bool or a float is never one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -67,10 +77,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
-        for key in ("trials", "master_seed", "enumeration_cap", "baseline_trials", "ls_restarts"):
-            _require_integer(key, getattr(self, key))
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
+        for key, least in _INTEGER_FIELDS.items():
+            value = getattr(self, key)
+            _require_integer(key, value)
+            if value < least:
+                raise ConfigError(f"config field '{key}' must be >= {least}, got {value}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if not self.families:

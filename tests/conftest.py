@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qsopt import SubsetBits, make_com, make_tabular
-from qsopt.functions import _stream
+from qsopt.functions import seeded_stream
 
 # Two-element reference tables, index order: {}, {1}, {2}, {1,2}.
 # QSB but not submodular; unique min {1}, unique max {2}.
@@ -30,6 +30,8 @@ MALFORMED_SPECS = {
     "com_n_float": ({"family": "com", "n": 3.7, "seed": 1.9}, "'n'"),
     "com_n_bool": ({"family": "com", "n": True}, "'n'"),
     "com_seed_float": ({"family": "com", "n": 3, "seed": 1.9}, "'seed'"),
+    # numpy's SeedSequence takes no negative seed
+    "seed_negative": ({"family": "com", "n": 4, "seed": -1}, "'seed'"),
     "determinant_dim_float": ({"family": "determinant", "n": 4, "params": {"dim": 2.5}}, "params.dim"),
     "determinant_dim_bool": ({"family": "determinant", "n": 4, "params": {"dim": True}}, "params.dim"),
     "determinant_length_scale_string": (
@@ -69,6 +71,11 @@ MALFORMED_CONFIGS = {
     "baseline_trials_float": ({"baseline_trials": 2.5}, "'baseline_trials'"),
     "ls_restarts_string": ({"ls_restarts": "3"}, "'ls_restarts'"),
     "enumeration_cap_float": ({"enumeration_cap": 1e6}, "'enumeration_cap'"),
+    # integers out of range
+    "baseline_trials_zero": ({"baseline_trials": 0}, "'baseline_trials'"),
+    "ls_restarts_zero": ({"ls_restarts": 0}, "'ls_restarts'"),
+    "master_seed_negative": ({"master_seed": -3}, "'master_seed'"),
+    "enumeration_cap_negative": ({"enumeration_cap": -1}, "'enumeration_cap'"),
     # cells whose instance spec can never build
     "family_tabular": ({"families": ["tabular"], "sizes": [4]}, "families[0]"),
     "size_d_zero": ({"families": ["perturbed_facility"], "sizes": [{"n": 8, "d": 0}]}, "sizes[0]"),
@@ -106,7 +113,7 @@ def nonneg_submodular_oracle(n: int, seed: int):
     """Random nonnegative submodular instance: coverage or concave-over-modular."""
     if seed % 2:
         return make_com(n, seed)
-    rng = _stream(seed, 0)
+    rng = seeded_stream(seed, 0)
     m = 2 * n
     covers = rng.random((n, m)) < 0.35
     weights = rng.uniform(0.0, 1.0, m)

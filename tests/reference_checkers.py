@@ -2,13 +2,17 @@
 
 Each function enumerates its condition one set X, or one element and set B,
 at a time, in the order that fixes the first witness, and returns what the
-library checker of the same name must return, witness included.
+library checker of the same name must return, witness included. A NaN value
+raises the error the library raises, naming the first set that has one.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from qsopt import InternalInvariantError
 from qsopt.checkers import SUBMODULAR_ATOL, PropertyVerdict, Witness
 from qsopt.oracle import eval_table
 from qsopt.sets import SubsetBits, iter_bits
@@ -25,9 +29,18 @@ def _submasks_ascending(mask: int, n: int) -> np.ndarray:
     return out
 
 
+def _table(oracle, n: int, where: str) -> np.ndarray:
+    """F on every mask, scanned one mask at a time for the first NaN."""
+    values = eval_table(oracle, n)
+    for mask in range(1 << n):
+        if math.isnan(values[mask]):
+            raise InternalInvariantError(f"{where}: value of {SubsetBits(n, mask)} is NaN")
+    return values
+
+
 def is_submodular(oracle, n: int) -> PropertyVerdict:
     """Check diminishing returns: F(i|A) >= F(i|B) for all A <= B <= N-i."""
-    values = eval_table(oracle, n)
+    values = _table(oracle, n, "is_submodular")
     full = (1 << n) - 1
     for i in range(1, n + 1):
         ibit = 1 << (i - 1)
@@ -70,7 +83,7 @@ def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
       F(X & Y) >= F(X)  implies  F(Y) >= F(X | Y)
       F(X & Y) >  F(X)  implies  F(Y) >  F(X | Y)
     """
-    values = eval_table(oracle, n)
+    values = _table(oracle, n, "is_quasi_submodular")
     size = 1 << n
     ys = np.arange(size, dtype=np.int64)
     vy = values
@@ -112,7 +125,7 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
       F(A) >= F(B)  implies  F(A+i) >= F(B+i)
       F(A) >  F(B)  implies  F(A+i) >  F(B+i)
     """
-    values = eval_table(oracle, n)
+    values = _table(oracle, n, "satisfies_ssbc")
     full = (1 << n) - 1
     for b_mask in range(1 << n):
         subs = _submasks_ascending(b_mask, n)
@@ -159,7 +172,7 @@ def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
       F(i|A) <= 0  implies  F(i|B) <= 0
       F(i|A) <  0  implies  F(i|B) <  0
     """
-    values = eval_table(oracle, n)
+    values = _table(oracle, n, "satisfies_weak_marginal")
     full = (1 << n) - 1
     for i in range(1, n + 1):
         ibit = 1 << (i - 1)

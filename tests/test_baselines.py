@@ -81,9 +81,9 @@ class TestDoubleGreedy:
 
 class TestRandomPermutationGreedy:
     def test_single_trial_equals_seeded_order(self, prop_oracle):
-        from qsopt.functions import _stream
+        from qsopt.functions import seeded_stream
 
-        order = [int(v) for v in _stream(9, 0).permutation(2) + 1]
+        order = [int(v) for v in seeded_stream(9, 0).permutation(2) + 1]
         assert random_permutation_greedy(prop_oracle, 1, 9).value == double_greedy(prop_oracle, order).value
 
     def test_reference_table_any_trials(self, prop_oracle):

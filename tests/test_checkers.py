@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 import reference_checkers
 from qsopt import (
     CapExceeded,
+    GroundSet,
+    InternalInvariantError,
+    SetFunctionOracle,
     SubsetBits,
     is_local_max,
     is_local_min,
@@ -20,9 +23,11 @@ from qsopt import (
     satisfies_weak_marginal,
 )
 from qsopt import checkers
-from qsopt.functions import _stream
+from qsopt.functions import seeded_stream
 
-from conftest import PROP_TABLE, TWIN_PEAKS_TABLE, random_spaced_values
+from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE, random_spaced_values
+
+CHECKERS = ("is_submodular", "is_quasi_submodular", "satisfies_ssbc", "satisfies_weak_marginal")
 
 # Violates the strict half of the pair condition: joining {1} with {2} keeps
 # the value flat even though the intersection strictly improved on {1}.
@@ -104,6 +109,41 @@ class TestWeakMarginal:
         assert w.values["F(i|B)"] == 0.5
 
 
+@pytest.mark.parametrize("name", CHECKERS)
+def test_nan_value_raises_naming_the_set(name):
+    with pytest.raises(InternalInvariantError, match=rf"^{name}: value of \{{1\}} is NaN$"):
+        getattr(checkers, name)(make_tabular(NAN_TABLE), 3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
+@pytest.mark.parametrize("name", ["is_submodular", "satisfies_weak_marginal"])
+def test_nan_gains_of_infinite_values_break_nothing(name):
+    """F({}) = F({1}) = inf, so F(1|{}) is NaN; the violation at A={2}, B={2,3} still counts."""
+    F = make_tabular([math.inf, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    got = getattr(checkers, name)(F, 3)
+    assert repr(got) == repr(getattr(reference_checkers, name)(F, 3))
+    assert got.witness.element == 1
+    assert (str(got.witness.sets["A"]), str(got.witness.sets["B"])) == ("{2}", "{2,3}")
+
+
+@pytest.mark.parametrize(
+    "name, cap",
+    [
+        ("is_submodular", checkers.SUBMODULAR_MAX_N),
+        ("is_quasi_submodular", checkers.QSB_MAX_N),
+        ("satisfies_ssbc", checkers.SSBC_MAX_N),
+        ("satisfies_weak_marginal", checkers.WEAK_MARGINAL_MAX_N),
+    ],
+)
+def test_cap_raises_before_any_evaluation(name, cap):
+    def value(_x):
+        raise AssertionError("evaluated above the cap")
+
+    oracle = SetFunctionOracle(GroundSet(cap + 1), value)
+    with pytest.raises(CapExceeded, match=rf"^{name} needs n <= {cap}, got {cap + 1}$"):
+        getattr(checkers, name)(oracle, cap + 1)
+
+
 class TestLocalOptima:
     def test_reference_local_min(self):
         F = make_tabular(PROP_TABLE)
@@ -114,19 +154,27 @@ class TestLocalOptima:
         assert is_local_max(G, SubsetBits.from_members(2, [1]))
         assert not is_local_max(G, SubsetBits.empty(2))
 
+    @pytest.mark.parametrize("check", [is_local_min, is_local_max])
+    @pytest.mark.parametrize("members", [[], [1]], ids=["nan_neighbour", "nan_at_x"])
+    def test_nan_value_raises_naming_the_set(self, check, members):
+        """F({1}) is NaN: the first neighbour of {} and x itself at {1}."""
+        x = SubsetBits.from_members(3, members)
+        with pytest.raises(InternalInvariantError, match=rf"^{check.__name__}: value of \{{1\}} is NaN$"):
+            check(make_tabular(NAN_TABLE), x)
+
 
 class TestEquivalences:
     """Agreement properties between the pair condition and its per-element forms."""
 
     def test_pair_condition_equals_single_sub_crossing(self):
-        rng = _stream(2024, 0)
+        rng = seeded_stream(2024, 0)
         for k in range(120):
             n = 2 + k % 5
             F = make_tabular(random_spaced_values(n, rng))
             assert is_quasi_submodular(F, n).holds == satisfies_ssbc(F, n).holds
 
     def test_ssbc_implies_weak_marginal(self):
-        rng = _stream(2025, 0)
+        rng = seeded_stream(2025, 0)
         checked = 0
         for k in range(200):
             n = 2 + k % 5
@@ -140,7 +188,7 @@ class TestEquivalences:
             assert satisfies_weak_marginal(F, 6).holds
 
     def test_submodular_implies_qsb_not_conversely(self):
-        rng = _stream(2026, 0)
+        rng = seeded_stream(2026, 0)
         for k in range(100):
             n = 2 + k % 4
             F = make_tabular(random_spaced_values(n, rng))
@@ -155,7 +203,8 @@ def small_int_tables(draw):
     """(n, table) for n <= 8: small integers, so ties are common, with a few edits.
 
     Half the tables start modular, which passes every check, so an edit places
-    the first witness anywhere in the enumeration; edits may write NaN.
+    the first witness anywhere in the enumeration; edits may write NaN, which
+    raises, or an infinity, whose gains inf - inf are NaN.
     """
     n = draw(st.integers(1, 8))
     size = 1 << n
@@ -165,10 +214,12 @@ def small_int_tables(draw):
     else:
         values = [float(v) for v in draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))]
     for mask in draw(st.lists(st.integers(0, size - 1), max_size=3)):
-        values[mask] = draw(st.sampled_from([math.nan, -2.0, -1.0, 0.0, 1.0, 2.0]))
+        values[mask] = draw(st.sampled_from([math.nan, -math.inf, math.inf, -2.0, -1.0, 0.0, 1.0, 2.0]))
     return n, values
 
 
+# inf - inf gains are NaN by design, and numpy says so
+@pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(small_int_tables(), st.integers(1, 9))
 def test_checkers_match_loop_reference(table, ssbc_block_n):
@@ -179,10 +230,15 @@ def test_checkers_match_loop_reference(table, ssbc_block_n):
     """
     n, values = table
     F = make_tabular(values)
-    for name in ("is_submodular", "is_quasi_submodular", "satisfies_ssbc", "satisfies_weak_marginal"):
+    for name in CHECKERS:
         with mock.patch.object(checkers, "_SSBC_BLOCK_N", ssbc_block_n):
-            got = getattr(checkers, name)(F, n)
-        want = getattr(reference_checkers, name)(F, n)
-        assert got.holds == want.holds, name
-        # repr compares every set and value, NaN included
-        assert repr(got) == repr(want), name
+            got = _outcome(getattr(checkers, name), F, n)
+        assert got == _outcome(getattr(reference_checkers, name), F, n), name
+
+
+def _outcome(check, F, n) -> str:
+    """The verdict's repr, which shows every set and value, or the NaN error raised."""
+    try:
+        return repr(check(F, n))
+    except InternalInvariantError as exc:
+        return f"InternalInvariantError: {exc}"

@@ -82,6 +82,15 @@ class TestCheck:
         assert [r.exit_code for r in single] == [0, 0, 0, 0]
         assert every.output == "".join(r.output for r in single)
 
+    def test_nan_value_exit_code(self, tmp_path):
+        path = tmp_path / "nan.json"
+        save_spec(tabular_spec(NAN_TABLE), path)
+        for prop in ("all", "qsb"):
+            proc = qsopt("check", "--spec", str(path), "--property", prop)
+            assert proc.returncode == 3
+            assert "value of {1} is NaN" in proc.stderr
+            assert "holds" not in proc.stdout
+
     def test_cap_exceeded_is_config_error(self, tmp_path):
         path = tmp_path / "big.json"
         save_spec(FunctionSpec("com", 40, 1), path)
@@ -266,3 +275,9 @@ def test_seed_override(tmp_path):
     other = qsopt("--seed", "2", "exact", "--spec", str(path), "--direction", "max")
     assert base.returncode == other.returncode == 0
     assert base.stdout != other.stdout
+
+
+def test_negative_seed_override_is_config_error(com_spec):
+    proc = qsopt("--seed", "-5", "max", "--spec", com_spec)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "'seed' must be >= 0, got -5" in proc.stderr

@@ -15,7 +15,7 @@ from qsopt import (
     nested_argmin_check,
     uqsfmax,
 )
-from qsopt.functions import _stream
+from qsopt.functions import seeded_stream
 from qsopt.sets import IntervalLattice
 
 from conftest import NAN_TABLE
@@ -155,7 +155,7 @@ class TestNestedArgmin:
     def test_random_pairs_on_quasi_submodular(self, seed):
         n = 8
         F = make_random_qsb(n, seed + 4200)
-        rng = _stream(seed, 3)
+        rng = seeded_stream(seed, 3)
         for _ in range(10):
             b_mask = int(rng.integers(0, 1 << n))
             a_mask = int(rng.integers(0, 1 << n)) & b_mask

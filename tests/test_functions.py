@@ -33,7 +33,7 @@ from qsopt import (
     values_close,
 )
 from qsopt import functions
-from qsopt.functions import _stream
+from qsopt.functions import seeded_stream
 
 from conftest import MALFORMED_SPECS, PROP_TABLE, TWIN_PEAKS_TABLE
 
@@ -288,7 +288,7 @@ class TestRandomQsb:
         base_table = np.array([base.value(SubsetBits(6, m)) for m in range(64)])
         from qsopt.functions import _increasing_transform
 
-        transformed = _increasing_transform(base_table, _stream(3, 0))
+        transformed = _increasing_transform(base_table, seeded_stream(3, 0))
         assert np.array_equal(np.argsort(base_table), np.argsort(transformed))
 
     def test_submodular_base_is_quasi_submodular(self):

@@ -21,7 +21,7 @@ from qsopt import (
     uqsfmax,
     values_close,
 )
-from qsopt.functions import _FacilityCursor, _stream, facility_value
+from qsopt.functions import _FacilityCursor, facility_value, seeded_stream
 from qsopt.maximize import restricted_oracle
 from qsopt.oracle import ABS_TOL, REL_TOL, Cursor
 from qsopt.sets import IntervalLattice
@@ -81,7 +81,7 @@ FAMILY_INSTANCES = [
 def test_telescoping_sum(name, build):
     F = build()
     n = F.n
-    rng = _stream(123, 0)
+    rng = seeded_stream(123, 0)
     for _ in range(20):
         target = SubsetBits.from_bool_array(rng.random(n) < 0.5)
         order = [i for i in rng.permutation(n) + 1 if target.contains(int(i))]
@@ -112,7 +112,7 @@ def test_oracle_marginal_matches_eval_difference(name, build):
     """One-off marginals from a fresh family cursor at each random anchor."""
     F = build()
     n = F.n
-    rng = _stream(77, 0)
+    rng = seeded_stream(77, 0)
     for _ in range(1000):
         x = SubsetBits.from_bool_array(rng.random(n) < 0.5)
         i = int(rng.integers(1, n + 1))
@@ -162,7 +162,7 @@ def test_cursor_matches_oracle(name, build):
         assert_batch_matches_scalar(
             cursor.drop_marginals(inside), [cursor.drop_marginal(int(d)) for d in inside], exact
         )
-    rng = _stream(99, 0)
+    rng = seeded_stream(99, 0)
     x = SubsetBits.from_bool_array(rng.random(n) < 0.5)
     cursor = F.cursor(x)
     for _ in range(200):
@@ -209,7 +209,7 @@ def restricted_determinant():
 
 def tied_facility():
     """Facility cursor over a matrix of quarter steps: columns tie for their maximum."""
-    rng = _stream(5, 0)
+    rng = seeded_stream(5, 0)
     mat = rng.integers(2, 5, (10, 12)) / 4.0
     sigma = rng.uniform(-0.01, 0.01, 10)
     return SetFunctionOracle(
