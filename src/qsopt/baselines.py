@@ -67,7 +67,8 @@ def double_greedy(
         else:
             c2.remove(i)
     s1 = c1.members()
-    assert s1 == c2.members(), "double greedy must close the gap after one pass"
+    if s1 != c2.members():
+        raise InternalInvariantError(f"double greedy left a gap after one pass: S1={s1} S2={c2.members()}")
     value = counter.value(s1)
     return BaselineResult(s1, value, counter.total_calls, seed)
 

@@ -176,8 +176,8 @@ def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
 @cli.command()
 @click.option("--alg", type=click.Choice(list(BASELINES)), required=True)
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--trials", type=int, default=10, show_default=True)
-@click.option("--seed", "algo_seed", type=int, default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=10, show_default=True)
+@click.option("--seed", "algo_seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--prefilter", is_flag=True, help="Reduce the lattice first, then run on the rest.")
 @click.pass_obj
 def baseline(

@@ -17,6 +17,12 @@ class ConfigError(QsoptError, ValueError):
     """Malformed instance file, experiment config, or CLI argument."""
 
 
+def require_kind(value, kind: type, what: str, name: str) -> None:
+    """Raise ``ConfigError`` unless ``value`` is a ``kind``; a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 class InternalInvariantError(QsoptError, RuntimeError):
     """A guaranteed algorithm invariant was violated at runtime.
 

@@ -2,13 +2,18 @@
 
 Families: iwata, com (concave-over-modular), half_products (served as the
 negated maximization objective), perturbed_facility, determinant,
-cobb_douglas, and small tabular functions. Each family is a value formula
-plus one cursor class whose batch formulas take an id or an id array alike: a
-scalar query is the batch at the bare id, the reverse of the base ``Cursor``.
+cobb_douglas, and small tabular functions, each named once in ``_FAMILIES``
+with its builder and the parameters it takes. Each family is a value formula
+on a membership array plus one cursor class, which ``_family_oracle`` puts
+together (tabular, looked up by mask, builds its own). A cursor's batch
+formulas take an id or an id array alike: a scalar query is the batch at the
+bare id, the reverse of the base ``Cursor``.
 A family cursor makes no move of its own: the base ``Cursor`` keeps the
 anchored set, and a family that keeps statistics over the members (com's
 w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
 in the ``_moved`` hook; iwata and tabular read the set itself.
+``_EpochCursor._sync`` alone chooses between an in-place update and a
+refactor for the half_products, facility and determinant cursors.
 A ``FunctionSpec`` names an instance and is the one place that checks one:
 the family, integer n >= 1 and seed >= 0, and the parameters the family takes,
 perturbed_facility's integer ``d`` >= 1 (400 when absent) and tabular's list
@@ -31,20 +36,10 @@ from types import SimpleNamespace
 import numpy as np
 
 from .checkers import SSBC_MAX_N, satisfies_ssbc
-from .errors import ConfigError, InternalInvariantError
+from .errors import ConfigError, InternalInvariantError, require_kind
 from .exact import TABLE_MAX_N
 from .oracle import Cursor, SetFunctionOracle
 from .sets import GroundSet, SubsetBits
-
-FAMILIES = (
-    "iwata",
-    "com",
-    "half_products",
-    "perturbed_facility",
-    "determinant",
-    "cobb_douglas",
-    "tabular",
-)
 
 
 def seeded_stream(seed: int, index: int) -> np.random.Generator:
@@ -55,18 +50,21 @@ def seeded_stream(seed: int, index: int) -> np.random.Generator:
 _stream = seeded_stream  # the name the acceptance suite imports
 
 
-#: The parameters each family takes, each with the kind its value must be and
-#: how a config error names that kind; a family not listed takes none.
-_FAMILY_PARAMS = {
-    "perturbed_facility": {"d": (numbers.Integral, "an integer")},
-    "tabular": {"values": (list, "a list")},
+#: Every family: how a checked spec builds its oracle, and the parameters the
+#: family takes, each with the kind its value must be and how a config error
+#: names that kind. The builders look their generators up at call time.
+_FAMILIES = {
+    "iwata": (lambda spec: make_iwata(spec.n), {}),
+    "com": (lambda spec: make_com(spec.n, spec.seed), {}),
+    "half_products": (lambda spec: make_half_products(spec.n, spec.seed), {}),
+    "perturbed_facility": (
+        lambda spec: make_perturbed_facility(spec.n, spec.params.get("d", 400), spec.seed),
+        {"d": (numbers.Integral, "an integer")},
+    ),
+    "determinant": (lambda spec: make_determinant(spec.n, spec.seed), {}),
+    "cobb_douglas": (lambda spec: make_cobb_douglas(spec.n, spec.seed), {}),
+    "tabular": (lambda spec: make_tabular(spec.params["values"]), {"values": (list, "a list")}),
 }
-
-
-def _require(value, kind: type, what: str, name: str) -> None:
-    """Reject ``value`` unless it is a ``kind``; a bool is never a number."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
@@ -79,22 +77,22 @@ class FunctionSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILIES:
             raise ConfigError(f"unsupported family {self.family!r}")
-        _require(self.n, numbers.Integral, "an integer", "field 'n'")
-        _require(self.seed, numbers.Integral, "an integer", "field 'seed'")
+        require_kind(self.n, numbers.Integral, "an integer", "field 'n'")
+        require_kind(self.seed, numbers.Integral, "an integer", "field 'seed'")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:
             raise ConfigError(f"field 'seed' must be >= 0, got {self.seed}")
         if not isinstance(self.params, dict):
             raise ConfigError(f"params must be an object, got {self.params!r}")
-        takes = _FAMILY_PARAMS.get(self.family, {})
+        _build, takes = _FAMILIES[self.family]
         for key, value in self.params.items():
             if key not in takes:
                 raise ConfigError(f"{self.family} takes no parameter params.{key}")
-            _require(value, *takes[key], f"{self.family} params.{key}")
-        if self.family == "perturbed_facility" and self.params.get("d", 400) < 1:
+            require_kind(value, *takes[key], f"{self.family} params.{key}")
+        if "d" in self.params and self.params["d"] < 1:  # only perturbed_facility takes d
             raise ConfigError(f"perturbed_facility params.d must be >= 1, got {self.params['d']}")
         if self.family == "tabular":
             values = self.params.get("values")
@@ -143,27 +141,17 @@ def load_spec(path: str | Path) -> FunctionSpec:
         family, n, seed = payload["family"], payload["n"], payload.get("seed", 0)
     except KeyError as exc:
         raise ConfigError(f"instance file {path} missing field {exc}") from exc
+    params = payload.get("params")  # absent or null is no parameters; any other value is checked
     try:
-        return FunctionSpec(family=family, n=n, seed=seed, params=payload.get("params") or {})
+        return FunctionSpec(family=family, n=n, seed=seed, params={} if params is None else params)
     except ConfigError as exc:
         raise ConfigError(f"instance file {path}: {exc}") from exc
 
 
 def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
     """The oracle of a spec, which its construction has checked."""
-    if spec.family == "iwata":
-        return make_iwata(spec.n)
-    if spec.family == "com":
-        return make_com(spec.n, spec.seed)
-    if spec.family == "half_products":
-        return make_half_products(spec.n, spec.seed)
-    if spec.family == "perturbed_facility":
-        return make_perturbed_facility(spec.n, spec.params.get("d", 400), spec.seed)
-    if spec.family == "determinant":
-        return make_determinant(spec.n, spec.seed)
-    if spec.family == "cobb_douglas":
-        return make_cobb_douglas(spec.n, spec.seed)
-    return make_tabular(spec.params["values"])
+    build, _takes = _FAMILIES[spec.family]
+    return build(spec)
 
 
 class _FamilyCursor(Cursor):
@@ -180,6 +168,17 @@ class _FamilyCursor(Cursor):
 
     def drop_marginal(self, d: int) -> float:
         return float(self.drop_marginals(d))
+
+
+def _family_oracle(n: int, value_of, cursor_at, params: dict, name: str) -> SetFunctionOracle:
+    """The oracle of ``value_of``, a value formula on a membership array, and ``cursor_at(start)``."""
+    return SetFunctionOracle(
+        GroundSet(n),
+        lambda x: value_of(x.to_bool_array()),
+        cursor_factory=lambda _owner, start: cursor_at(start),
+        params=params,
+        name=name,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +206,13 @@ def iwata_value(weights: np.ndarray, members: np.ndarray) -> float:
 
 def make_iwata(n: int) -> SetFunctionOracle:
     """Deterministic size-versus-rank benchmark; no seed."""
-    ground = GroundSet(n)
     weights = 5.0 * np.arange(1, n + 1) - 2.0 * n
-
-    def evaluate(x: SubsetBits) -> float:
-        return iwata_value(weights, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        cursor_factory=lambda o, s: _IwataCursor(s, n),
-        params={"weights": weights},
-        name=f"iwata(n={n})",
+    return _family_oracle(
+        n,
+        functools.partial(iwata_value, weights),
+        lambda start: _IwataCursor(start, n),
+        {"weights": weights},
+        f"iwata(n={n})",
     )
 
 
@@ -255,19 +249,14 @@ def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> float:
 
 def make_com(n: int, seed: int) -> SetFunctionOracle:
     """Concave-over-modular: sqrt of one modular weight plus the complement of another."""
-    ground = GroundSet(n)
     w1 = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
     w2 = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
-
-    def evaluate(x: SubsetBits) -> float:
-        return com_value(w1, w2, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        cursor_factory=lambda o, s: _ComCursor(s, w1, w2),
-        params={"w1": w1, "w2": w2},
-        name=f"com(n={n}, seed={seed})",
+    return _family_oracle(
+        n,
+        functools.partial(com_value, w1, w2),
+        lambda start: _ComCursor(start, w1, w2),
+        {"w1": w1, "w2": w2},
+        f"com(n={n}, seed={seed})",
     )
 
 
@@ -275,38 +264,42 @@ def make_com(n: int, seed: int) -> SetFunctionOracle:
 # Epoch cursors: statistics over the members, brought up to date at a query.
 
 
+_STALE = object()  #: the pending state of an epoch cursor that refactors at its next query
+
+
 class _EpochCursor(_FamilyCursor):
     """Cursor whose statistics over the members are synced lazily.
 
-    A move only records itself. The next query syncs: exactly one pending move
-    is applied as an exact in-place update (``_insert``/``_delete``); two or
-    more pending moves, or a cursor never queried, take the full refactor
-    (``_refactor``). So the sequential baselines, which move once between
-    queries, pay an update per move, and a reduction sweep that moves many
-    elements pays one refactor.
+    A move only records itself. The next query syncs by one rule: a single
+    pending move between two nonempty sets is applied as an exact in-place
+    update (``_insert``/``_delete``); the first query, two or more pending
+    moves, and a single move into or out of the empty set take the full
+    refactor (``_refactor``). So an update never starts or ends at the empty
+    set, the sequential baselines, which move once between queries, pay an
+    update per move, and a reduction sweep that moves many elements pays one
+    refactor.
     """
 
     def __init__(self, start: SubsetBits):
         super().__init__(start)
-        self._ready = False
-        self._moves = 0
-        self._last = None
+        # the moves since the last sync: None for none, (added, e) for one, _STALE for a refactor
+        self._pending = _STALE
 
     def _sync(self) -> None:
-        if self._moves == 1 and self._ready:
-            added, e = self._last
-            if added:
-                self._insert(e)
-            else:
-                self._delete(e)
-        elif self._moves or not self._ready:
+        pending = self._pending
+        if pending is None:
+            return
+        # one add leaving a single member, or one remove leaving none, crosses the empty set
+        if pending is _STALE or len(self._current) == pending[0]:
             self._refactor()
-            self._ready = True
-        self._moves = 0
+        elif pending[0]:
+            self._insert(pending[1])
+        else:
+            self._delete(pending[1])
+        self._pending = None
 
     def _moved(self, e: int, added: bool) -> None:
-        self._moves += 1
-        self._last = (added, e)
+        self._pending = (added, e) if self._pending is None else _STALE
 
 
 # ---------------------------------------------------------------------------
@@ -335,11 +328,10 @@ class _HalfProductsCursor(_EpochCursor):
         self._prefix_a = np.concatenate(([0.0], np.cumsum(self._a * m)))
         self._suffix_b = np.concatenate((np.cumsum((self._b * m)[::-1])[::-1], [0.0]))
 
-    def _insert(self, u: int) -> None:
+    def _insert(self, e: int) -> None:
         self._refactor()
 
-    def _delete(self, d: int) -> None:
-        self._refactor()
+    _delete = _insert
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
@@ -362,20 +354,15 @@ def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np
 
 def make_half_products(n: int, seed: int) -> SetFunctionOracle:
     """Negated half-products; c is uniform in [0, n/4]."""
-    ground = GroundSet(n)
     a = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
     b = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
     c = seeded_stream(seed, 2).uniform(0.0, 0.25 * n, n)
-
-    def evaluate(x: SubsetBits) -> float:
-        return half_products_value(a, b, c, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        cursor_factory=lambda o, s: _HalfProductsCursor(s, a, b, c),
-        params={"a": a, "b": b, "c": c},
-        name=f"half_products(n={n}, seed={seed})",
+    return _family_oracle(
+        n,
+        functools.partial(half_products_value, a, b, c),
+        lambda start: _HalfProductsCursor(start, a, b, c),
+        {"a": a, "b": b, "c": c},
+        f"half_products(n={n}, seed={seed})",
     )
 
 
@@ -430,25 +417,18 @@ class _FacilityCursor(_EpochCursor):
 
     def _insert(self, u: int) -> None:
         row = self._mat[u - 1]
-        k = len(self._current) - 1  # members before the add
         old = (self._max1, self._max2, self._counts)  # the update rebinds all three, never writes them
-        if k == 0:
-            self._max1, self._max2, self._counts = _top_two(row[None, :])
+        max1 = self._max1
+        if len(self._current) == 2:  # one member before the add: max2 is the smaller of the two
+            self._max2 = np.minimum(max1, row)
         else:
-            max1 = self._max1
-            if k == 1:
-                self._max2 = np.minimum(max1, row)
-            else:
-                self._max2 = np.where(row >= max1, max1, np.maximum(self._max2, row))
-            self._counts = np.where(row > max1, 1, self._counts + (row == max1))
-            self._max1 = np.maximum(max1, row)
+            self._max2 = np.where(row >= max1, max1, np.maximum(self._max2, row))
+        self._counts = np.where(row > max1, 1, self._counts + (row == max1))
+        self._max1 = np.maximum(max1, row)
         if self._gains is not None:
             self._refresh_gains(u, slice(None), *old)
 
     def _delete(self, d: int) -> None:
-        if not self._current:
-            self._refactor()
-            return
         cols = np.flatnonzero(self._mat[d - 1] >= self._max2)
         kept = self._gains is not None
         old = (self._max1[cols], self._max2[cols], self._counts[cols]) if kept else None
@@ -517,19 +497,14 @@ def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
     """Facility location over a random [0.5,1] matrix plus modular noise in [-0.01,0.01]."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    ground = GroundSet(n)
     mat = seeded_stream(seed, 0).uniform(0.5, 1.0, (n, d))
     sigma = seeded_stream(seed, 1).uniform(-0.01, 0.01, n)
-
-    def evaluate(x: SubsetBits) -> float:
-        return facility_value(mat, sigma, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        cursor_factory=lambda o, s: _FacilityCursor(s, mat, sigma),
-        params={"M": mat, "sigma": sigma, "d": d},
-        name=f"perturbed_facility(n={n}, d={d}, seed={seed})",
+    return _family_oracle(
+        n,
+        functools.partial(facility_value, mat, sigma),
+        lambda start: _FacilityCursor(start, mat, sigma),
+        {"M": mat, "sigma": sigma, "d": d},
+        f"perturbed_facility(n={n}, d={d}, seed={seed})",
     )
 
 
@@ -654,9 +629,6 @@ class _DeterminantCursor(_EpochCursor):
     def _insert(self, u: int) -> None:
         idx, inv = self._idx, self._inv
         k = len(idx)
-        if k == 0:
-            self._refactor()
-            return
         kuu = float(self._kernel[u - 1, u - 1])
         v = self._kernel[idx, u - 1]
         w = self._la.dsymv(1.0, inv, v, lower=1)
@@ -682,9 +654,6 @@ class _DeterminantCursor(_EpochCursor):
     def _delete(self, d: int) -> None:
         idx, inv = self._idx, self._inv
         k = len(idx)
-        if k == 1:
-            self._refactor()
-            return
         p = int(np.searchsorted(idx, d - 1))
         a_pp = float(inv[p, p])
         if not self._accept(a_pp):
@@ -808,19 +777,14 @@ def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> float:
 
 def make_determinant(n: int, seed: int) -> SetFunctionOracle:
     """det of the principal submatrix of a clustered quality-diversity kernel."""
-    ground = GroundSet(n)
     kernel = _determinant_kernel(n, seed)
     la = _linalg()
-
-    def evaluate(x: SubsetBits) -> float:
-        return principal_determinant(kernel, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        cursor_factory=lambda o, s: _DeterminantCursor(s, kernel, la),
-        params={"kernel": kernel},
-        name=f"determinant(n={n}, seed={seed})",
+    return _family_oracle(
+        n,
+        functools.partial(principal_determinant, kernel),
+        lambda start: _DeterminantCursor(start, kernel, la),
+        {"kernel": kernel},
+        f"determinant(n={n}, seed={seed})",
     )
 
 
@@ -836,11 +800,8 @@ class _CobbCursor(_FamilyCursor):
         self._logsum = float(delta @ start.to_bool_array())
 
     def _scale(self) -> float:
-        """F(X) = exp(logsum), the factor of every marginal; overflow is an invariant error."""
-        try:
-            return math.exp(self._logsum)
-        except OverflowError:
-            raise _cobb_overflow(len(self._current), self._logsum) from None
+        """F(X), the factor of every marginal."""
+        return _cobb_exp(self._logsum, self._current.cardinality)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._scale() * np.expm1(self._delta[ids - 1])
@@ -863,37 +824,33 @@ def cobb_log_factors(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return np.where((w == 0.0) & (alpha == 0.0), 0.0, delta)
 
 
-def _cobb_overflow(size: int, log_value: float) -> InternalInvariantError:
-    return InternalInvariantError(
-        f"cobb_douglas value overflows a double on a set of {size} members (log F = {log_value!r})"
-    )
+def _cobb_exp(log_value: float, count) -> float:
+    """F = exp(log F); an overflow is an invariant error naming ``count()``, the set size."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise InternalInvariantError(
+            f"cobb_douglas value overflows a double on a set of {int(count())} members "
+            f"(log F = {log_value!r})"
+        ) from None
 
 
 def cobb_value(delta: np.ndarray, members: np.ndarray) -> float:
     """Product over members of w(i)**alpha_i: exp of the ``cobb_log_factors`` sum."""
-    log_value = float(delta @ members)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        raise _cobb_overflow(int(members.sum()), log_value) from None
+    return _cobb_exp(float(delta @ members), members.sum)
 
 
 def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
     """Product over members of w(i)**alpha_i with w in [0.5,2], alpha in [0,1]."""
-    ground = GroundSet(n)
     w = seeded_stream(seed, 0).uniform(0.5, 2.0, n)
     alpha = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
     delta = cobb_log_factors(w, alpha)
-
-    def evaluate(x: SubsetBits) -> float:
-        return cobb_value(delta, x.to_bool_array())
-
-    return SetFunctionOracle(
-        ground,
-        evaluate,
-        cursor_factory=lambda o, s: _CobbCursor(s, delta),
-        params={"w": w, "alpha": alpha, "product_over": "members"},
-        name=f"cobb_douglas(n={n}, seed={seed})",
+    return _family_oracle(
+        n,
+        functools.partial(cobb_value, delta),
+        lambda start: _CobbCursor(start, delta),
+        {"w": w, "alpha": alpha, "product_over": "members"},
+        f"cobb_douglas(n={n}, seed={seed})",
     )
 
 

@@ -24,7 +24,7 @@ from .baselines import (
     randomized_bidirectional_greedy,
     randomized_local_search,
 )
-from .errors import ConfigError, QsoptError
+from .errors import ConfigError, QsoptError, require_kind
 from .exact import TABLE_MAX_N, exact_opt
 from .functions import FunctionSpec, instantiate
 from .maximize import u_prefix, uqsfmax
@@ -50,12 +50,6 @@ _INTEGER_FIELDS = {
 }
 
 
-def _require_integer(key: str, value) -> None:
-    """Reject a config value that is not an integer; a bool or a float is never one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"config field '{key}' must be an integer, got {value!r}")
-
-
 def reduction_rate(lattice: IntervalLattice, n: int) -> float:
     """Fraction of ground-set elements whose membership the lattice fixes."""
     return (n - lattice_free_count(lattice)) / n
@@ -79,11 +73,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
         for key, least in _INTEGER_FIELDS.items():
             value = getattr(self, key)
-            _require_integer(key, value)
+            require_kind(value, numbers.Integral, "an integer", f"config field '{key}'")
             if value < least:
                 raise ConfigError(f"config field '{key}' must be >= {least}, got {value}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
+        for key in ("families", "sizes", "algorithms"):
+            require_kind(getattr(self, key), list, "a list", f"config field '{key}'")
         if not self.families:
             raise ConfigError("families must be non-empty")
         if not self.sizes:
@@ -97,7 +93,7 @@ class ExperimentConfig:
             for key, value in entry.items():
                 if key not in ("n", "d"):
                     raise ConfigError(f"unknown size field 'sizes[{i}].{key}'; pick from n, d")
-                _require_integer(f"sizes[{i}].{key}", value)
+                require_kind(value, numbers.Integral, "an integer", f"config field 'sizes[{i}].{key}'")
             norm.append({k: int(v) for k, v in entry.items()})
         self.sizes = norm
         # the spec of each family x size cell is the one check of what the cell builds

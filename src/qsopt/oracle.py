@@ -34,10 +34,11 @@ answering n marginals again, which is what single-flip local search needs.
 
 Epoch cursors (the half_products, facility and determinant families) keep
 statistics over the members and bring them up to date at the next query
-after a move, by one rule: exactly one move since the last query is applied
-as an exact in-place update; two or more moves, or a cursor never queried,
-take a full refactor. So a baseline that moves once between queries pays one
-update per move, and a sweep that fixes many elements pays one refactor.
+after a move, by one rule: exactly one move since the last query, between
+two nonempty sets, is applied as an exact in-place update; the first query,
+two or more moves, and one move into or out of the empty set take a full
+refactor. So a baseline that moves once between queries pays one update per
+move, and a sweep that fixes many elements pays one refactor.
 Half_products' update is its refactor, one O(n) prefix sum.
 """
 

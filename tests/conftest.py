@@ -49,6 +49,11 @@ MALFORMED_SPECS = {
     # values no instance can be built from: a table entry that is no number, no facility
     "tabular_values_string": ({"family": "tabular", "n": 1, "params": {"values": ["a", 1]}}, "params.values"),
     "facility_d_zero": ({"family": "perturbed_facility", "n": 4, "params": {"d": 0}}, "params.d"),
+    # only an absent or null params is no parameters: a falsy value is no object either
+    "params_empty_list": ({"family": "com", "n": 4, "params": []}, "params"),
+    "params_false": ({"family": "com", "n": 4, "params": False}, "params"),
+    # a family that is no name at all, not even a hashable one
+    "family_list": ({"family": ["com"], "n": 4}, "family"),
 }
 
 # Experiment configs with a field of the wrong type, an unknown size key or a
@@ -79,6 +84,11 @@ MALFORMED_CONFIGS = {
     # cells whose instance spec can never build
     "family_tabular": ({"families": ["tabular"], "sizes": [4]}, "families[0]"),
     "size_d_zero": ({"families": ["perturbed_facility"], "sizes": [{"n": 8, "d": 0}]}, "sizes[0]"),
+    # list fields given one bare value
+    "families_string": ({"families": "com"}, "'families'"),
+    "sizes_int": ({"sizes": 8}, "'sizes'"),
+    "algorithms_string": ({"algorithms": "rp"}, "'algorithms'"),
+    "family_list": ({"families": [["com"]]}, "families[0]"),
 }
 
 

@@ -212,10 +212,21 @@ class _RefactoringCursor(Cursor):
         self._inner = self._F.cursor(self.members().remove(d))
 
 
-def refactoring(F):
-    return SetFunctionOracle(
-        F.ground, F.value, cursor_factory=lambda _owner, s: _RefactoringCursor(F, s)
-    )
+def refactoring(F, cursor_class=_RefactoringCursor):
+    return SetFunctionOracle(F.ground, F.value, cursor_factory=lambda _owner, s: cursor_class(F, s))
+
+
+class _StuckCursor(_RefactoringCursor):
+    """Ignores removals, so double greedy's outer set never shrinks."""
+
+    def remove(self, d: int) -> None:
+        pass
+
+
+def test_double_greedy_gap_is_invariant_error(prop_oracle):
+    # an InternalInvariantError, not an assert that python -O would strip
+    with pytest.raises(InternalInvariantError, match=r"gap after one pass: S1=\{2\} S2=\{1,2\}"):
+        double_greedy(refactoring(prop_oracle, _StuckCursor), [1, 2])
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

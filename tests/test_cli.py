@@ -158,6 +158,15 @@ class TestBaseline:
         assert proc.returncode == 3
         assert "marginal of element 1 is NaN (add to S1)" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "alg,option,value",
+        [("dg", "--seed", "-1"), ("rp", "--seed", "-1"), ("rp", "--trials", "0"), ("rls", "--trials", "0")],
+    )
+    def test_out_of_range_option_is_usage_error(self, com_spec, alg, option, value):
+        proc = qsopt("baseline", "--alg", alg, "--spec", com_spec, option, value)
+        assert proc.returncode == 2
+        assert f"Invalid value for '{option}'" in proc.stderr
+
     def test_prefilter(self, com_spec):
         proc = qsopt("baseline", "--alg", "rp", "--spec", com_spec, "--trials", "3", "--seed", "1", "--prefilter")
         assert proc.returncode == 0

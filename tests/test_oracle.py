@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsopt import (
@@ -270,7 +270,8 @@ def assert_cursor_agrees(F, cursor, x, exact=False, det_scaled=False):
 
 @pytest.mark.parametrize("name,build", MOVE_INSTANCES, ids=[f[0] for f in MOVE_INSTANCES])
 def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
-    """Single moves between queries take the update path, bursts take the refactor."""
+    """Single moves between queries take the update path; bursts and moves into or
+    out of the empty set take the refactor."""
     F = build()
     n = F.n
     # exact updates, a refactor at every sync, or (generic) F evaluated afresh at every move
@@ -281,6 +282,8 @@ def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, (1 << n) - 1), st.lists(st.one_of(single, single, burst), max_size=30))
+    # {} -> {1} -> {} -> {1, 2}, one move at a time, each after a gains() read
+    @example(0, [[1], [1], [1], [2]])
     def walk(mask, rounds):
         x = SubsetBits(n, mask)
         cursor = F.cursor(x)
