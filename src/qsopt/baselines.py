@@ -7,8 +7,6 @@ trials could run independently.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -16,7 +14,7 @@ import numpy as np
 
 from .errors import InternalInvariantError
 from .functions import seeded_stream
-from .oracle import CountingOracle, require_no_nan
+from .oracle import CountingOracle
 from .sets import SubsetBits
 
 
@@ -51,11 +49,6 @@ def double_greedy(
     for i in order:
         gain_add = c1.add_marginal(i)
         gain_remove = -c2.drop_marginal(i)
-        # a NaN fails the keep test and would silently drop the element
-        if math.isnan(gain_add):
-            raise InternalInvariantError(f"double greedy: marginal of element {i} is NaN (add to S1)")
-        if math.isnan(gain_remove):
-            raise InternalInvariantError(f"double greedy: marginal of element {i} is NaN (drop from S2)")
         if randomized:
             a = max(gain_add, 0.0)
             b = max(gain_remove, 0.0)
@@ -77,14 +70,9 @@ def _best_of(trials: int, seed: int, run_trial: Callable[[int], BaselineResult])
     """Best of ``run_trial(t)`` for t < trials: the first strict best, with all calls summed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    best: Optional[BaselineResult] = None
-    calls = 0
-    for trial in range(trials):
-        result = run_trial(trial)
-        calls += result.oracle_calls
-        if best is None or result.value > best.value:
-            best = result
-    return BaselineResult(best.set, best.value, calls, seed)
+    results = [run_trial(trial) for trial in range(trials)]
+    best = max(results, key=lambda result: result.value)  # max keeps the first of equal values
+    return BaselineResult(best.set, best.value, sum(r.oracle_calls for r in results), seed)
 
 
 def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
@@ -98,40 +86,32 @@ def random_permutation_greedy(oracle, trials: int, seed: int) -> BaselineResult:
 
 
 def randomized_local_search(oracle, restarts: int, seed: int) -> BaselineResult:
-    """Steepest-ascent single-flip search from random starts; best over restarts.
+    """Steepest-ascent single-flip search from random starts; the best of ``restarts`` climbs.
 
     Each step reads the cursor's flip-gain vector once and applies the best
     strictly improving flip (lowest element id on ties); a set with no
     improving flip is a local maximum and ends the climb.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    counter = CountingOracle(oracle)
-    n = counter.n
-    best_set: Optional[SubsetBits] = None
-    best_value = -np.inf
-    ids = np.arange(1, n + 1)
-    for restart in range(restarts):
+
+    def climb(restart: int) -> BaselineResult:
+        counter = CountingOracle(oracle)
         rng = seeded_stream(seed, restart)
-        cursor = counter.cursor(SubsetBits.from_bool_array(rng.random(n) < 0.5))
-        for step in itertools.count():
+        cursor = counter.cursor(SubsetBits.from_bool_array(rng.random(counter.n) < 0.5))
+        while True:
             gains = cursor.gains()
-            require_no_nan(gains, ids, f"rls restart {restart} step {step}")
             # argmax takes the first maximum: the lowest id on ties
             best = int(np.argmax(gains))
             if gains[best] <= 0.0:
                 break
-            best_flip = best + 1
-            if cursor.members().contains(best_flip):
-                cursor.remove(best_flip)
+            flip = best + 1
+            if cursor.members().contains(flip):
+                cursor.remove(flip)
             else:
-                cursor.add(best_flip)
-        current = cursor.members()
-        value = counter.value(current)
-        if value > best_value:
-            best_value = value
-            best_set = current
-    return BaselineResult(best_set, float(best_value), counter.total_calls, seed)
+                cursor.add(flip)
+        local_max = cursor.members()
+        return BaselineResult(local_max, counter.value(local_max), counter.total_calls)
+
+    return _best_of(restarts, seed, climb)
 
 
 def randomized_bidirectional_greedy(oracle, trials: int, seed: int) -> BaselineResult:

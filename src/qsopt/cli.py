@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 config or usage error, 3 internal invariant
-violation (an algorithm guarantee failed at runtime, always worth a report).
+Exit codes: 0 success, 2 config, usage or unwritable-output error, 3 internal
+invariant violation (an algorithm guarantee failed at runtime, always worth a report).
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def baseline(
     default="full",
     show_default=True,
 )
-@click.option("--cap", type=int, default=DEFAULT_ENUMERATION_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=0), default=DEFAULT_ENUMERATION_CAP, show_default=True)
 @click.pass_obj
 def exact(state: CliState, spec_path: str, direction: str, within_from: str, cap: int) -> None:
     """Exhaustive optimum over the full cube or a reduced interval."""
@@ -260,7 +260,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 2
-    except (ConfigError, CapExceeded, ValueError) as exc:
+    except (ConfigError, CapExceeded, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except InternalInvariantError as exc:

@@ -47,9 +47,6 @@ def seeded_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-_stream = seeded_stream  # the name the acceptance suite imports
-
-
 #: Every family: how a checked spec builds its oracle, and the parameters the
 #: family takes, each with the kind its value must be and how a config error
 #: names that kind. The builders look their generators up at call time.

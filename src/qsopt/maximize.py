@@ -20,7 +20,7 @@ import numpy as np
 
 from .baselines import BaselineResult
 from .errors import InternalInvariantError
-from .oracle import CountingOracle, Cursor, SetFunctionOracle, require_no_nan
+from .oracle import CountingOracle, Cursor, SetFunctionOracle
 from .sets import GroundSet, IntervalLattice, SubsetBits
 
 
@@ -65,9 +65,7 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
         fy = counter.value(y)
         free = np.flatnonzero(y.to_bool_array() & ~x.to_bool_array()) + 1
         drops = cursor_y.drop_marginals(free)
-        require_no_nan(drops, free, f"uqsfmax iteration {t}, drop from Y")
         gains = cursor_x.add_marginals(free)
-        require_no_nan(gains, free, f"uqsfmax iteration {t}, add to X")
         added = free[drops > 0.0].tolist()
         removed = free[gains < 0.0].tolist()
         added_set = SubsetBits.from_members(n, added)

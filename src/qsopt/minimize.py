@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError
-from .oracle import CountingOracle, require_no_nan
+from .oracle import CountingOracle
 from .sets import IntervalLattice, SubsetBits
 
 
@@ -67,14 +67,12 @@ def uqsfmin(oracle, x0: SubsetBits) -> tuple[SubsetBits, MinTrace]:
         members = x.to_bool_array()
         outside = np.flatnonzero(~members) + 1
         gains = cursor.add_marginals(outside)
-        require_no_nan(gains, outside, f"uqsfmin iteration {t}, add")
         added = outside[gains < 0.0].tolist()
         for u in added:
             cursor.add(u)
         # cursor now sits at Y_t; drops are judged against it, members of X_t only
         inside = np.flatnonzero(members) + 1
         drops = cursor.drop_marginals(inside)
-        require_no_nan(drops, inside, f"uqsfmin iteration {t}, drop")
         removed = inside[drops > 0.0].tolist()
         for d in removed:
             cursor.remove(d)

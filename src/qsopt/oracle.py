@@ -40,6 +40,13 @@ two or more moves, and one move into or out of the empty set take a full
 refactor. So a baseline that moves once between queries pays one update per
 move, and a sweep that fixes many elements pays one refactor.
 Half_products' update is its refactor, one O(n) prefix sum.
+
+A NaN marginal fails every strict sign test, so an algorithm would take it
+for a fixed point. The one rule against it is here, not in the algorithms:
+the counting cursor checks every answer it forwards, and the generic cursor
+its two scalar queries, which its batches and ``gains()`` loop over. The
+InternalInvariantError, ``marginal of element 2 is NaN (drop at {1,2})``,
+names a query that ``F.cursor({1,2})`` replays.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InternalInvariantError
-from .sets import GroundSet, SubsetBits
+from .sets import GroundSet, SubsetBits, format_set
 
 EvalFn = Callable[[SubsetBits], float]
 MarginalFn = Callable[[int, SubsetBits], float]
@@ -62,6 +69,12 @@ ABS_TOL = 1e-12
 
 def values_close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = ABS_TOL) -> bool:
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_floor)
+
+
+def _nan_marginal(e: int, at: SubsetBits) -> InternalInvariantError:
+    """A NaN marginal of e at ``at``: an add query if e is outside, a drop if inside."""
+    query = "drop" if at.contains(e) else "add"
+    return InternalInvariantError(f"marginal of element {e} is NaN ({query} at {format_set(at)})")
 
 
 class Cursor:
@@ -84,7 +97,9 @@ class Cursor:
     cursor, say) still sees every query of a batch, one at a time, and needs
     no ``_oracle`` of its own. The family cursors go the other way: each has
     one formula per marginal, written for an id or an id array alike, and a
-    scalar query is that batch formula at the bare id.
+    scalar query is that batch formula at the bare id. The default
+    scalar queries check for NaN; a family cursor's answers are checked by
+    the counting cursor that wraps it.
 
     ``gains()`` is the signed flip-gain vector over all n elements: the add
     marginal of each element outside the anchored set and minus the drop
@@ -103,11 +118,17 @@ class Cursor:
 
     def add_marginal(self, u: int) -> float:
         """F(u | X) for u outside the anchored set X."""
-        return self._oracle.value(self._current.add(u)) - self._value
+        gain = self._oracle.value(self._current.add(u)) - self._value
+        if gain != gain:  # NaN, the one value unequal to itself
+            raise _nan_marginal(u, self._current)
+        return gain
 
     def drop_marginal(self, d: int) -> float:
         """F(d | X - d) = F(X) - F(X - d) for d inside the anchored set X."""
-        return self._value - self._oracle.value(self._current.remove(d))
+        gain = self._value - self._oracle.value(self._current.remove(d))
+        if gain != gain:
+            raise _nan_marginal(d, self._current)
+        return gain
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         """``add_marginal`` of each id in ``ids``, all outside the anchored set."""
@@ -192,7 +213,7 @@ class SetFunctionOracle:
 
 
 class _CountingCursor(Cursor):
-    """Counts marginal queries against a wrapped family cursor."""
+    """Counts and checks marginal queries against a wrapped family cursor."""
 
     def __init__(self, counter: "CountingOracle", inner: Cursor):
         # no super().__init__: the inner cursor owns the state
@@ -205,23 +226,36 @@ class _CountingCursor(Cursor):
 
     def add_marginal(self, u: int) -> float:
         self._counter.marginal_calls += 1
-        return self._inner.add_marginal(u)
+        gain = self._inner.add_marginal(u)
+        if gain != gain:  # NaN, the one value unequal to itself
+            raise _nan_marginal(u, self._inner.members())
+        return gain
 
     def drop_marginal(self, d: int) -> float:
         self._counter.marginal_calls += 1
-        return self._inner.drop_marginal(d)
+        gain = self._inner.drop_marginal(d)
+        if gain != gain:
+            raise _nan_marginal(d, self._inner.members())
+        return gain
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._counter.marginal_calls += len(ids)
-        return self._inner.add_marginals(ids)
+        return self._checked(self._inner.add_marginals(ids), ids)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._counter.marginal_calls += len(ids)
-        return self._inner.drop_marginals(ids)
+        return self._checked(self._inner.drop_marginals(ids), ids)
 
     def gains(self) -> np.ndarray:
         self._counter.marginal_calls += self._counter.n
-        return self._inner.gains()
+        return self._checked(self._inner.gains())
+
+    def _checked(self, marginals: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
+        """``marginals`` unless one is NaN; without ``ids`` they are a gains vector over 1..n."""
+        if np.isnan(marginals).any():
+            i = int(np.isnan(marginals).argmax())
+            raise _nan_marginal(i + 1 if ids is None else int(ids[i]), self._inner.members())
+        return marginals
 
     def add(self, u: int) -> None:
         self._inner.add(u)
@@ -236,7 +270,8 @@ class CountingOracle:
     ``eval_calls`` counts full evaluations, ``marginal_calls`` counts family
     cursor marginal queries (each worth at most two evaluations; a batch of k
     ids counts k, a ``gains()`` read n). Returned values are identical to the
-    wrapped oracle's.
+    wrapped oracle's, but a NaN marginal raises InternalInvariantError: every
+    query an algorithm makes goes through these cursors.
     """
 
     def __init__(self, inner):
@@ -265,17 +300,6 @@ class CountingOracle:
         if factory is not None:
             return _CountingCursor(self, factory(self.inner, start))
         return Cursor(self, start)  # generic cursor; its evals route through us
-
-
-def require_no_nan(gains: np.ndarray, ids: np.ndarray, where: str) -> None:
-    """Raise InternalInvariantError naming the first id whose marginal is NaN.
-
-    A NaN fails every strict sign test, so without this check a NaN oracle
-    would pass for a fixed point.
-    """
-    if np.isnan(gains).any():
-        bad = int(ids[np.flatnonzero(np.isnan(gains))[0]])
-        raise InternalInvariantError(f"{where}: marginal of element {bad} is NaN")
 
 
 def eval_table(oracle, n: int) -> np.ndarray:

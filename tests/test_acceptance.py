@@ -37,7 +37,7 @@ from qsopt import (
     uqsfmax,
 )
 from qsopt.functions import (
-    _stream,
+    seeded_stream as _stream,
     make_cobb_douglas,
     make_com,
     make_half_products,

@@ -24,6 +24,9 @@ from qsopt.sets import IntervalLattice
 
 from conftest import NAN_TABLE, nonneg_submodular_oracle
 
+# the stem, the element, and the query with the set it was asked at
+NAN_WITNESS = r"marginal of element \d is NaN \((add|drop) at \{[\d,]*\}\)"
+
 
 class TestDoubleGreedy:
     def test_reference_table_hand_trace(self, prop_oracle):
@@ -61,8 +64,8 @@ class TestDoubleGreedy:
     @pytest.mark.parametrize(
         "order,message",
         [
-            ([1, 2, 3], r"marginal of element 1 is NaN \(add to S1\)"),
-            ([2, 3, 1], r"marginal of element 3 is NaN \(drop from S2\)"),
+            ([1, 2, 3], r"marginal of element 1 is NaN \(add at \{\}\)"),
+            ([2, 3, 1], r"marginal of element 3 is NaN \(drop at \{1,3\}\)"),
         ],
     )
     @pytest.mark.parametrize("randomized", [False, True])
@@ -104,7 +107,7 @@ class TestRandomPermutationGreedy:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_nan_marginal_fails_loudly(self, seed):
-        with pytest.raises(InternalInvariantError, match=r"double greedy: marginal of element \d is NaN"):
+        with pytest.raises(InternalInvariantError, match=NAN_WITNESS):
             random_permutation_greedy(make_tabular(NAN_TABLE), 2, seed)
 
 
@@ -131,7 +134,7 @@ class TestRandomizedLocalSearch:
     @pytest.mark.parametrize("seed", range(4))
     def test_nan_marginal_fails_loudly(self, seed):
         # every climb ends at {} or passes a set next to {1}, where a marginal is NaN
-        with pytest.raises(InternalInvariantError, match=r"rls restart 0 step \d+: marginal of element \d is NaN"):
+        with pytest.raises(InternalInvariantError, match=NAN_WITNESS):
             randomized_local_search(make_tabular(NAN_TABLE), 1, seed)
 
 
@@ -149,7 +152,7 @@ class TestRandomizedBidirectionalGreedy:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_nan_marginal_fails_loudly(self, seed):
-        with pytest.raises(InternalInvariantError, match=r"double greedy: marginal of element \d is NaN"):
+        with pytest.raises(InternalInvariantError, match=NAN_WITNESS):
             randomized_bidirectional_greedy(make_tabular(NAN_TABLE), 2, seed)
 
     def test_mean_ratio_on_nonnegative_submodular(self):

@@ -156,7 +156,7 @@ class TestBaseline:
         save_spec(tabular_spec(NAN_TABLE), path)
         proc = qsopt("baseline", "--alg", "dg", "--spec", str(path))
         assert proc.returncode == 3
-        assert "marginal of element 1 is NaN (add to S1)" in proc.stderr
+        assert "marginal of element 1 is NaN (add at {})" in proc.stderr
 
     @pytest.mark.parametrize(
         "alg,option,value",
@@ -196,7 +196,12 @@ class TestExact:
         path.write_text(json.dumps({"family": "tabular", "n": 3, "params": {"values": NAN_TABLE}}))
         proc = qsopt("min", "--spec", str(path))
         assert proc.returncode == 3
-        assert "marginal of element 1 is NaN" in proc.stderr
+        assert "marginal of element 1 is NaN (add at {})" in proc.stderr
+
+    def test_negative_cap_is_usage_error(self, com_spec):
+        proc = qsopt("exact", "--spec", com_spec, "--direction", "max", "--cap", "-1")
+        assert proc.returncode == 2
+        assert "Invalid value for '--cap'" in proc.stderr
 
     def test_nan_value_exit_code(self, tmp_path):
         path = tmp_path / "nan.json"
@@ -275,6 +280,23 @@ class TestBench:
         proc = qsopt("bench", "--config", str(cfg_path), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and field in proc.stderr
+
+    def test_out_under_a_file_is_config_error(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "reduction", "families": ["com"], "sizes": [6], "trials": 1}))
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "sub"
+        proc = qsopt("bench", "--config", str(cfg_path), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and str(out) in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["min", "max"])
+def test_unwritable_trace_is_config_error(command, com_spec, tmp_path):
+    trace = tmp_path / "missing" / "t.csv"
+    proc = qsopt(command, "--spec", com_spec, "--trace", str(trace))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and str(trace) in proc.stderr
 
 
 def test_seed_override(tmp_path):

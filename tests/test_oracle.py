@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,8 +9,10 @@ from hypothesis import strategies as st
 from qsopt import (
     CountingOracle,
     GroundSet,
+    InternalInvariantError,
     SetFunctionOracle,
     SubsetBits,
+    double_greedy,
     make_com,
     make_determinant,
     make_half_products,
@@ -17,8 +22,13 @@ from qsopt import (
     make_random_qsb,
     make_tabular,
     min_lattice,
+    parse_set,
+    random_permutation_greedy,
+    randomized_bidirectional_greedy,
     randomized_local_search,
+    u_prefix,
     uqsfmax,
+    uqsfmin,
     values_close,
 )
 from qsopt.functions import _FacilityCursor, facility_value, seeded_stream
@@ -26,7 +36,7 @@ from qsopt.maximize import restricted_oracle
 from qsopt.oracle import ABS_TOL, REL_TOL, Cursor
 from qsopt.sets import IntervalLattice
 
-from conftest import PROP_TABLE
+from conftest import NAN_TABLE, PROP_TABLE
 
 
 def test_marginal_gain_reference_table():
@@ -458,3 +468,36 @@ def test_single_element_determinant_sweeps_reach_empty_set(seed):
         return min_lattice(G), uqsfmax(G), randomized_local_search(G, 3, seed)
 
     assert runs(F) == runs(scalar_only(F))
+
+
+NAN_RUNS = [
+    ("uqsfmin", lambda F: uqsfmin(F, SubsetBits.empty(3)), 1, "add", "{}"),
+    ("uqsfmax", uqsfmax, 1, "add", "{}"),
+    ("dg", lambda F: double_greedy(F, [1, 2, 3]), 1, "add", "{}"),
+    ("dg_drop", lambda F: double_greedy(F, [2, 3, 1]), 3, "drop", "{1,3}"),
+    ("rp", lambda F: random_permutation_greedy(F, 1, 7), 3, "drop", "{1,3}"),
+    ("rg", lambda F: randomized_bidirectional_greedy(F, 2, 0), 1, "add", "{}"),
+    ("rls", lambda F: randomized_local_search(F, 1, 0), 1, "add", "{}"),
+    ("rls_drop", lambda F: randomized_local_search(F, 1, 9), 2, "drop", "{1,2}"),
+    ("u_prefix_rls", lambda F: u_prefix(F, lambda G: randomized_local_search(G, 1, 0)), 1, "add", "{}"),
+]
+NAN_ORACLES = {
+    "family": lambda: make_tabular(NAN_TABLE),
+    "generic": lambda: SetFunctionOracle(GroundSet(3), make_tabular(NAN_TABLE).value),
+    "scalar_only": lambda: scalar_only(make_tabular(NAN_TABLE)),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(NAN_ORACLES))
+@pytest.mark.parametrize("name,run,element,query,at", NAN_RUNS, ids=[r[0] for r in NAN_RUNS])
+def test_nan_marginal_raises_with_replayable_witness(oracle, name, run, element, query, at):
+    """F({1}) is NaN: every algorithm stops at its first NaN marginal, whatever cursor answers.
+
+    The message names the element, the query and the anchored set; the family
+    cursor at that set answers the same query with NaN.
+    """
+    witness = f"marginal of element {element} is NaN ({query} at {at})"
+    with pytest.raises(InternalInvariantError, match=f"^{re.escape(witness)}$"):
+        run(NAN_ORACLES[oracle]())
+    replay = make_tabular(NAN_TABLE).cursor(parse_set(at, 3))
+    assert math.isnan(getattr(replay, f"{query}_marginal")(element))
