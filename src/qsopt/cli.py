@@ -6,6 +6,7 @@ invariant violation (an algorithm guarantee failed at runtime, always worth a re
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import sys
 from dataclasses import dataclass, replace
@@ -105,17 +106,21 @@ def check(state: CliState, spec_path: str, prop: str) -> None:
             click.echo(f"{name}: holds=false witness: {verdict.witness.describe()}")
 
 
-def _write_trace(path: str, trace, values: tuple[str, ...]) -> None:
+def _open_trace(path: Optional[str]):
+    """The ``--trace`` file, opened before the run so that an unwritable path fails first."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext()
+
+
+def _write_trace(fh, trace, values: tuple[str, ...]) -> None:
     """One CSV row per iteration; ``values`` names the step's value fields."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "added", "removed", *values, "eval_calls"])
-        for step in trace.steps:
-            writer.writerow(
-                [step.t, format_set(step.added), format_set(step.removed)]
-                + [repr(getattr(step, v)) for v in values]
-                + [step.eval_calls]
-            )
+    writer = csv.writer(fh)
+    writer.writerow(["t", "added", "removed", *values, "eval_calls"])
+    for step in trace.steps:
+        writer.writerow(
+            [step.t, format_set(step.added), format_set(step.removed)]
+            + [repr(getattr(step, v)) for v in values]
+            + [step.eval_calls]
+        )
 
 
 @cli.command(name="min")
@@ -136,9 +141,10 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
             x0 = parse_set(start, n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    result, trace = uqsfmin(oracle, x0)
-    if trace_path:
-        _write_trace(trace_path, trace, ("value",))
+    with _open_trace(trace_path) as fh:
+        result, trace = uqsfmin(oracle, x0)
+        if fh is not None:
+            _write_trace(fh, trace, ("value",))
     state.say(f"start={format_set(x0)} result={format_set(result)}")
     state.say(
         f"value={oracle.value(result)!r} iterations={trace.iterations} "
@@ -153,9 +159,10 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
 def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
     """Shrink [empty, full] to the interval bracketing every maximum."""
     oracle, spec = _load_oracle(state, spec_path)
-    lattice, trace = uqsfmax(oracle)
-    if trace_path:
-        _write_trace(trace_path, trace, ("fx", "fy"))
+    with _open_trace(trace_path) as fh:
+        lattice, trace = uqsfmax(oracle)
+        if fh is not None:
+            _write_trace(fh, trace, ("fx", "fy"))
     free = lattice_free_count(lattice)
     # the endpoints carry no local-optimality guarantee: informational, and
     # the 2n extra evaluations are skipped at large n

@@ -367,13 +367,44 @@ def make_half_products(n: int, seed: int) -> SetFunctionOracle:
 # Perturbed facility location: F(X) = sum_j max_{i in X} M[i,j] + sigma(X),
 # with the max over an empty X taken as 0.
 
+#: Rows of the matrix that one facility pass gathers at a time: every
+#: temporary of the family is at most this many rows.
+_FACILITY_BLOCK = 512
 
-def _top_two(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column maximum, second largest (0 for one row) and count of the maximum."""
-    k = sub.shape[0]
-    max1 = sub.max(axis=0)
-    max2 = np.partition(sub, k - 2, axis=0)[k - 2] if k >= 2 else np.zeros(sub.shape[1])
-    return max1, max2, (sub == max1).sum(axis=0)
+
+def _row_blocks(ids: np.ndarray):
+    """Consecutive slices of ``ids``, ``_FACILITY_BLOCK`` at a time."""
+    return (ids[s : s + _FACILITY_BLOCK] for s in range(0, len(ids), _FACILITY_BLOCK))
+
+
+def _top_two(mat: np.ndarray, rows: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column maximum, second largest (0 for one row) and count of the maximum.
+
+    Taken over the 0-based ``rows`` of ``mat`` (at least one) and the columns
+    ``cols`` (all when None), one row block at a time. In a block, max2 is the
+    largest value left once max1 is masked to -inf, or max1 itself where two
+    rows reach it; the second largest counted with multiplicity, either way.
+    Two blocks merge exactly: the counts add where a block reaches the larger
+    max1, and max2 is the largest of both max2 and the smaller max1.
+    """
+    max1 = max2 = counts = None
+    for block in _row_blocks(rows):
+        sub = mat[block] if cols is None else mat[np.ix_(block, cols)]  # a copy: masked in place
+        b1 = sub.max(axis=0)
+        hit = sub == b1
+        bc = hit.sum(axis=0)
+        np.copyto(sub, -np.inf, where=hit)
+        b2 = np.where(bc >= 2, b1, sub.max(axis=0))
+        if max1 is None:
+            max1, max2, counts = b1, b2, bc
+            continue
+        new1 = np.maximum(max1, b1)
+        counts = np.where(max1 == new1, counts, 0) + np.where(b1 == new1, bc, 0)
+        max2 = np.maximum(np.maximum(max2, b2), np.minimum(max1, b1))
+        max1 = new1
+    if len(rows) < 2:
+        max2 = np.zeros(len(max1))
+    return max1, max2, counts
 
 
 class _FacilityCursor(_EpochCursor):
@@ -384,6 +415,13 @@ class _FacilityCursor(_EpochCursor):
     members reach max1. Updates are exact, so they match a refactor bit for
     bit: adding a row costs O(d); removing one recomputes only the columns
     where the row reached max2, the only ones whose statistics can change.
+
+    Every pass over the matrix (the refactor, a removal's column rescan, the
+    batch marginals and the rows a gains refresh scans) takes its rows in
+    blocks of ``_FACILITY_BLOCK``, so no temporary is larger than a block
+    by d. Each row reduces on its own and a column max is exact, so the bits
+    do not depend on the block. A bare id, or a batch of at most one block,
+    is one direct call.
 
     Once ``gains()`` has been read, an update also refreshes the rows of the
     flip-gain vector it can change: the flipped row and every row that
@@ -402,9 +440,9 @@ class _FacilityCursor(_EpochCursor):
         self._gains = None
 
     def _refactor(self) -> None:
-        m = self._current.to_bool_array()
-        if m.any():
-            self._max1, self._max2, self._counts = _top_two(self._mat[m])
+        rows = np.flatnonzero(self._current.to_bool_array())
+        if len(rows):
+            self._max1, self._max2, self._counts = _top_two(self._mat, rows)
         else:
             d = self._mat.shape[1]
             self._max1 = np.zeros(d)
@@ -429,8 +467,8 @@ class _FacilityCursor(_EpochCursor):
         cols = np.flatnonzero(self._mat[d - 1] >= self._max2)
         kept = self._gains is not None
         old = (self._max1[cols], self._max2[cols], self._counts[cols]) if kept else None
-        idx = np.flatnonzero(self._current.to_bool_array())
-        max1, max2, counts = _top_two(self._mat[np.ix_(idx, cols)])
+        rows = np.flatnonzero(self._current.to_bool_array())
+        max1, max2, counts = _top_two(self._mat, rows, cols)
         self._max1[cols] = max1
         self._max2[cols] = max2
         self._counts[cols] = counts
@@ -447,7 +485,10 @@ class _FacilityCursor(_EpochCursor):
         changed = (new1 != old1) | (self._max2[cols] != old2) | (self._counts[cols] != old_counts)
         reach = np.minimum(old1, new1)[changed]
         touched = np.arange(self._mat.shape[1])[cols][changed]
-        rows = (self._mat[:, touched] >= reach).any(axis=1)
+        n, block = self._mat.shape[0], _FACILITY_BLOCK
+        rows = np.empty(n, dtype=bool)
+        for s in range(0, n, block):
+            rows[s : s + block] = (self._mat[s : s + block, touched] >= reach).any(axis=1)
         rows[e - 1] = True
         self._fill_gains(np.flatnonzero(rows))
 
@@ -457,6 +498,8 @@ class _FacilityCursor(_EpochCursor):
         self._gains[rows[~inside]] = self._add_rows(rows[~inside] + 1)
 
     def _add_rows(self, ids: np.ndarray) -> np.ndarray:
+        if isinstance(ids, np.ndarray) and len(ids) > _FACILITY_BLOCK:
+            return np.concatenate([self._add_rows(block) for block in _row_blocks(ids)])
         # take copies even one row; indexing by a bare id gives a view the in-place ops would write
         gains = self._mat.take(ids - 1, axis=0)
         gains -= self._max1
@@ -464,6 +507,8 @@ class _FacilityCursor(_EpochCursor):
         return gains.sum(axis=-1) + self._sigma[ids - 1]
 
     def _drop_rows(self, ids: np.ndarray) -> np.ndarray:
+        if isinstance(ids, np.ndarray) and len(ids) > _FACILITY_BLOCK:
+            return np.concatenate([self._drop_rows(block) for block in _row_blocks(ids)])
         loses = (self._mat[ids - 1] == self._max1) & (self._counts == 1)
         return ((self._max1 - self._max2) * loses).sum(axis=-1) + self._sigma[ids - 1]
 
@@ -484,10 +529,16 @@ class _FacilityCursor(_EpochCursor):
 
 
 def facility_value(mat: np.ndarray, sigma: np.ndarray, members: np.ndarray) -> float:
-    """Column-wise best facility among the members plus modular noise; empty gives 0."""
-    if not members.any():
+    """Column-wise best facility among the members plus modular noise; empty gives 0.
+
+    The column max is taken over row blocks of the members: a max is exact,
+    so the value has the bits of one max over all of them.
+    """
+    rows = np.flatnonzero(members)
+    if not len(rows):
         return 0.0
-    return float(mat[members].max(axis=0).sum() + sigma @ members)
+    best = functools.reduce(np.maximum, (mat[block].max(axis=0) for block in _row_blocks(rows)))
+    return float(best.sum() + sigma @ members)
 
 
 def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
@@ -706,11 +757,12 @@ class _DeterminantCursor(_EpochCursor):
         return out
 
 
-#: Rows of the squared-distance matrix built per block in ``_determinant_kernel``.
+#: Rows of the kernel built per block in ``_determinant_kernel``.
 _KERNEL_BLOCK = 64
 
 
-def _determinant_kernel(n: int, seed: int) -> np.ndarray:
+def _kernel_points(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n clustered points of the kernel, one per row, and their qualities."""
     p = _KERNEL_PARAMS
     rng = seeded_stream(seed, 0)
     qrng = seeded_stream(seed, 1)
@@ -753,15 +805,32 @@ def _determinant_kernel(n: int, seed: int) -> np.ndarray:
             points[placed + j] = offset(center, rng.uniform(p["rho_lo"], p["rho_hi"]))
             quality[placed + j] = qrng.uniform(p["q_lo"], p["q_hi"])
         placed += size
+    return points, quality
 
-    # row blocks keep the difference temporary at _KERNEL_BLOCK x n x dim
-    sq_dist = np.empty((n, n))
+
+def _determinant_kernel(n: int, seed: int) -> np.ndarray:
+    points, quality = _kernel_points(n, seed)
+    ell = float(_KERNEL_PARAMS["length_scale"])
+    # Each row block is built in place in the one n x n output, so the only
+    # temporaries are one _KERNEL_BLOCK x n x dim difference buffer and a
+    # block's quality products: q_i q_j exp(-|x_i - x_j|^2 / (2 l^2)), in IEEE
+    # steps that give the bits of the one-shot formula. The kernel is exactly
+    # symmetric with no (K + K^T) / 2: (x_i - x_j)^2 and (x_j - x_i)^2 are the
+    # same number, and so are q_i q_j and q_j q_i. The jitter goes on the
+    # diagonal alone.
+    kernel = np.empty((n, n))
+    buffer = np.empty((min(n, _KERNEL_BLOCK), n, points.shape[1]))
     for s in range(0, n, _KERNEL_BLOCK):
-        diff = points[s : s + _KERNEL_BLOCK, None, :] - points[None, :, :]
-        sq_dist[s : s + _KERNEL_BLOCK] = (diff**2).sum(axis=-1)
-    kernel = np.outer(quality, quality) * np.exp(-sq_dist / (2.0 * ell * ell))
-    kernel += float(p["jitter"]) * np.eye(n)
-    return (kernel + kernel.T) / 2.0
+        block = kernel[s : s + _KERNEL_BLOCK]
+        diff = buffer[: len(block)]
+        np.subtract(points[s : s + _KERNEL_BLOCK, None, :], points, out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=-1, out=block)
+        block /= -(2.0 * ell * ell)
+        np.exp(block, out=block)
+        block *= np.outer(quality[s : s + _KERNEL_BLOCK], quality)
+    kernel.flat[:: n + 1] += float(_KERNEL_PARAMS["jitter"])
+    return kernel
 
 
 def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> float:

@@ -299,6 +299,18 @@ def test_unwritable_trace_is_config_error(command, com_spec, tmp_path):
     assert proc.stderr.startswith("error:") and str(trace) in proc.stderr
 
 
+@pytest.mark.parametrize("command,reduction", [("min", "uqsfmin"), ("max", "uqsfmax")])
+def test_unwritable_trace_fails_before_the_reduction(command, reduction, com_spec, tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError(f"{reduction} ran before --trace was opened")
+
+    monkeypatch.setattr(cli_module, reduction, unreachable)
+    trace = tmp_path / "missing" / "t.csv"
+    assert cli_module.main([command, "--spec", com_spec, "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(trace) in err
+
+
 def test_seed_override(tmp_path):
     path = tmp_path / "com.json"
     save_spec(FunctionSpec("com", 8, 1), path)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,10 +27,12 @@ from qsopt import (
     make_perturbed_facility,
     make_random_qsb,
     make_tabular,
+    min_lattice,
     principal_determinant,
     satisfies_ssbc,
     save_spec,
     tabular_spec,
+    uqsfmax,
     values_close,
 )
 from qsopt import functions
@@ -117,6 +120,32 @@ class TestPerturbedFacility:
             want = facility_value(F.params["M"], F.params["sigma"], x.to_bool_array())
             assert values_close(F.value(x), want)
 
+    def test_blocked_value_equals_one_shot_value(self):
+        """Row blocks of the members give the bits of one column max over all of them."""
+        n = 2 * functions._FACILITY_BLOCK + 37
+        F = make_perturbed_facility(n, 30, 2)
+        mat, sigma = F.params["M"], F.params["sigma"]
+        rng = np.random.default_rng(0)
+        for density in (0.001, 0.1, 0.5, 0.9, 1.0):
+            for _ in range(8):
+                members = rng.random(n) < density
+                members[rng.integers(n)] = True
+                want = float(mat[members].max(axis=0).sum() + sigma @ members)
+                assert facility_value(mat, sigma, members).hex() == want.hex()
+
+    def test_reductions_hold_temporaries_below_the_matrix(self):
+        """Every pass over the matrix is a row block: the reductions' peak stays under M."""
+        F = make_perturbed_facility(2000, 200, 1)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            min_lattice(F)
+            uqsfmax(F)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * F.params["M"].nbytes
+
 
 class TestDeterminant:
     def test_empty(self):
@@ -149,6 +178,30 @@ class TestDeterminant:
         monkeypatch.setattr(functions, "_KERNEL_BLOCK", n)  # one block: the one-shot formula
         one_shot = make_determinant(n, 7).params["kernel"]
         assert np.array_equal(blocked, one_shot)
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 200])
+    def test_in_place_kernel_equals_symmetrized_formula(self, n, seed):
+        """The in-place build has the bits of the full-matrix formula, symmetrized."""
+        points, quality = functions._kernel_points(n, seed)
+        ell = functions._KERNEL_PARAMS["length_scale"]
+        sq_dist = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+        want = np.outer(quality, quality) * np.exp(-sq_dist / (2.0 * ell * ell))
+        want += functions._KERNEL_PARAMS["jitter"] * np.eye(n)
+        want = (want + want.T) / 2.0
+        got = functions._determinant_kernel(n, seed)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, got.T)
+
+    def test_kernel_build_peaks_near_its_output(self):
+        """Only a row block's temporaries live beside the n x n kernel."""
+        tracemalloc.start()
+        try:
+            kernel = functions._determinant_kernel(1000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * kernel.nbytes
 
 
 class TestCobbDouglas:

@@ -31,6 +31,7 @@ from qsopt import (
     uqsfmin,
     values_close,
 )
+from qsopt import functions
 from qsopt.functions import _FacilityCursor, facility_value, seeded_stream
 from qsopt.maximize import restricted_oracle
 from qsopt.oracle import ABS_TOL, REL_TOL, Cursor
@@ -278,15 +279,9 @@ def assert_cursor_agrees(F, cursor, x, exact=False, det_scaled=False):
             assert (g > 0.0, g < 0.0) == (w > 0.0, w < 0.0), (g, w)
 
 
-@pytest.mark.parametrize("name,build", MOVE_INSTANCES, ids=[f[0] for f in MOVE_INSTANCES])
-def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
-    """Single moves between queries take the update path; bursts and moves into or
-    out of the empty set take the refactor."""
-    F = build()
+def walk_move_patterns(F, exact=False, det_scaled=False):
+    """Random walks of single moves and bursts, each checked by ``assert_cursor_agrees``."""
     n = F.n
-    # exact updates, a refactor at every sync, or (generic) F evaluated afresh at every move
-    exact = "facility" in name or name in ("half_products", "generic")
-    det_scaled = "determinant" in name
     single = st.lists(st.integers(1, n), min_size=1, max_size=1)
     burst = st.lists(st.integers(1, n), min_size=2, max_size=5)
 
@@ -310,6 +305,53 @@ def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
             assert_cursor_agrees(F, cursor, x, exact, det_scaled)
 
     walk()
+
+
+@pytest.mark.parametrize("name,build", MOVE_INSTANCES, ids=[f[0] for f in MOVE_INSTANCES])
+def test_cursor_agrees_with_fresh_cursor_under_move_patterns(name, build):
+    """Single moves between queries take the update path; bursts and moves into or
+    out of the empty set take the refactor."""
+    # exact updates, a refactor at every sync, or (generic) F evaluated afresh at every move
+    exact = "facility" in name or name in ("half_products", "generic")
+    walk_move_patterns(build(), exact, det_scaled="determinant" in name)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("name", ["tied_facility", "small_facility"])
+def test_facility_cursor_agrees_under_move_patterns_in_small_blocks(name, block, monkeypatch):
+    """Row blocks of 1-3 rows make every facility pass merge blocks, ties included."""
+    monkeypatch.setattr(functions, "_FACILITY_BLOCK", block)
+    walk_move_patterns(dict(MOVE_INSTANCES)[name](), exact=True)
+
+
+BLOCK = functions._FACILITY_BLOCK
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]),
+    st.integers(1, 6),
+    st.sampled_from([2, 5, 40, 4000]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@example(2 * BLOCK + 1, 3, 2, 0, True)
+def test_top_two_matches_sorted_columns(k, d, levels, seed, all_columns):
+    """The blocked two-max equals a column sort, on k rows around the block size.
+
+    The matrices are quarter steps of ``levels`` integers, so few levels tie
+    the maximum across blocks and many levels leave it to one row.
+    """
+    rng = np.random.default_rng(seed)
+    mat = rng.integers(0, levels, (k + 5, d)) / 4.0
+    rows = np.sort(rng.choice(k + 5, k, replace=False))
+    cols = None if all_columns else np.flatnonzero(rng.random(d) < 0.6)
+    sub = mat[rows] if cols is None else mat[np.ix_(rows, cols)]
+    ordered = -np.sort(-sub, axis=0)
+    max1, max2, counts = functions._top_two(mat, rows, cols)
+    assert np.array_equal(max1, ordered[0])
+    assert np.array_equal(max2, ordered[1] if k >= 2 else np.zeros(sub.shape[1]))
+    assert np.array_equal(counts, (sub == ordered[0]).sum(axis=0))
 
 
 @pytest.mark.parametrize("direction", ["down", "up"])
