@@ -3,7 +3,8 @@
 Families: iwata, com (concave-over-modular), half_products (served as the
 negated maximization objective), perturbed_facility, determinant,
 cobb_douglas, and small tabular functions, each named once in ``_FAMILIES``
-with its builder and the parameters it takes. Each family is a value formula
+with its builder and the parameters it takes (``family_parameters`` names
+those to the harness). Each family is a value formula
 on a membership array plus one cursor class, which ``_family_oracle`` puts
 together (tabular, looked up by mask, builds its own). A cursor's batch
 formulas take an id or an id array alike: a scalar query is the batch at the
@@ -62,6 +63,12 @@ _FAMILIES = {
     "cobb_douglas": (lambda spec: make_cobb_douglas(spec.n, spec.seed), {}),
     "tabular": (lambda spec: make_tabular(spec.params["values"]), {"values": (list, "a list")}),
 }
+
+
+def family_parameters(family) -> tuple[str, ...]:
+    """The names of the parameters ``family`` takes; a name that is no family takes none."""
+    entry = _FAMILIES.get(family) if isinstance(family, str) else None
+    return tuple(entry[1]) if entry else ()
 
 
 @dataclass

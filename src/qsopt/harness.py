@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from statistics import mean, median
 from typing import Optional
@@ -26,7 +26,7 @@ from .baselines import (
 )
 from .errors import ConfigError, QsoptError, require_kind
 from .exact import TABLE_MAX_N, exact_opt
-from .functions import FunctionSpec, instantiate
+from .functions import FunctionSpec, family_parameters, instantiate
 from .maximize import u_prefix, uqsfmax
 from .minimize import min_lattice
 from .sets import (
@@ -84,6 +84,9 @@ class ExperimentConfig:
             raise ConfigError("families must be non-empty")
         if not self.sizes:
             raise ConfigError("sizes must be non-empty")
+        size_keys = ["n"]  # and each parameter that a configured family takes
+        for family in self.families:
+            size_keys += [k for k in family_parameters(family) if k not in size_keys]
         norm = []
         for i, entry in enumerate(self.sizes):
             if isinstance(entry, int):
@@ -91,8 +94,9 @@ class ExperimentConfig:
             if not isinstance(entry, dict) or "n" not in entry:
                 raise ConfigError(f"size entries need an 'n' field, got {entry!r}")
             for key, value in entry.items():
-                if key not in ("n", "d"):
-                    raise ConfigError(f"unknown size field 'sizes[{i}].{key}'; pick from n, d")
+                if key not in size_keys:
+                    pick = ", ".join(size_keys)
+                    raise ConfigError(f"unknown size field 'sizes[{i}].{key}'; pick from {pick}")
                 require_kind(value, numbers.Integral, "an integer", f"config field 'sizes[{i}].{key}'")
             norm.append({k: int(v) for k, v in entry.items()})
         self.sizes = norm
@@ -139,15 +143,6 @@ class RunRow:
     eval_calls: Optional[int] = None
     wall_ms: Optional[float] = None
 
-    def to_csv(self) -> str:
-        return ",".join(
-            "" if v is None else (repr(v) if isinstance(v, float) else str(v))
-            for v in self.to_dict().values()
-        )
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 RUN_CSV_HEADER = ",".join(f.name for f in fields(RunRow))
 
@@ -168,8 +163,42 @@ class CellAggregate:
     mean_wall_ms: Optional[float] = None
     median_wall_ms: Optional[float] = None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
+
+#: Every statistic of a ``CellAggregate``: the run field it reduces over the
+#: cell's runs that set it, and how. No such run leaves the statistic blank.
+_STATISTICS = {
+    "mean_rate": ("reduction_rate", mean),
+    "min_rate": ("reduction_rate", min),
+    "max_rate": ("reduction_rate", max),
+    "mean_ratio": ("ratio", mean),
+    "mean_value": ("value", mean),
+    "mean_eval_calls": ("eval_calls", mean),
+    "mean_wall_ms": ("wall_ms", mean),
+    "median_wall_ms": ("wall_ms", median),
+}
+
+
+def _cell(name: str, value) -> str:
+    """The CSV text of a record field: blank for None, a float's repr for a float or a statistic.
+
+    A statistic is a float in the CSV even where ``mean`` of integer call
+    counts returns an int; the JSON keeps the value as the reducer returns it.
+    """
+    if value is None:
+        return ""
+    if isinstance(value, float) or name in _STATISTICS:
+        return repr(float(value))
+    return str(value)
+
+
+def _csv(record_type, records: list) -> str:
+    lines = [",".join(f.name for f in fields(record_type))]
+    lines += [",".join(_cell(k, v) for k, v in asdict(r).items()) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 @dataclass
@@ -183,80 +212,37 @@ class RunReport:
         for row in self.rows:
             cells.setdefault((row.family, row.n, row.algorithm, row.direction), []).append(row)
         out = []
-        for (family, n, alg, direction), rows in cells.items():
-            rates = [r.reduction_rate for r in rows if r.reduction_rate is not None]
-            ratios = [r.ratio for r in rows if r.ratio is not None]
-            values = [r.value for r in rows if r.value is not None]
-            calls = [r.eval_calls for r in rows if r.eval_calls is not None]
-            walls = [r.wall_ms for r in rows if r.wall_ms is not None]
-            out.append(
-                CellAggregate(
-                    family,
-                    n,
-                    alg,
-                    direction,
-                    runs=len(rows),
-                    mean_rate=mean(rates) if rates else None,
-                    min_rate=min(rates) if rates else None,
-                    max_rate=max(rates) if rates else None,
-                    mean_ratio=mean(ratios) if ratios else None,
-                    mean_value=mean(values) if values else None,
-                    mean_eval_calls=mean(calls) if calls else None,
-                    mean_wall_ms=mean(walls) if walls else None,
-                    median_wall_ms=median(walls) if walls else None,
-                )
-            )
+        for key, rows in cells.items():
+            stats = {}
+            for name, (run_field, reduce) in _STATISTICS.items():
+                values = [getattr(r, run_field) for r in rows if getattr(r, run_field) is not None]
+                stats[name] = reduce(values) if values else None
+            out.append(CellAggregate(*key, runs=len(rows), **stats))
         return out
 
     def runs_csv(self) -> str:
-        lines = [RUN_CSV_HEADER]
-        lines += [row.to_csv() for row in self.rows]
-        return "\n".join(lines) + "\n"
+        return _csv(RunRow, self.rows)
 
     def summary_csv(self) -> str:
-        names = [f.name for f in fields(CellAggregate)]
-        split = names.index("runs") + 1  # the cell key and run count, then the statistics
-        lines = [",".join(names)]
-        for agg in self.aggregates():
-            d = agg.to_dict()
-            cols = [str(d[k]) for k in names[:split]]
-            cols += ["" if d[k] is None else repr(float(d[k])) for k in names[split:]]
-            lines.append(",".join(cols))
-        return "\n".join(lines) + "\n"
+        return _csv(CellAggregate, self.aggregates())
 
     def write(self, out_dir: str | Path, fmt: str = "csv") -> list[Path]:
+        """Write runs, then the summary, then ``failures.json`` when a trial failed."""
+        if fmt == "csv":
+            texts = {"runs.csv": self.runs_csv(), "summary.csv": self.summary_csv()}
+        else:
+            rows = [asdict(r) for r in self.rows]
+            texts = {
+                "runs.json": _json({"experiment": self.experiment, "rows": rows, "failures": self.failures}),
+                "summary.json": _json([asdict(a) for a in self.aggregates()]),
+            }
+        if self.failures:
+            texts["failures.json"] = _json(self.failures)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
-        if fmt == "csv":
-            runs = out / "runs.csv"
-            runs.write_text(self.runs_csv())
-            summary = out / "summary.csv"
-            summary.write_text(self.summary_csv())
-            written += [runs, summary]
-        else:
-            runs = out / "runs.json"
-            runs.write_text(
-                json.dumps(
-                    {
-                        "experiment": self.experiment,
-                        "rows": [r.to_dict() for r in self.rows],
-                        "failures": self.failures,
-                    },
-                    indent=2,
-                )
-                + "\n"
-            )
-            summary = out / "summary.json"
-            summary.write_text(
-                json.dumps([a.to_dict() for a in self.aggregates()], indent=2) + "\n"
-            )
-            written += [runs, summary]
-        if self.failures:
-            failures = out / "failures.json"
-            failures.write_text(json.dumps(self.failures, indent=2) + "\n")
-            written.append(failures)
-        return written
+        for name, text in texts.items():
+            (out / name).write_text(text)
+        return [out / name for name in texts]
 
 
 def _derived_seed(master: int, *key: int) -> int:
@@ -265,10 +251,9 @@ def _derived_seed(master: int, *key: int) -> int:
 
 
 def _instance_spec(family: str, size: dict, seed: int) -> FunctionSpec:
-    params = {}
-    if family == "perturbed_facility":
-        params["d"] = size.get("d", 4 * size["n"])
-    return FunctionSpec(family, size["n"], seed, params)
+    """The size's n, and those of its parameters the family takes; an absent one keeps its default."""
+    takes = family_parameters(family)
+    return FunctionSpec(family, size["n"], seed, {k: v for k, v in size.items() if k in takes})
 
 
 #: Maximization baselines by name, called as ``run(F, trials, restarts, seed)``:

@@ -114,7 +114,9 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
         return oracle.value(lattice.member(t.mask))
 
     def cursor_factory(_owner, start: SubsetBits) -> Cursor:
-        return _RestrictedCursor(oracle.cursor(lattice.member(start.mask)), free_ids, start)
+        # a checked cursor of F names a NaN marginal in F's elements and sets, so it replays on F
+        checked = CountingOracle(oracle).cursor(lattice.member(start.mask))
+        return _RestrictedCursor(checked, free_ids, start)
 
     return (
         SetFunctionOracle(

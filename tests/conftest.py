@@ -84,6 +84,8 @@ MALFORMED_CONFIGS = {
     # cells whose instance spec can never build
     "family_tabular": ({"families": ["tabular"], "sizes": [4]}, "families[0]"),
     "size_d_zero": ({"families": ["perturbed_facility"], "sizes": [{"n": 8, "d": 0}]}, "sizes[0]"),
+    # a size key that no configured family takes
+    "size_d_unused": ({"families": ["com"], "sizes": [{"n": 8, "d": 3}]}, "sizes[0].d"),
     # list fields given one bare value
     "families_string": ({"families": "com"}, "'families'"),
     "sizes_int": ({"sizes": 8}, "'sizes'"),

@@ -1,22 +1,38 @@
 import csv
 import json
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from qsopt import (
     ConfigError,
     ExperimentConfig,
+    FunctionSpec,
     SubsetBits,
+    instantiate,
     reduction_rate,
     run_ratio_experiment,
     run_reduction_experiment,
     run_timing_experiment,
+    uqsfmax,
 )
 from qsopt.harness import RUN_CSV_HEADER, run_experiment
 from qsopt.sets import IntervalLattice
 
 from conftest import MALFORMED_CONFIGS, malformed_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def assert_uqsfmax_row_of(row, spec):
+    """``row`` is the ``uqsfmax`` row of the instance ``spec`` builds."""
+    F = instantiate(spec)
+    lattice, trace = uqsfmax(F)
+    assert (row.algorithm, row.seed) == ("uqsfmax", spec.seed)
+    assert row.value == max(F.value(lattice.lower), F.value(lattice.upper))
+    assert row.eval_calls == trace.total_calls
 
 
 class TestReductionRate:
@@ -80,6 +96,27 @@ class TestConfig:
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigError, match=re.escape(field)):
             ExperimentConfig.from_file(path)
+
+
+class TestCellSpecs:
+    def test_facility_without_d_builds_the_spec_default(self):
+        cfg = ExperimentConfig("reduction", ["perturbed_facility"], [10], trials=1, master_seed=4)
+        row = run_reduction_experiment(cfg).rows[1]
+        assert_uqsfmax_row_of(row, FunctionSpec("perturbed_facility", 10, row.seed))
+
+    def test_readme_bench_example_builds_every_cell(self, tmp_path):
+        text = README.read_text()
+        section = text[text.index("`qsopt bench` runs one of three experiments"):]
+        path = tmp_path / "cfg.json"
+        path.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        cfg = ExperimentConfig.from_file(path)
+        report = run_experiment(replace(cfg, experiment="reduction", trials=1))
+        assert not report.failures
+        cells = {(row.family, row.n) for row in report.rows}
+        assert cells == {(family, size["n"]) for family in cfg.families for size in cfg.sizes}
+        for row in report.rows:
+            if row.family == "perturbed_facility" and row.algorithm == "uqsfmax":
+                assert_uqsfmax_row_of(row, FunctionSpec(row.family, row.n, row.seed, {"d": 400}))
 
 
 class TestReductionExperiment:
@@ -209,3 +246,46 @@ class TestReportDeterminism:
         payload = json.loads((tmp_path / "runs.json").read_text())
         assert payload["experiment"] == "reduction"
         assert len(payload["rows"]) == 2
+
+
+class TestReportFormats:
+    def test_csv_and_json_carry_the_same_records(self, tmp_path):
+        # a zero cap fails com's trial 0 and both determinant trials
+        cfg = ExperimentConfig(
+            "ratio", ["com", "perturbed_facility", "determinant"], [{"n": 24}], trials=2,
+            master_seed=1, algorithms=["rls", "urls", "dg", "udg"], enumeration_cap=0,
+            ls_restarts=2,
+        )
+        report = run_ratio_experiment(cfg)
+        assert len(report.failures) == 3
+        report.write(tmp_path / "csv", "csv")
+        report.write(tmp_path / "json", "json")
+        runs = json.loads((tmp_path / "json" / "runs.json").read_text())
+        assert runs["experiment"] == "ratio"
+        for fmt in ("csv", "json"):
+            assert json.loads((tmp_path / fmt / "failures.json").read_text()) == runs["failures"]
+        summary = json.loads((tmp_path / "json" / "summary.json").read_text())
+        integral_means = 0
+        for name, records in (("runs", runs["rows"]), ("summary", summary)):
+            with open(tmp_path / "csv" / f"{name}.csv", newline="") as f:
+                reader = csv.reader(f)
+                header = next(reader)
+                lines = list(reader)
+            # the summary's statistics follow its run count
+            statistics = header[header.index("runs") + 1 :] if name == "summary" else []
+            assert len(lines) == len(records)
+            for line, record in zip(lines, records):
+                assert header == list(record)
+                for key, text in zip(header, line):
+                    value = record[key]
+                    if value is None:
+                        assert text == ""
+                    elif isinstance(value, float):
+                        assert float(text) == value
+                    elif key in statistics:
+                        # mean of integer call counts: an int in the JSON, a float in the CSV
+                        assert text == f"{value}.0"
+                        integral_means += 1
+                    else:
+                        assert text == str(value)
+        assert integral_means > 0

@@ -1,9 +1,11 @@
+import math
 import re
 
 import pytest
 
 from qsopt import (
     InternalInvariantError,
+    SetFunctionOracle,
     SubsetBits,
     double_greedy,
     enumerate_local_optima,
@@ -13,6 +15,7 @@ from qsopt import (
     make_random_qsb,
     make_tabular,
     random_permutation_greedy,
+    randomized_local_search,
     u_prefix,
     uqsfmax,
 )
@@ -167,3 +170,15 @@ class TestUPrefix:
         assert result.value >= F.value(result.lattice.lower)
         assert result.lattice.contains(result.set)
         assert result.value == F.value(result.set)
+
+    @pytest.mark.parametrize("generic", [False, True], ids=["tabular", "generic"])
+    def test_nan_inside_is_named_in_the_objective(self, generic):
+        # F = 10*[5 in S] + [|S & {1..4}| = 2], NaN at {1,2,5}; uqsfmax leaves [{5}, full]
+        values = [10.0 * (m >> 4) + (bin(m & 15).count("1") == 2) for m in range(32)]
+        values[0b10011] = math.nan
+        F = make_tabular(values)
+        G = SetFunctionOracle(F.ground, F.value) if generic else F
+        message = "marginal of element 1 is NaN (add at {2,5})"
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            u_prefix(G, lambda sub: randomized_local_search(sub, 1, 3))
+        assert math.isnan(F.cursor(SubsetBits.from_members(5, [2, 5])).add_marginal(1))
