@@ -9,7 +9,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import click
@@ -98,8 +98,9 @@ def check(state: CliState, spec_path: str, prop: str) -> None:
         # evaluate the table once for all four checkers; above this cap the
         # first checker raises CapExceeded before any evaluation
         oracle = make_tabular(eval_table(oracle, spec.n))
-    for name, fn in selected.items():
-        verdict = fn(oracle, spec.n)
+    # every verdict before any line, so a run that fails prints none
+    verdicts = {name: fn(oracle, spec.n) for name, fn in selected.items()}
+    for name, verdict in verdicts.items():
         if verdict.holds:
             click.echo(f"{name}: holds=true")
         else:
@@ -111,16 +112,14 @@ def _open_trace(path: Optional[str]):
     return open(path, "w", newline="") if path else contextlib.nullcontext()
 
 
-def _write_trace(fh, trace, values: tuple[str, ...]) -> None:
-    """One CSV row per iteration; ``values`` names the step's value fields."""
+def _write_trace(fh, trace) -> None:
+    """One CSV row per iteration, one column per step field: a set as its literal, else its repr."""
+    names = [f.name for f in fields(trace.steps[0])]
     writer = csv.writer(fh)
-    writer.writerow(["t", "added", "removed", *values, "eval_calls"])
+    writer.writerow(names)
     for step in trace.steps:
-        writer.writerow(
-            [step.t, format_set(step.added), format_set(step.removed)]
-            + [repr(getattr(step, v)) for v in values]
-            + [step.eval_calls]
-        )
+        cells = (getattr(step, name) for name in names)  # not astuple: it would unpack each set
+        writer.writerow([format_set(v) if isinstance(v, SubsetBits) else repr(v) for v in cells])
 
 
 @cli.command(name="min")
@@ -144,7 +143,7 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
     with _open_trace(trace_path) as fh:
         result, trace = uqsfmin(oracle, x0)
         if fh is not None:
-            _write_trace(fh, trace, ("value",))
+            _write_trace(fh, trace)
     state.say(f"start={format_set(x0)} result={format_set(result)}")
     state.say(
         f"value={oracle.value(result)!r} iterations={trace.iterations} "
@@ -162,7 +161,7 @@ def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
     with _open_trace(trace_path) as fh:
         lattice, trace = uqsfmax(oracle)
         if fh is not None:
-            _write_trace(fh, trace, ("fx", "fy"))
+            _write_trace(fh, trace)
     free = lattice_free_count(lattice)
     # the endpoints carry no local-optimality guarantee: informational, and
     # the 2n extra evaluations are skipped at large n

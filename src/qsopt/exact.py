@@ -2,9 +2,9 @@
 
 Each function builds one value array over the sets it judges, in ascending
 mask order, and answers from whole-array comparisons. Entry i of that array
-is F at ``lattice.member(i)``: over the full cube at n <= ``TABLE_MAX_N``
-the array is ``eval_table``, over any other interval it is one ``value``
-call per member. A NaN entry fails every comparison, so it raises
+is F at ``lattice.member(i)``: ``exact_opt`` makes one ``value`` call per
+member of its interval, full cube or not, and the full-cube functions take
+``eval_table``. A NaN entry fails every comparison, so it raises
 ``InternalInvariantError`` naming the first set that has one.
 
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
@@ -31,10 +31,10 @@ from .sets import (
     lattice_free_count,
 )
 
-#: Largest n for which a full value table is built: the whole-cube path of
-#: ``exact_opt``, the cap of ``enumerate_local_optima``, the size limit of
-#: tabular instances, and the largest n whose ratio experiments take the exact
-#: maximum over the full cube rather than over the reduced interval.
+#: Largest n for which a full value table is built: the cap of
+#: ``enumerate_local_optima``, the size limit of tabular instances, and the
+#: largest n whose ratio experiments take the exact maximum over the full cube
+#: rather than over the reduced interval.
 TABLE_MAX_N = 20
 
 
@@ -84,12 +84,8 @@ def exact_opt(
     free = lattice_free_count(within)
     if free > cap:
         raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
-    n = within.capacity
-    if free == n and n <= TABLE_MAX_N:
-        values = eval_table(oracle, n)
-    else:
-        members = enumerate_lattice(within, cap=cap)
-        values = np.fromiter((oracle.value(x) for x in members), dtype=float, count=1 << free)
+    members = enumerate_lattice(within, cap=cap)
+    values = np.fromiter((oracle.value(x) for x in members), dtype=float, count=1 << free)
     _require_no_nan_values(values, within, "exact_opt")
     best = values.max() if direction == "max" else values.min()
     optimal = np.flatnonzero(values == best)

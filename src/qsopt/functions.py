@@ -30,7 +30,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -122,12 +122,8 @@ def _json_default(value):
 
 
 def save_spec(spec: FunctionSpec, path: str | Path) -> None:
-    payload = {
-        "family": spec.family,
-        "n": spec.n,
-        "seed": spec.seed,
-        "params": spec.params,
-    }
+    # not asdict: it would deep-copy a tabular values list one entry at a time
+    payload = {f.name: getattr(spec, f.name) for f in fields(spec)}
     # repr floats round-trip exactly; NaN and +-Infinity are literals json.loads reads back
     text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     Path(path).write_text(text + "\n")
@@ -229,14 +225,21 @@ class _ComCursor(_FamilyCursor):
         super().__init__(start)
         self._w1 = w1
         self._w2 = w2
-        self._s1 = float(w1 @ start.to_bool_array())
+        self._s1 = self._exact_sum()
 
+    def _exact_sum(self) -> float:
+        """w1(X) from the members. The running sum drifts under moves, and at one
+        member or none sqrt(s - w_e) amplifies the drift, so a query there takes this."""
+        return float(self._w1 @ self._current.to_bool_array())
+
+    # the member count is taken at the query, not the move: the reductions move
+    # thousands of elements between two batch queries
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        s = max(self._s1, 0.0)
+        s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
         return np.sqrt(s + self._w1[ids - 1]) - math.sqrt(s) - self._w2[ids - 1]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        s = max(self._s1, 0.0)
+        s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
         return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1[ids - 1], 0.0)) - self._w2[ids - 1]
 
     def _moved(self, e: int, added: bool) -> None:

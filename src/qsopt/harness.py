@@ -282,7 +282,7 @@ def _algorithm_runner(name: str, cfg: ExperimentConfig, algo_seed: int):
 
 
 def _exact_max(oracle, n: int, cap: int) -> float:
-    """Ground-truth maximum: full table when affordable, else over the reduced interval."""
+    """Ground-truth maximum: over the full cube when affordable, else over the reduced interval."""
     if n <= TABLE_MAX_N:
         lattice = IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n))
     else:
@@ -298,34 +298,26 @@ def _timed(fn, *args):
 
 
 def _reduction_rows(cfg: ExperimentConfig, oracle, family: str, seed: int, algo_seed: int):
-    """Both reductions on one instance: rates, iterations, calls, wall time."""
+    """Both reductions on one instance: the better endpoint value, rate, and trace sums.
+
+    ``min_lattice`` has two traces and ``uqsfmax`` one. The reductions are
+    looked up at call time, so a patched ``min_lattice`` or ``uqsfmax`` runs.
+    """
     n = oracle.n
-    (lat_min, (up, down)), ms = _timed(min_lattice, oracle)
-    yield RunRow(
-        family,
-        n,
-        seed,
-        "uqsfmin",
-        "min",
-        value=min(oracle.value(lat_min.lower), oracle.value(lat_min.upper)),
-        reduction_rate=reduction_rate(lat_min, n),
-        iterations=up.iterations + down.iterations,
-        eval_calls=up.total_calls + down.total_calls,
-        wall_ms=ms,
-    )
-    (lat_max, trace), ms = _timed(uqsfmax, oracle)
-    yield RunRow(
-        family,
-        n,
-        seed,
-        "uqsfmax",
-        "max",
-        value=max(oracle.value(lat_max.lower), oracle.value(lat_max.upper)),
-        reduction_rate=reduction_rate(lat_max, n),
-        iterations=trace.iterations,
-        eval_calls=trace.total_calls,
-        wall_ms=ms,
-    )
+    for name, direction, reduce, pick in (
+        ("uqsfmin", "min", min_lattice, min),
+        ("uqsfmax", "max", uqsfmax, max),
+    ):
+        (lattice, traces), ms = _timed(reduce, oracle)
+        traces = traces if isinstance(traces, tuple) else (traces,)
+        yield RunRow(
+            family, n, seed, name, direction,
+            value=pick(oracle.value(lattice.lower), oracle.value(lattice.upper)),
+            reduction_rate=reduction_rate(lattice, n),
+            iterations=sum(t.iterations for t in traces),
+            eval_calls=sum(t.total_calls for t in traces),
+            wall_ms=ms,
+        )
 
 
 def _baseline_rows(cfg: ExperimentConfig, oracle, family: str, seed: int, algo_seed: int):

@@ -91,6 +91,15 @@ class TestCheck:
             assert "value of {1} is NaN" in proc.stderr
             assert "holds" not in proc.stdout
 
+    def test_a_property_over_its_cap_prints_no_verdict(self, tmp_path, capsys):
+        """At n = 13 submodularity can be judged but quasi-submodularity (cap 12) cannot."""
+        path = tmp_path / "com13.json"
+        save_spec(FunctionSpec("com", 13, 1), path)
+        assert cli_module.main(["check", "--spec", str(path), "--property", "all"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: is_quasi_submodular needs n <= 12, got 13\n"
+
     def test_cap_exceeded_is_config_error(self, tmp_path):
         path = tmp_path / "big.json"
         save_spec(FunctionSpec("com", 40, 1), path)

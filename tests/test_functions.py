@@ -81,6 +81,34 @@ class TestCom:
             x = SubsetBits(7, mask)
             assert values_close(F.value(x), com_value(F.params["w1"], F.params["w2"], x.to_bool_array()))
 
+    @staticmethod
+    def assert_drop_exact_at_one_member(F, cursor, e):
+        """At the set {e}, the moved cursor's drop marginal is a fresh cursor's, bit for bit."""
+        x = SubsetBits.from_members(F.n, [e])
+        assert cursor.members() == x
+        assert cursor.drop_marginal(e) == F.cursor(x).drop_marginal(e)
+        assert values_close(cursor.drop_marginal(e), F.value(x) - F.value(x.remove(e)))
+
+    def test_drop_marginal_exact_after_removals_down_to_one_member(self):
+        """4999 removals leave a rounding residue in the running w1 sum, which sqrt amplifies."""
+        n = 5000
+        F = make_com(n, 1)
+        cursor = F.cursor(SubsetBits.full(n))
+        order = seeded_stream(1, 0).permutation(n) + 1
+        for e in order[:-1]:
+            cursor.remove(int(e))
+        self.assert_drop_exact_at_one_member(F, cursor, int(order[-1]))
+
+    def test_drop_marginal_exact_after_a_move_walk_to_one_member(self):
+        """{1} -> {} -> {2} -> {2,16} -> {2}: (w2 + w16) - w16 is not w2 in floating point."""
+        F = make_com(40, 5)
+        cursor = F.cursor(SubsetBits.from_members(40, [1]))
+        cursor.remove(1)
+        cursor.add(2)
+        cursor.add(16)
+        cursor.remove(16)
+        self.assert_drop_exact_at_one_member(F, cursor, 2)
+
 
 class TestHalfProducts:
     def test_empty(self):

@@ -12,6 +12,7 @@ from qsopt import (
     FunctionSpec,
     SubsetBits,
     instantiate,
+    min_lattice,
     reduction_rate,
     run_ratio_experiment,
     run_reduction_experiment,
@@ -130,6 +131,20 @@ class TestReductionExperiment:
             assert row.eval_calls > 0
             assert row.wall_ms >= 0.0
         assert not report.failures
+
+    def test_rows_sum_their_reductions_traces(self):
+        """uqsfmin sums min_lattice's two traces and uqsfmax has one; value is the better endpoint."""
+        cfg = ExperimentConfig("reduction", ["com", "half_products"], [12], trials=2, master_seed=5)
+        rows = run_reduction_experiment(cfg).rows
+        assert [r.algorithm for r in rows] == ["uqsfmin", "uqsfmax"] * 4
+        for row_min, row_max in zip(rows[::2], rows[1::2]):
+            F = instantiate(FunctionSpec(row_min.family, row_min.n, row_min.seed))
+            lattice, (up, down) = min_lattice(F)
+            assert row_min.value == min(F.value(lattice.lower), F.value(lattice.upper))
+            assert row_min.iterations == up.iterations + down.iterations
+            assert row_min.eval_calls == up.total_calls + down.total_calls
+            assert row_max.iterations == uqsfmax(F)[1].iterations
+            assert_uqsfmax_row_of(row_max, FunctionSpec(row_max.family, row_max.n, row_max.seed))
 
     def test_csv_header_pinned(self):
         cfg = ExperimentConfig("reduction", ["com"], [8], trials=1, master_seed=1)
