@@ -45,6 +45,15 @@ QSB_MAX_N = 12
 SSBC_MAX_N = 14
 WEAK_MARGINAL_MAX_N = 14
 
+#: ``qsopt check``'s properties in print order, each with its cap and the name of
+#: its checker, looked up on this module at call time so that a patched one runs.
+PROPERTIES = {
+    "submodular": ("is_submodular", SUBMODULAR_MAX_N),
+    "qsb": ("is_quasi_submodular", QSB_MAX_N),
+    "ssbc": ("satisfies_ssbc", SSBC_MAX_N),
+    "weak": ("satisfies_weak_marginal", WEAK_MARGINAL_MAX_N),
+}
+
 #: Submodularity slack: inequality violations smaller than this are noise.
 SUBMODULAR_ATOL = 1e-12
 

@@ -14,17 +14,10 @@ from typing import Optional
 
 import click
 
-from .checkers import (
-    SUBMODULAR_MAX_N,
-    is_local_max,
-    is_local_min,
-    is_quasi_submodular,
-    is_submodular,
-    satisfies_ssbc,
-    satisfies_weak_marginal,
-)
+from . import checkers
+from .checkers import PROPERTIES, is_local_max, is_local_min
 from .errors import CapExceeded, ConfigError, InternalInvariantError
-from .exact import exact_opt
+from .exact import exact_opt, require_cap
 from .functions import instantiate, load_spec, make_tabular
 from .harness import BASELINES, ExperimentConfig, baseline_runner, reduction_rate, run_experiment
 from .maximize import u_prefix, uqsfmax
@@ -80,26 +73,19 @@ def _load_oracle(state: CliState, spec_path: str):
 @click.option(
     "--property",
     "prop",
-    type=click.Choice(["all", "submodular", "qsb", "ssbc", "weak"]),
+    type=click.Choice(["all", *PROPERTIES]),
     default="all",
 )
 @click.pass_obj
 def check(state: CliState, spec_path: str, prop: str) -> None:
     """Exhaustively verify structural properties of a small instance."""
     oracle, spec = _load_oracle(state, spec_path)
-    checks = {
-        "submodular": is_submodular,
-        "qsb": is_quasi_submodular,
-        "ssbc": satisfies_ssbc,
-        "weak": satisfies_weak_marginal,
-    }
-    selected = checks if prop == "all" else {prop: checks[prop]}
-    if len(selected) > 1 and spec.n <= SUBMODULAR_MAX_N:
-        # evaluate the table once for all four checkers; above this cap the
-        # first checker raises CapExceeded before any evaluation
-        oracle = make_tabular(eval_table(oracle, spec.n))
+    selected = PROPERTIES if prop == "all" else {prop: PROPERTIES[prop]}
+    for checker, cap in selected.values():
+        require_cap(spec.n, cap, checker)
+    table = make_tabular(eval_table(oracle, spec.n))
     # every verdict before any line, so a run that fails prints none
-    verdicts = {name: fn(oracle, spec.n) for name, fn in selected.items()}
+    verdicts = {name: getattr(checkers, fn)(table, spec.n) for name, (fn, _) in selected.items()}
     for name, verdict in verdicts.items():
         if verdict.holds:
             click.echo(f"{name}: holds=true")

@@ -10,7 +10,7 @@ member of its interval, full cube or not, and the full-cube functions take
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
 256 MiB for an interval at the default enumeration cap of 25 free elements.
 ``checked_table`` is the full-cube step shared with the exhaustive checkers:
-a size cap checked before any evaluation, ``eval_table``, then the NaN rule.
+``require_cap`` before any evaluation, ``eval_table``, then the NaN rule.
 Local-optima enumeration takes it with the cap ``TABLE_MAX_N``;
 ``checked_value`` is the same rule for one set.
 """
@@ -45,14 +45,19 @@ def _require_no_nan_values(values: np.ndarray, lattice: IntervalLattice, where: 
         raise InternalInvariantError(f"{where}: value of {lattice.member(int(nan[0]))} is NaN")
 
 
+def require_cap(n: int, cap: int, where: str) -> None:
+    """Raise ``CapExceeded`` naming ``where`` when n is above ``cap``."""
+    if n > cap:
+        raise CapExceeded(f"{where} needs n <= {cap}, got {n}")
+
+
 def checked_table(oracle, n: int, cap: int, where: str) -> np.ndarray:
     """F on all 2**n subsets in mask order; ``where`` names the caller in errors.
 
     n above ``cap`` raises ``CapExceeded`` before any evaluation, and a NaN
     value raises ``InternalInvariantError`` naming the first set that has one.
     """
-    if n > cap:
-        raise CapExceeded(f"{where} needs n <= {cap}, got {n}")
+    require_cap(n, cap, where)
     values = eval_table(oracle, n)
     _require_no_nan_values(values, IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n)), where)
     return values
@@ -76,16 +81,15 @@ def exact_opt(
 
     Returns the optimal value and every optimizer attaining it, in ascending
     mask order, compared with exact float equality on the computed values.
-    A NaN value raises ``InternalInvariantError`` naming the first set that
-    has one.
+    Over ``cap`` free elements, ``enumerate_lattice`` raises ``CapExceeded``
+    before any evaluation; a NaN value raises ``InternalInvariantError``
+    naming the first set that has one.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    free = lattice_free_count(within)
-    if free > cap:
-        raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
     members = enumerate_lattice(within, cap=cap)
-    values = np.fromiter((oracle.value(x) for x in members), dtype=float, count=1 << free)
+    count = 1 << lattice_free_count(within)
+    values = np.fromiter((oracle.value(x) for x in members), dtype=float, count=count)
     _require_no_nan_values(values, within, "exact_opt")
     best = values.max() if direction == "max" else values.min()
     optimal = np.flatnonzero(values == best)

@@ -224,18 +224,19 @@ def lattice_free_count(lattice: IntervalLattice) -> int:
 def enumerate_lattice(
     lattice: IntervalLattice, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[SubsetBits]:
-    """Yield every member of the lattice exactly once, 2**free_count in total.
+    """An iterator over every member of the lattice, each once, 2**free_count in total.
 
     Members come in ascending mask order, the order of ``lattice.member(i)``
     for i = 0, 1, ...: the walk visits the submasks of the free mask upward.
-    Raises CapExceeded when more than 2**cap members would be produced.
+    Over ``cap`` free elements it raises CapExceeded at the call, not at the first ``next``.
     """
     free = lattice_free_count(lattice)
     if free > cap:
         raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
-    free_mask = lattice.free_mask()
-    base = lattice.lower.mask
-    n = lattice.capacity
+    return _submask_walk(lattice.capacity, lattice.lower.mask, lattice.free_mask())
+
+
+def _submask_walk(n: int, base: int, free_mask: int) -> Iterator[SubsetBits]:
     sub = 0
     while True:
         yield SubsetBits(n, base | sub)

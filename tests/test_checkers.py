@@ -126,15 +126,20 @@ def test_nan_gains_of_infinite_values_break_nothing(name):
     assert (str(got.witness.sets["A"]), str(got.witness.sets["B"])) == ("{2}", "{2,3}")
 
 
-@pytest.mark.parametrize(
-    "name, cap",
-    [
-        ("is_submodular", checkers.SUBMODULAR_MAX_N),
-        ("is_quasi_submodular", checkers.QSB_MAX_N),
-        ("satisfies_ssbc", checkers.SSBC_MAX_N),
-        ("satisfies_weak_marginal", checkers.WEAK_MARGINAL_MAX_N),
-    ],
-)
+CAPS = [
+    ("is_submodular", checkers.SUBMODULAR_MAX_N),
+    ("is_quasi_submodular", checkers.QSB_MAX_N),
+    ("satisfies_ssbc", checkers.SSBC_MAX_N),
+    ("satisfies_weak_marginal", checkers.WEAK_MARGINAL_MAX_N),
+]
+
+
+def test_property_table_names_each_checker_with_its_cap():
+    assert list(checkers.PROPERTIES) == ["submodular", "qsb", "ssbc", "weak"]
+    assert list(checkers.PROPERTIES.values()) == CAPS
+
+
+@pytest.mark.parametrize("name, cap", CAPS)
 def test_cap_raises_before_any_evaluation(name, cap):
     def value(_x):
         raise AssertionError("evaluated above the cap")

@@ -60,25 +60,31 @@ class TestCheck:
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ssbc: holds=true"
 
-    def test_all_properties_evaluate_the_table_once(self, tmp_path, monkeypatch):
-        """A spec without a dense table costs 2^n evaluations for all four checks."""
-        path = tmp_path / "det.json"
-        save_spec(FunctionSpec("determinant", 8, 5), path)
-        evaluations = []
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Every set the CLI's instances evaluate, in order."""
+        seen = []
 
         def counting_instantiate(spec):
             F = instantiate(spec)
-            return SetFunctionOracle(F.ground, lambda x: evaluations.append(x) or F.value(x))
+            return SetFunctionOracle(F.ground, lambda x: seen.append(x) or F.value(x))
 
         monkeypatch.setattr(cli_module, "instantiate", counting_instantiate)
+        return seen
+
+    def test_all_properties_evaluate_the_table_once(self, tmp_path, evaluations):
+        """A spec without a dense table costs 2^n evaluations for one check or all four."""
+        path = tmp_path / "det.json"
+        save_spec(FunctionSpec("determinant", 8, 5), path)
         runner = CliRunner()
         every = runner.invoke(cli_module.cli, ["check", "--spec", str(path)])
         assert every.exit_code == 0, every.output
         assert len(evaluations) == 1 << 8
-        single = [
-            runner.invoke(cli_module.cli, ["check", "--spec", str(path), "--property", prop])
-            for prop in ("submodular", "qsb", "ssbc", "weak")
-        ]
+        single = []
+        for prop in ("submodular", "qsb", "ssbc", "weak"):
+            evaluations.clear()
+            single.append(runner.invoke(cli_module.cli, ["check", "--spec", str(path), "--property", prop]))
+            assert len(evaluations) == 1 << 8, prop
         assert [r.exit_code for r in single] == [0, 0, 0, 0]
         assert every.output == "".join(r.output for r in single)
 
@@ -91,14 +97,19 @@ class TestCheck:
             assert "value of {1} is NaN" in proc.stderr
             assert "holds" not in proc.stdout
 
-    def test_a_property_over_its_cap_prints_no_verdict(self, tmp_path, capsys):
-        """At n = 13 submodularity can be judged but quasi-submodularity (cap 12) cannot."""
-        path = tmp_path / "com13.json"
-        save_spec(FunctionSpec("com", 13, 1), path)
-        assert cli_module.main(["check", "--spec", str(path), "--property", "all"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: is_quasi_submodular needs n <= 12, got 13\n"
+    def test_a_property_over_its_cap_prints_no_verdict(self, tmp_path, capsys, evaluations):
+        """Every selected cap is checked before any evaluation, so n = 13-14, where only
+        quasi-submodularity (cap 12) is over its cap, evaluates no set either."""
+        for n, error in [
+            (13, "is_quasi_submodular needs n <= 12, got 13"),
+            (14, "is_quasi_submodular needs n <= 12, got 14"),
+            (15, "is_submodular needs n <= 14, got 15"),
+        ]:
+            path = tmp_path / f"com{n}.json"
+            save_spec(FunctionSpec("com", n, 1), path)
+            assert cli_module.main(["check", "--spec", str(path), "--property", "all"]) == 2
+            out, err = capsys.readouterr()
+            assert (len(evaluations), out, err) == (0, "", f"error: {error}\n")
 
     def test_cap_exceeded_is_config_error(self, tmp_path):
         path = tmp_path / "big.json"

@@ -5,7 +5,9 @@ import pytest
 
 from qsopt import (
     CapExceeded,
+    GroundSet,
     InternalInvariantError,
+    SetFunctionOracle,
     SubsetBits,
     enumerate_local_optima,
     exact_opt,
@@ -74,6 +76,13 @@ class TestExactOpt:
         F = make_random_qsb(8, 1)
         with pytest.raises(CapExceeded):
             exact_opt(F, "max", full_lattice(8), cap=4)
+
+        def value(_x):
+            raise AssertionError("evaluated above the cap")
+
+        within = IntervalLattice(SubsetBits.from_members(8, [1]), SubsetBits.full(8))
+        with pytest.raises(CapExceeded, match=r"^lattice has 7 free elements, cap is 6$"):
+            exact_opt(SetFunctionOracle(GroundSet(8), value), "min", within, cap=6)
 
     def test_bad_direction(self, prop_oracle):
         with pytest.raises(ValueError):

@@ -156,9 +156,10 @@ class TestIntervalLattice:
                 lat.member(index)
 
     def test_enumerate_cap(self):
+        """The cap raises at the call, before the iterator exists."""
         lat = IntervalLattice(SubsetBits.empty(6), SubsetBits.full(6))
-        with pytest.raises(CapExceeded):
-            list(enumerate_lattice(lat, cap=5))
+        with pytest.raises(CapExceeded, match=r"^lattice has 6 free elements, cap is 5$"):
+            enumerate_lattice(lat, cap=5)
 
     @given(st.integers(min_value=1, max_value=8).flatmap(
         lambda n: st.tuples(
