@@ -133,10 +133,13 @@ def _gains(values: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row i-1 holds F(i|B) for every mask B, and whether B leaves out i.
 
     Gains inf - inf are NaN and fail every comparison; ``np.fmin`` skips them too.
+    That NaN is the rule, not a fault, so numpy's warning about it is off.
     """
     masks = np.arange(1 << n)
     bits = (1 << np.arange(n))[:, None]
-    return values[masks | bits] - values[masks], (masks & bits) == 0
+    with np.errstate(invalid="ignore"):
+        gains = values[masks | bits] - values[masks]
+    return gains, (masks & bits) == 0
 
 
 def _first_submask(b_mask: int, bad: np.ndarray) -> int:

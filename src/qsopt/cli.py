@@ -130,6 +130,8 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
         result, trace = uqsfmin(oracle, x0)
         if fh is not None:
             _write_trace(fh, trace)
+    if state.quiet:  # both lines are informational, and the check costs n + 1 evaluations
+        return
     state.say(f"start={format_set(x0)} result={format_set(result)}")
     state.say(
         f"value={oracle.value(result)!r} iterations={trace.iterations} "
@@ -149,16 +151,17 @@ def max_cmd(state: CliState, spec_path: str, trace_path: Optional[str]) -> None:
         if fh is not None:
             _write_trace(fh, trace)
     free = lattice_free_count(lattice)
-    # the endpoints carry no local-optimality guarantee: informational, and
-    # the 2n extra evaluations are skipped at large n
-    lower_max = upper_max = None
-    if spec.n <= 2048:
-        lower_max = is_local_max(oracle, lattice.lower)
-        upper_max = is_local_max(oracle, lattice.upper)
-    state.say(
-        f"lower_local_max={lower_max} upper_local_max={upper_max} "
-        f"iterations={trace.iterations} eval_calls={trace.total_calls}"
-    )
+    # the endpoints carry no local-optimality guarantee: informational, so
+    # the 2n extra evaluations are made only for a printed line, and not at large n
+    if not state.quiet:
+        lower_max = upper_max = None
+        if spec.n <= 2048:
+            lower_max = is_local_max(oracle, lattice.lower)
+            upper_max = is_local_max(oracle, lattice.upper)
+        state.say(
+            f"lower_local_max={lower_max} upper_local_max={upper_max} "
+            f"iterations={trace.iterations} eval_calls={trace.total_calls}"
+        )
     click.echo(
         f"X+={format_set(lattice.lower)} Y+={format_set(lattice.upper)} "
         f"free={free} reduction_rate={reduction_rate(lattice, spec.n)!r}"

@@ -2,13 +2,18 @@
 
 Each function builds one value array over the sets it judges, in ascending
 mask order, and answers from whole-array comparisons. Entry i of that array
-is F at ``lattice.member(i)``: ``exact_opt`` makes one ``value`` call per
-member of its interval, full cube or not, and the full-cube functions take
-``eval_table``. A NaN entry fails every comparison, so it raises
-``InternalInvariantError`` naming the first set that has one.
+is F at ``lattice.member(i)``: ``exact_opt`` takes ``lattice_values`` of its
+interval, full cube or not, and the full-cube functions take ``eval_table``,
+the same over the cube. A family oracle answers those in row blocks of its
+value formula; an oracle without one, one ``value`` call per member. A NaN
+entry fails every comparison, so it raises ``InternalInvariantError`` naming
+the first set that has one.
 
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
 256 MiB for an interval at the default enumeration cap of 25 free elements.
+A row block adds at most ``BLOCK_CELLS`` membership bytes (8 KiB) and the
+formula's temporaries over them: 64 KiB for each float matrix, and for
+facility and determinant the bounds their formulas state.
 ``checked_table`` is the full-cube step shared with the exhaustive checkers:
 ``require_cap`` before any evaluation, ``eval_table``, then the NaN rule.
 Local-optima enumeration takes it with the cap ``TABLE_MAX_N``;
@@ -22,14 +27,8 @@ import math
 import numpy as np
 
 from .errors import CapExceeded, InternalInvariantError
-from .oracle import eval_table
-from .sets import (
-    DEFAULT_ENUMERATION_CAP,
-    IntervalLattice,
-    SubsetBits,
-    enumerate_lattice,
-    lattice_free_count,
-)
+from .oracle import eval_table, lattice_values
+from .sets import DEFAULT_ENUMERATION_CAP, IntervalLattice, SubsetBits
 
 #: Largest n for which a full value table is built: the cap of
 #: ``enumerate_local_optima``, the size limit of tabular instances, and the
@@ -81,15 +80,14 @@ def exact_opt(
 
     Returns the optimal value and every optimizer attaining it, in ascending
     mask order, compared with exact float equality on the computed values.
-    Over ``cap`` free elements, ``enumerate_lattice`` raises ``CapExceeded``
-    before any evaluation; a NaN value raises ``InternalInvariantError``
-    naming the first set that has one.
+    The values are ``lattice_values``: row blocks of the oracle's value
+    formula, or one ``value`` call per member without one. Over ``cap`` free
+    elements it raises ``CapExceeded`` before any evaluation; a NaN value
+    raises ``InternalInvariantError`` naming the first set that has one.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
-    members = enumerate_lattice(within, cap=cap)
-    count = 1 << lattice_free_count(within)
-    values = np.fromiter((oracle.value(x) for x in members), dtype=float, count=count)
+    values = lattice_values(oracle, within, cap=cap)
     _require_no_nan_values(values, within, "exact_opt")
     best = values.max() if direction == "max" else values.min()
     optimal = np.flatnonzero(values == best)

@@ -4,11 +4,11 @@ Families: iwata, com (concave-over-modular), half_products (served as the
 negated maximization objective), perturbed_facility, determinant,
 cobb_douglas, and small tabular functions, each named once in ``_FAMILIES``
 with its builder and the parameters it takes (``family_parameters`` names
-those to the harness). Each family is a value formula
-on a membership array plus one cursor class, which ``_family_oracle`` puts
-together (tabular, looked up by mask, builds its own). A cursor's batch
-formulas take an id or an id array alike: a scalar query is the batch at the
-bare id, the reverse of the base ``Cursor``.
+those to the harness). Each family is a value formula on a membership
+matrix, one row per set (or one bare row), plus one cursor class, which
+``_family_oracle`` puts together (tabular, looked up by mask, builds its
+own). A cursor's batch formulas take an id or an id array alike: a scalar
+query is the batch at the bare id, the reverse of the base ``Cursor``.
 A family cursor makes no move of its own: the base ``Cursor`` keeps the
 anchored set, and a family that keeps statistics over the members (com's
 w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
@@ -170,11 +170,29 @@ class _FamilyCursor(Cursor):
         return float(self.drop_marginals(d))
 
 
-def _family_oracle(n: int, value_of, cursor_at, params: dict, name: str) -> SetFunctionOracle:
-    """The oracle of ``value_of``, a value formula on a membership array, and ``cursor_at(start)``."""
+def _row_formula(formula):
+    """``formula``, written for a (k, n) membership matrix, also taking one bare (n,) row.
+
+    The bare row is answered as row 0 of its one-row matrix, so the two give
+    the same bits. The families whose formula is elementwise along the rows
+    take both shapes as they are.
+    """
+
+    @functools.wraps(formula)
+    def value(*args):
+        members = args[-1]
+        if members.ndim > 1:
+            return formula(*args)
+        return formula(*args[:-1], members[None, :])[0]
+
+    return value
+
+
+def _family_oracle(n: int, value_rows, cursor_at, params: dict, name: str) -> SetFunctionOracle:
+    """The oracle of ``value_rows``, a value formula on a membership matrix, and ``cursor_at(start)``."""
     return SetFunctionOracle(
         GroundSet(n),
-        lambda x: value_of(x.to_bool_array()),
+        value_rows=value_rows,
         cursor_factory=lambda _owner, start: cursor_at(start),
         params=params,
         name=name,
@@ -197,11 +215,10 @@ class _IwataCursor(_FamilyCursor):
         return np.asarray(3 * self._n - 2 * len(self._current) + 1 - 5 * ids, dtype=float)
 
 
-def iwata_value(weights: np.ndarray, members: np.ndarray) -> float:
-    """F(X) = |X| |N\\X| - weights(X), with ``weights`` the n values 5 i - 2 n."""
-    n = len(weights)
-    k = int(members.sum())
-    return k * (n - k) - float(weights @ members)
+def iwata_value(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """F(X) = |X| |N\\X| - weights(X) per row, with ``weights`` the n values 5 i - 2 n."""
+    k = members.sum(axis=-1)
+    return k * (len(weights) - k) - np.vecdot(members, weights)
 
 
 def make_iwata(n: int) -> SetFunctionOracle:
@@ -249,9 +266,9 @@ class _ComCursor(_FamilyCursor):
             self._s1 -= self._w1[e - 1]
 
 
-def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> float:
-    """sqrt(w1(X)) + w2 over the complement of X, taken as w2(N) - w2(X)."""
-    return math.sqrt(float(w1 @ members)) + (float(w2.sum()) - float(w2 @ members))
+def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """sqrt(w1(X)) + w2 over the complement of X per row, taken as w2(N) - w2(X)."""
+    return np.sqrt(np.vecdot(members, w1)) + (w2.sum() - np.vecdot(members, w2))
 
 
 def make_com(n: int, seed: int) -> SetFunctionOracle:
@@ -352,11 +369,10 @@ class _HalfProductsCursor(_EpochCursor):
     drop_marginals = add_marginals
 
 
-def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> float:
-    """Negated half-products: c(X) minus the a(i)b(j) sum over member pairs i <= j."""
-    am = a * members
-    t = float((b * members) @ np.cumsum(am))
-    return float(c @ members) - t
+def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Negated half-products per row: c(X) minus the a(i)b(j) sum over member pairs i <= j."""
+    pairs = np.vecdot(b * members, np.cumsum(a * members, axis=-1))
+    return np.vecdot(members, c) - pairs
 
 
 def make_half_products(n: int, seed: int) -> SetFunctionOracle:
@@ -538,17 +554,35 @@ class _FacilityCursor(_EpochCursor):
         return self._gains.copy()
 
 
-def facility_value(mat: np.ndarray, sigma: np.ndarray, members: np.ndarray) -> float:
-    """Column-wise best facility among the members plus modular noise; empty gives 0.
+def _member_max(mat: np.ndarray, block: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Per row of ``block``, the column max of ``mat`` over its members among ``ids``; -inf for none."""
+    if len(block) == 1:  # a lone row is a member of every id its block uses: no mask
+        return mat[ids].max(axis=0)
+    return np.where(block[:, ids, None], mat[ids], -np.inf).max(axis=1)
 
-    The column max is taken over row blocks of the members: a max is exact,
-    so the value has the bits of one max over all of them.
+
+@_row_formula
+def facility_value(mat: np.ndarray, sigma: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Column-wise best facility among the members plus modular noise per row; empty gives 0.
+
+    The membership rows go in blocks of h = ``_FACILITY_BLOCK // n`` (at
+    least one), and a block gathers only the matrix rows of its members, w at
+    a time with h w <= ``_FACILITY_BLOCK``: no temporary is larger than that
+    many matrix rows by d, and one row at large n reads its members' rows,
+    not all n. A max is exact, so the bits do not depend on the blocks.
     """
-    rows = np.flatnonzero(members)
-    if not len(rows):
-        return 0.0
-    best = functools.reduce(np.maximum, (mat[block].max(axis=0) for block in _row_blocks(rows)))
-    return float(best.sum() + sigma @ members)
+    k, n = members.shape
+    height = max(1, _FACILITY_BLOCK // n)
+    best = np.empty(k)  # the column-max sum of each row, -inf for no member
+    for s in range(0, k, height):
+        block = members[s : s + height]
+        top = np.full((len(block), mat.shape[1]), -np.inf)
+        used = np.flatnonzero(block.any(axis=0))
+        width = _FACILITY_BLOCK // len(block)
+        for c in range(0, len(used), width):
+            np.maximum(top, _member_max(mat, block, used[c : c + width]), out=top)
+        best[s : s + height] = top.sum(axis=-1)
+    return np.where(best > -np.inf, best + np.vecdot(members, sigma), 0.0)
 
 
 def make_perturbed_facility(n: int, d: int, seed: int) -> SetFunctionOracle:
@@ -613,13 +647,16 @@ def _linalg() -> SimpleNamespace:
     )
 
 
-def _cholesky_det(la: SimpleNamespace, kernel: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor (dpotrf) of the kernel restricted to ``idx``, and its determinant."""
+def _cholesky_det(la: SimpleNamespace, restricted: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor (dpotrf) of a C-ordered kernel restriction, and its determinant.
+
+    The factor overwrites ``restricted``.
+    """
     # the restriction is symmetric, so its transpose is the same matrix in Fortran order
-    chol, info = la.dpotrf(kernel[np.ix_(idx, idx)].T, lower=1, overwrite_a=1)
+    chol, info = la.dpotrf(restricted.T, lower=1, overwrite_a=1)
     if info != 0:
         raise InternalInvariantError(
-            f"kernel restricted to {len(idx)} members is not positive definite (dpotrf info={info})"
+            f"kernel restricted to {len(restricted)} members is not positive definite (dpotrf info={info})"
         )
     return chol, float(np.prod(np.diag(chol)) ** 2)
 
@@ -665,7 +702,7 @@ class _DeterminantCursor(_EpochCursor):
             self._inv = np.empty((0, 0), order="F")
             self._det = 1.0
             return
-        chol, self._det = _cholesky_det(self._la, self._kernel, idx)
+        chol, self._det = _cholesky_det(self._la, self._kernel[np.ix_(idx, idx)])
         self._inv, info = self._la.dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise InternalInvariantError(f"Cholesky factor is singular (dpotri info={info})")
@@ -843,12 +880,30 @@ def _determinant_kernel(n: int, seed: int) -> np.ndarray:
     return kernel
 
 
-def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> float:
-    """det of the kernel restricted to the members; the empty restriction gives 1."""
-    idx = np.flatnonzero(members)
-    if len(idx) == 0:
-        return 1.0
-    return _cholesky_det(_linalg(), kernel, idx)[1]
+#: Kernel entries gathered per stack in ``principal_determinant``: 512 KiB,
+#: or a single restriction when one is larger.
+_STACK_CELLS = 1 << 16
+
+
+@_row_formula
+def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """det of the kernel restricted to the members per row; the empty restriction gives 1.
+
+    The rows of one cardinality c gather their restrictions as (count, c, c)
+    stacks of at most ``_STACK_CELLS`` entries and factor each by one dpotrf.
+    """
+    la = _linalg()
+    sizes = members.sum(axis=-1)
+    out = np.ones(len(members))
+    for c in sorted(set(sizes.tolist()) - {0}):
+        group = np.flatnonzero(sizes == c)
+        step = max(1, _STACK_CELLS // (c * c))
+        for s in range(0, len(group), step):
+            block = group[s : s + step]
+            idx = np.flatnonzero(members[block]).reshape(len(block), c) % members.shape[1]
+            stack = kernel[idx[:, :, None], idx[:, None, :]]
+            out[block] = [_cholesky_det(la, restricted)[1] for restricted in stack]
+    return out
 
 
 def make_determinant(n: int, seed: int) -> SetFunctionOracle:
@@ -911,9 +966,20 @@ def _cobb_exp(log_value: float, count) -> float:
         ) from None
 
 
-def cobb_value(delta: np.ndarray, members: np.ndarray) -> float:
-    """Product over members of w(i)**alpha_i: exp of the ``cobb_log_factors`` sum."""
-    return _cobb_exp(float(delta @ members), members.sum)
+@_row_formula
+def cobb_value(delta: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Product over members of w(i)**alpha_i per row: exp of the ``cobb_log_factors`` sum.
+
+    The exp is ``math.exp``, one row at a time, as in ``_cobb_exp``; numpy's
+    vector exp differs from it in the last bit on some inputs.
+    """
+    logs = np.vecdot(members, delta).tolist()
+    try:
+        return np.fromiter(map(math.exp, logs), dtype=float, count=len(logs))
+    except OverflowError:
+        for row, log_value in enumerate(logs):  # _cobb_exp raises at the first overflow
+            _cobb_exp(log_value, members[row].sum)
+        raise
 
 
 def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
@@ -948,6 +1014,11 @@ class _TabularCursor(_FamilyCursor):
         return self._values[mask] - self._values[mask & ~(1 << (ids - 1))]
 
 
+def _table_value(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The table entry of each row, looked up by the row's mask (bit i-1 for element i)."""
+    return values[np.vecdot(members, 1 << np.arange(members.shape[-1]))]
+
+
 def make_tabular(values) -> SetFunctionOracle:
     """Oracle backed by an explicit table indexed by subset bitmask."""
     arr = np.asarray(values, dtype=float)
@@ -957,16 +1028,10 @@ def make_tabular(values) -> SetFunctionOracle:
         raise ValueError(f"table length {size} is not a power of two >= 2")
     if n > TABLE_MAX_N:
         raise ValueError(f"tabular capped at n <= {TABLE_MAX_N}, got {n}")
-    ground = GroundSet(n)
-
-    def evaluate(x: SubsetBits) -> float:
-        return float(arr[x.mask])
-
     return SetFunctionOracle(
-        ground,
-        evaluate,
+        GroundSet(n),
+        value_rows=functools.partial(_table_value, arr),
         cursor_factory=lambda o, s: _TabularCursor(s, arr),
-        dense_table=arr,
         params={"values": arr},
         name=f"tabular(n={n})",
     )

@@ -1,13 +1,29 @@
 """Value-oracle contract for set functions, marginal gains, and call accounting.
 
-An oracle is ``value`` plus ``cursor``. A cursor is an incremental view
-anchored at a working set: it answers add/drop marginal queries against that
-set and can be moved one element at a time, which is what the reduction
-algorithms need to stay cheap at n in the thousands. Each benchmark family
-supplies its own cursor through a cursor factory; without one, the generic
-``Cursor`` answers from value differences. A cursor holds no value of its
-own: callers take F(X) from ``value``, so a cursor keeps only what its
-marginals need.
+An oracle is a value formula, its scalar row, and ``cursor``. The value
+formula, ``value_rows``, takes a (k, n) boolean membership matrix, row r the
+indicator of one set, and returns the k values; given one bare (n,) row it
+returns that row's value, and ``value(x)`` is the formula at x's row. A
+formula works along each row's contiguous last axis, elementwise or by a
+per-row reduction (a numpy sum, or ``np.vecdot``, one dot product per row),
+never by a matrix product, whose blocking would make a row's bits depend on
+its position in the block. So a row has the same bits at any block height
+and as a bare row: a scalar and a batch agree by construction, as a family
+cursor's scalar marginal is its batch at the bare id. ``lattice_values``
+asks the formula for a lattice's members in row blocks of at most
+``BLOCK_CELLS`` membership cells, and ``eval_table`` for the full cube the
+same way. An oracle with no formula (``value_rows`` None or absent: a
+restricted oracle, a plain test oracle, a timing proxy around ``value``) has
+only the scalar ``value``, and those two fall back to one ``value`` call per
+member.
+
+A cursor is an incremental view anchored at a working set: it answers
+add/drop marginal queries against that set and can be moved one element at a
+time, which is what the reduction algorithms need to stay cheap at n in the
+thousands. Each benchmark family supplies its own cursor through a cursor
+factory; without one, the generic ``Cursor`` answers from value differences.
+A cursor holds no value of its own: callers take F(X) from ``value``, so a
+cursor keeps only what its marginals need.
 
 The base ``Cursor`` owns the anchored set. Its ``add``/``remove`` are the
 one move path: each updates the set and then calls one hook,
@@ -56,9 +72,20 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InternalInvariantError
-from .sets import GroundSet, SubsetBits, format_set
+from .sets import (
+    DEFAULT_ENUMERATION_CAP,
+    GroundSet,
+    IntervalLattice,
+    SubsetBits,
+    enumerate_lattice,
+    format_set,
+    lattice_free_count,
+)
 
 EvalFn = Callable[[SubsetBits], float]
+#: A value formula: F of each row of a (k, n) boolean membership matrix, as k
+#: floats, or F of one bare (n,) row.
+RowsFn = Callable[[np.ndarray], np.ndarray]
 MarginalFn = Callable[[int, SubsetBits], float]
 
 #: Relative tolerance for comparing two computations of the same quantity,
@@ -164,25 +191,28 @@ class Cursor:
 
 
 class SetFunctionOracle:
-    """Evaluation access to F: 2^N -> R, through ``value`` and ``cursor``.
+    """Evaluation access to F: 2^N -> R, through ``value_rows``, ``value`` and ``cursor``.
 
-    Evaluation must be deterministic, and a cursor's marginals must equal the
-    value differences within relative 1e-9. A marginal query goes through
+    Built from exactly one of a scalar ``eval_fn`` or a ``value_rows``
+    formula; with the formula, ``value(x)`` is the formula at x's membership
+    row, and ``value_rows`` is None otherwise. Evaluation must
+    be deterministic, and a cursor's marginals must equal the value
+    differences within relative 1e-9. A marginal query goes through
     ``cursor(X)``; the oracle answers none itself.
 
-    The ``fast_marginal=``/``fast_drop_marginal=`` kwargs and their
-    ``_fast_marginal``/``_fast_drop`` attributes are read by nothing in this
-    package. They stay only because the benchmark's tracing proxy
-    (``perfbench/tracing.py``) passes and reads them, as it reads
-    ``_cursor_factory`` and ``dense_table``, to build its timing view; they
-    go once the proxy moves onto ``value`` and ``cursor``.
+    The ``fast_marginal=``/``fast_drop_marginal=`` and ``dense_table=`` kwargs
+    and their attributes are read by nothing in this package. They stay only
+    because the benchmark's tracing proxy (``perfbench/tracing.py``) passes
+    and reads them, as it reads ``_cursor_factory``, to build its timing
+    view; they go once the proxy moves onto ``value`` and ``cursor``.
     """
 
     def __init__(
         self,
         ground: GroundSet,
-        eval_fn: EvalFn,
+        eval_fn: Optional[EvalFn] = None,
         *,
+        value_rows: Optional[RowsFn] = None,
         fast_marginal: Optional[MarginalFn] = None,
         fast_drop_marginal: Optional[MarginalFn] = None,
         cursor_factory: Optional[Callable[["SetFunctionOracle", SubsetBits], Cursor]] = None,
@@ -190,8 +220,11 @@ class SetFunctionOracle:
         params: Optional[dict] = None,
         name: str = "",
     ):
+        if (eval_fn is None) == (value_rows is None):
+            raise ValueError("an oracle takes exactly one of eval_fn and value_rows")
         self.ground = ground
         self._eval = eval_fn
+        self.value_rows = value_rows
         self._fast_marginal = fast_marginal
         self._fast_drop = fast_drop_marginal
         self._cursor_factory = cursor_factory
@@ -204,7 +237,9 @@ class SetFunctionOracle:
         return self.ground.n
 
     def value(self, x: SubsetBits) -> float:
-        return float(self._eval(x))
+        if self.value_rows is None:
+            return float(self._eval(x))
+        return float(self.value_rows(x.to_bool_array()))
 
     def cursor(self, start: SubsetBits) -> Cursor:
         if self._cursor_factory is not None:
@@ -267,9 +302,10 @@ class _CountingCursor(Cursor):
 class CountingOracle:
     """Transparent wrapper that counts oracle traffic.
 
-    ``eval_calls`` counts full evaluations, ``marginal_calls`` counts family
-    cursor marginal queries (each worth at most two evaluations; a batch of k
-    ids counts k, a ``gains()`` read n). Returned values are identical to the
+    ``eval_calls`` counts full evaluations (a block of k rows through
+    ``value_rows`` counts k), ``marginal_calls`` counts family cursor
+    marginal queries (each worth at most two evaluations; a batch of k ids
+    counts k, a ``gains()`` read n). Returned values are identical to the
     wrapped oracle's, but a NaN marginal raises InternalInvariantError: every
     query an algorithm makes goes through these cursors.
     """
@@ -295,6 +331,19 @@ class CountingOracle:
         self.eval_calls += 1
         return self.inner.value(x)
 
+    @property
+    def value_rows(self) -> Optional[RowsFn]:
+        """The wrapped formula, booking one evaluation per row; None when it has none."""
+        rows_of = getattr(self.inner, "value_rows", None)
+        if rows_of is None:
+            return None
+
+        def counted(members: np.ndarray) -> np.ndarray:
+            self.eval_calls += len(members)
+            return rows_of(members)
+
+        return counted
+
     def cursor(self, start: SubsetBits) -> Cursor:
         factory = getattr(self.inner, "_cursor_factory", None)
         if factory is not None:
@@ -302,16 +351,39 @@ class CountingOracle:
         return Cursor(self, start)  # generic cursor; its evals route through us
 
 
-def eval_table(oracle, n: int) -> np.ndarray:
-    """Evaluate F on every subset; entry m holds F of the set with mask m.
+#: Membership cells (rows times n) in one block of a batch evaluation, with
+#: at least one row. The block's boolean matrix takes this many bytes and each
+#: float temporary of a value formula eight times that, 64 KiB: below the
+#: allocator's mmap threshold, so one block after another reuses heap memory.
+BLOCK_CELLS = 1 << 13
 
-    Uses a family's dense table when one is attached; otherwise 2**n plain
-    evaluations. Callers are responsible for keeping n small.
+
+def lattice_values(oracle, lattice: IntervalLattice, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
+    """F at every member of ``lattice``: entry i is F at ``lattice.member(i)``.
+
+    An oracle with a value formula answers row blocks of ``lattice.member_rows``,
+    ``BLOCK_CELLS // n`` rows each; any other oracle takes one ``value`` call
+    per member, in the walk of ``enumerate_lattice``. Over ``cap`` free
+    elements it raises ``CapExceeded`` before any evaluation.
     """
-    dense = getattr(oracle, "dense_table", None)
-    if dense is not None and len(dense) == (1 << n):
-        return np.array(dense, dtype=float)
-    out = np.empty(1 << n, dtype=float)
-    for mask in range(1 << n):
-        out[mask] = oracle.value(SubsetBits(n, mask))
+    members = enumerate_lattice(lattice, cap=cap)  # raises over the cap, before any evaluation
+    count = 1 << lattice_free_count(lattice)
+    value_rows = getattr(oracle, "value_rows", None)
+    if value_rows is None:
+        return np.fromiter((oracle.value(x) for x in members), dtype=float, count=count)
+    height = max(1, BLOCK_CELLS // lattice.capacity)
+    out = np.empty(count)
+    for start in range(0, count, height):
+        stop = min(start + height, count)
+        out[start:stop] = value_rows(lattice.member_rows(np.arange(start, stop)))
     return out
+
+
+def eval_table(oracle, n: int) -> np.ndarray:
+    """F on every subset; entry m holds F of the set with mask m.
+
+    ``lattice_values`` over the full cube, whose member m has mask m: row
+    blocks of the value formula, or 2**n ``value`` calls without one. Callers
+    are responsible for keeping n small.
+    """
+    return lattice_values(oracle, IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n)), cap=n)

@@ -127,7 +127,7 @@ class SubsetBits:
         """Membership indicator as a numpy bool array of length capacity."""
         nbytes = (self.capacity + 7) // 8
         raw = np.frombuffer(self.mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(raw, bitorder="little")[: self.capacity].astype(bool)
+        return np.unpackbits(raw, count=self.capacity, bitorder="little").view(bool)
 
     @classmethod
     def from_bool_array(cls, arr: np.ndarray) -> "SubsetBits":
@@ -209,6 +209,24 @@ class IntervalLattice:
             free ^= low
             index >>= 1
         return SubsetBits(self.capacity, mask)
+
+    def member_rows(self, indices: np.ndarray) -> np.ndarray:
+        """``member`` of each index as one membership row: a (len(indices), capacity) bool matrix.
+
+        The same rule on an index array: row r is
+        ``member(indices[r]).to_bool_array()``, so bit j of an index sets the
+        (j+1)-th smallest free element. Indices are int64, below 2**63.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        lower = self.lower.to_bool_array()
+        free = np.flatnonzero(self.upper.to_bool_array() & ~lower)
+        bad = (indices < 0) | (indices >> len(free) != 0)
+        if bad.any():
+            raise ValueError(f"member index {indices[bad.argmax()]} out of range for {len(free)} free elements")
+        rows = np.repeat(lower[None, :], len(indices), axis=0)
+        for j, element in enumerate(free):
+            rows[:, element] = (indices >> j) & 1
+        return rows
 
     def __repr__(self) -> str:
         return f"IntervalLattice({format_set(self.lower)}, {format_set(self.upper)})"

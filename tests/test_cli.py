@@ -117,6 +117,14 @@ class TestCheck:
         proc = qsopt("check", "--spec", str(path), "--property", "qsb")
         assert proc.returncode == 2
 
+    def test_infinite_values_print_verdicts_and_no_warning(self, tmp_path):
+        """inf - inf gains are NaN by rule: the run judges them and numpy says nothing."""
+        path = tmp_path / "inf.json"
+        save_spec(tabular_spec([float("inf"), float("inf"), 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]), path)
+        proc = qsopt("check", "--spec", str(path), "--property", "all")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.count("holds=false") == 4
+
 
 class TestMin:
     def test_result_and_trace(self, prop_spec, tmp_path):
@@ -137,6 +145,15 @@ class TestMin:
         proc = qsopt("min", "--spec", prop_spec, "--start", "nope")
         assert proc.returncode == 2
 
+    def test_lines_and_quiet(self, prop_spec, capsys, monkeypatch):
+        assert cli_module.main(["min", "--spec", prop_spec]) == 0
+        assert capsys.readouterr().out == (
+            "start={} result={1}\nvalue=0.0 iterations=2 eval_calls=7 local_min=True\n"
+        )
+        monkeypatch.setattr(cli_module, "is_local_min", None)  # called, it would raise
+        assert cli_module.main(["--quiet", "min", "--spec", prop_spec]) == 0
+        assert capsys.readouterr() == ("", "")
+
 
 class TestMax:
     def test_final_line_reports_lattice(self, prop_spec, tmp_path):
@@ -147,6 +164,16 @@ class TestMax:
         assert last.startswith("X+={2} Y+={2} free=0 reduction_rate=1.0")
         rows = list(csv.reader(open(trace)))
         assert rows[0] == ["t", "added", "removed", "fx", "fy", "eval_calls"]
+
+    def test_lines_and_quiet(self, prop_spec, capsys, monkeypatch):
+        last = "X+={2} Y+={2} free=0 reduction_rate=1.0\n"
+        assert cli_module.main(["max", "--spec", prop_spec]) == 0
+        assert capsys.readouterr().out == (
+            "lower_local_max=True upper_local_max=True iterations=2 eval_calls=10\n" + last
+        )
+        monkeypatch.setattr(cli_module, "is_local_max", None)  # called, it would raise
+        assert cli_module.main(["--quiet", "max", "--spec", prop_spec]) == 0
+        assert capsys.readouterr() == (last, "")
 
     def test_stuck_interval(self, tmp_path):
         path = tmp_path / "twin.json"
