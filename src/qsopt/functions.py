@@ -9,10 +9,12 @@ matrix, one row per set (or one bare row), plus one cursor class, which
 ``_family_oracle`` puts together (tabular, looked up by mask, builds its
 own). A cursor's batch formulas take an id or an id array alike: a scalar
 query is the batch at the bare id, the reverse of the base ``Cursor``.
-A family cursor makes no move of its own: the base ``Cursor`` keeps the
-anchored set, and a family that keeps statistics over the members (com's
+A single move is the base ``Cursor``'s, which keeps the anchored set; a
+batch move, ``_FamilyCursor.move``, builds the new set from one mask and
+calls one batch hook. A family that keeps statistics over the members (com's
 w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
-in the ``_moved`` hook; iwata and tabular read the set itself.
+in the ``_moved`` hook and its batch form, ``_moved_batch``, with the same
+bits; iwata and tabular read the set itself.
 ``_EpochCursor._sync`` alone chooses between an in-place update and a
 refactor for the half_products, facility and determinant cursors.
 A ``FunctionSpec`` names an instance and is the one place that checks one:
@@ -39,7 +41,7 @@ import numpy as np
 from .checkers import SSBC_MAX_N, satisfies_ssbc
 from .errors import ConfigError, InternalInvariantError, require_kind
 from .exact import TABLE_MAX_N
-from .oracle import Cursor, SetFunctionOracle
+from .oracle import Cursor, SetFunctionOracle, moved_set
 from .sets import GroundSet, SubsetBits
 
 
@@ -160,8 +162,24 @@ class _FamilyCursor(Cursor):
     def __init__(self, start: SubsetBits):
         self._current = start  # no F at the anchor: the family formulas need none
 
+    def move(self, added: np.ndarray, removed: np.ndarray) -> None:
+        """The batch move: the new set built and checked once, then one ``_moved_batch``."""
+        added = np.asarray(added, dtype=np.int64)
+        removed = np.asarray(removed, dtype=np.int64)
+        if not (added.size or removed.size):
+            return
+        self._current = moved_set(self._current, added, removed)
+        self._moved_batch(added, removed)
+
     def _moved(self, e: int, added: bool) -> None:
         """Nothing to update; a family with statistics over the members overrides this."""
+
+    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
+        """``_moved`` of each added id, then of each removed id, in order."""
+        for u in added.tolist():
+            self._moved(u, True)
+        for d in removed.tolist():
+            self._moved(d, False)
 
     def add_marginal(self, u: int) -> float:
         return float(self.add_marginals(u))
@@ -207,6 +225,9 @@ class _IwataCursor(_FamilyCursor):
     def __init__(self, start: SubsetBits, n: int):
         super().__init__(start)
         self._n = n
+
+    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
+        """Nothing to update, not even id by id: the marginals take the member count at the query."""
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return np.asarray(3 * self._n - 2 * len(self._current) - 1 - 5 * ids, dtype=float)
@@ -264,6 +285,19 @@ class _ComCursor(_FamilyCursor):
             self._s1 += self._w1[e - 1]
         else:
             self._s1 -= self._w1[e - 1]
+
+    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
+        self._s1 = _running_sum(self._s1, self._w1, added, removed)
+
+
+def _running_sum(total: float, weights: np.ndarray, added: np.ndarray, removed: np.ndarray) -> float:
+    """``total`` plus the weights of ``added``, then minus those of ``removed``, one id at a
+    time in order: the bits of the same moves made one by one through ``_moved``."""
+    for w in weights[added - 1].tolist():
+        total += w
+    for w in weights[removed - 1].tolist():
+        total -= w
+    return total
 
 
 def com_value(w1: np.ndarray, w2: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -324,6 +358,15 @@ class _EpochCursor(_FamilyCursor):
 
     def _moved(self, e: int, added: bool) -> None:
         self._pending = (added, e) if self._pending is None else _STALE
+
+    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
+        # the rule of as many single moves: one is an update, two or more a refactor
+        if len(added) + len(removed) > 1:
+            self._pending = _STALE
+        elif len(added):
+            self._moved(int(added[0]), True)
+        else:
+            self._moved(int(removed[0]), False)
 
 
 # ---------------------------------------------------------------------------
@@ -945,6 +988,9 @@ class _CobbCursor(_FamilyCursor):
             self._logsum += self._delta[e - 1]
         else:
             self._logsum -= self._delta[e - 1]
+
+    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
+        self._logsum = _running_sum(self._logsum, self._delta, added, removed)
 
 
 def cobb_log_factors(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ whose addition to X_t would strictly lower the value is expelled from
 Y_{t+1} (it cannot be in any maximum). The crossover keeps X_t inside Y_t
 on quasi-submodular objectives and the final interval [X+, Y+] contains
 every local and global maximum. Unlike the minimization run, the endpoints
-themselves need not be local maxima.
+themselves need not be local maxima. On such objectives each side a step
+moves strictly rises, F(X) after additions and F(Y) after removals; a run
+checks this from the two values its trace takes anyway and raises
+InternalInvariantError where it fails. Each cursor moves once per step.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .baselines import BaselineResult
 from .errors import InternalInvariantError
-from .oracle import CountingOracle, Cursor, SetFunctionOracle
+from .oracle import NO_IDS, CountingOracle, Cursor, SetFunctionOracle
 from .sets import GroundSet, IntervalLattice, SubsetBits
 
 
@@ -63,27 +66,35 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
         x, y = cursor_x.members(), cursor_y.members()
         fx = counter.value(x)
         fy = counter.value(y)
+        if steps:  # the paper's strict ascent of each side the last step moved
+            last = steps[-1]
+            for side, moved, before, after, f_before, f_after in (
+                ("X", last.added, x_last, x, last.fx, fx),
+                ("Y", last.removed, y_last, y, last.fy, fy),
+            ):
+                if len(moved) and not f_after > f_before:
+                    raise InternalInvariantError(
+                        f"step {t - 1} did not ascend on {side}: F({before}) = {f_before!r} and "
+                        f"F({after}) = {f_after!r}; objective is likely not quasi-submodular"
+                    )
         free = np.flatnonzero(y.to_bool_array() & ~x.to_bool_array()) + 1
-        drops = cursor_y.drop_marginals(free)
-        gains = cursor_x.add_marginals(free)
-        added = free[drops > 0.0].tolist()
-        removed = free[gains < 0.0].tolist()
-        added_set = SubsetBits.from_members(n, added)
-        removed_set = SubsetBits.from_members(n, removed)
-        steps.append(MaxStep(t, added_set, removed_set, fx, fy, counter.total_calls))
-        for u in added:
-            cursor_x.add(u)
-        for d in removed:
-            cursor_y.remove(d)
+        added = free[cursor_y.drop_marginals(free) > 0.0]
+        removed = free[cursor_x.add_marginals(free) < 0.0]
+        steps.append(
+            MaxStep(t, SubsetBits.from_ids(n, added), SubsetBits.from_ids(n, removed), fx, fy, counter.total_calls)
+        )
+        cursor_x.move(added, NO_IDS)
+        cursor_y.move(NO_IDS, removed)
         x_next, y_next = cursor_x.members(), cursor_y.members()
         if not x_next.is_subset(y_next):
             raise InternalInvariantError(
                 f"working interval collapsed: {x_next} not inside {y_next}; "
                 "objective is likely not quasi-submodular"
             )
-        if not added and not removed:
+        if not added.size and not removed.size:
             lattice = IntervalLattice(x, y)
             return lattice, MaxTrace(lattice, steps, counter.eval_calls, counter.marginal_calls)
+        x_last, y_last = x, y
     raise InternalInvariantError(
         f"no fixed interval within {n + 2} iterations; objective is likely "
         "not quasi-submodular"

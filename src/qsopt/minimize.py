@@ -8,7 +8,11 @@ strict tests mean zero marginals never move an element, so an all-flat
 function returns its start unchanged. On a quasi-submodular objective the
 value strictly decreases every non-final iteration and the run from the
 empty set only grows while the run from the full set only shrinks; the two
-runs bracket every local (hence global) minimum.
+runs bracket every local (hence global) minimum. A run checks that descent
+as it goes, from the values its trace takes anyway: a step after which the
+value did not strictly fall raises InternalInvariantError. The cursor moves
+once per phase, all of the step's additions in one ``move`` and all of its
+removals in another.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError
-from .oracle import CountingOracle
+from .oracle import NO_IDS, CountingOracle
 from .sets import IntervalLattice, SubsetBits
 
 
@@ -64,31 +68,32 @@ def uqsfmin(oracle, x0: SubsetBits) -> tuple[SubsetBits, MinTrace]:
     steps: list[MinStep] = []
     for t in range(n + 2):
         fx = counter.value(x)
+        if steps and not fx < steps[-1].value:  # the paper's strict descent
+            raise InternalInvariantError(
+                f"step {t - 1} did not descend: F({x_last}) = {steps[-1].value!r} and F({x}) = {fx!r}; "
+                "objective is likely not quasi-submodular"
+            )
         members = x.to_bool_array()
         outside = np.flatnonzero(~members) + 1
-        gains = cursor.add_marginals(outside)
-        added = outside[gains < 0.0].tolist()
-        for u in added:
-            cursor.add(u)
+        added = outside[cursor.add_marginals(outside) < 0.0]
+        cursor.move(added, NO_IDS)
         # cursor now sits at Y_t; drops are judged against it, members of X_t only
         inside = np.flatnonzero(members) + 1
-        drops = cursor.drop_marginals(inside)
-        removed = inside[drops > 0.0].tolist()
-        for d in removed:
-            cursor.remove(d)
+        removed = inside[cursor.drop_marginals(inside) > 0.0]
+        cursor.move(NO_IDS, removed)
         steps.append(
             MinStep(
                 t,
-                SubsetBits.from_members(n, added),
-                SubsetBits.from_members(n, removed),
+                SubsetBits.from_ids(n, added),
+                SubsetBits.from_ids(n, removed),
                 fx,
                 counter.total_calls,
             )
         )
-        if not added and not removed:
+        if not added.size and not removed.size:
             trace = MinTrace(x0, x, steps, counter.eval_calls, counter.marginal_calls)
             return x, trace
-        x = cursor.members()
+        x_last, x = x, cursor.members()
     raise InternalInvariantError(
         f"no fixed point within {n + 2} iterations from {x0}; objective is "
         "likely not quasi-submodular"

@@ -18,19 +18,30 @@ only the scalar ``value``, and those two fall back to one ``value`` call per
 member.
 
 A cursor is an incremental view anchored at a working set: it answers
-add/drop marginal queries against that set and can be moved one element at a
-time, which is what the reduction algorithms need to stay cheap at n in the
-thousands. Each benchmark family supplies its own cursor through a cursor
-factory; without one, the generic ``Cursor`` answers from value differences.
+add/drop marginal queries against that set and moves, one element or one
+batch at a time, which is what the reduction algorithms need to stay cheap
+at n in the thousands. Each benchmark family supplies its own cursor through
+a cursor factory; without one, the generic ``Cursor`` answers from value
+differences.
 A cursor holds no value of its own: callers take F(X) from ``value``, so a
 cursor keeps only what its marginals need.
 
-The base ``Cursor`` owns the anchored set. Its ``add``/``remove`` are the
-one move path: each updates the set and then calls one hook,
-``_moved(e, added)``, where a subclass brings whatever it keeps along (the
-generic cursor re-evaluates F; a family cursor with no statistics does
-nothing). ``members()`` reads the set back, so an algorithm keeps no copy
-of its working set beside its cursor.
+The base ``Cursor`` owns the anchored set. Its ``add``/``remove`` move one
+element: each updates the set and then calls one hook, ``_moved(e, added)``,
+where a subclass brings whatever it keeps along (the generic cursor
+re-evaluates F; a family cursor with no statistics does nothing).
+``move(added, removed)`` takes two arrays of 1-based ids and moves the
+anchor to (X + added) - removed. The base ``move`` is a loop over ``add``
+then ``remove``, so the generic cursor still evaluates once per element and
+a wrapper that overrides only ``add``/``remove`` sees every element of a
+batch. A family cursor overrides ``move``: it builds and checks the new set
+once (``moved_set``) and calls one batch hook, ``_moved_batch``, which by
+default runs ``_moved`` per id in order. The reductions move once per
+phase; the sequential baselines, which move one element between queries,
+keep ``add``/``remove``. A move that would not change the set (an add of a
+member, a remove of a non-member) raises ValueError; a batch with no ids
+moves nothing. ``members()`` reads the set back, so an algorithm keeps no
+copy of its working set beside its cursor.
 
 Queries come in two shapes. ``add_marginal(u)``/``drop_marginal(d)`` answer one
 element; ``add_marginals(ids)``/``drop_marginals(ids)`` answer a whole array of
@@ -53,8 +64,9 @@ statistics over the members and bring them up to date at the next query
 after a move, by one rule: exactly one move since the last query, between
 two nonempty sets, is applied as an exact in-place update; the first query,
 two or more moves, and one move into or out of the empty set take a full
-refactor. So a baseline that moves once between queries pays one update per
-move, and a sweep that fixes many elements pays one refactor.
+refactor. A batch counts as many moves as it has ids. So a baseline that
+moves once between queries pays one update per move, and a sweep that fixes
+many elements pays one refactor.
 Half_products' update is its refactor, one O(n) prefix sum.
 
 A NaN marginal fails every strict sign test, so an algorithm would take it
@@ -79,6 +91,7 @@ from .sets import (
     SubsetBits,
     enumerate_lattice,
     format_set,
+    iter_bits,
     lattice_free_count,
 )
 
@@ -87,6 +100,10 @@ EvalFn = Callable[[SubsetBits], float]
 #: floats, or F of one bare (n,) row.
 RowsFn = Callable[[np.ndarray], np.ndarray]
 MarginalFn = Callable[[int, SubsetBits], float]
+
+#: The side of a batch move that moves nothing: an empty id array.
+NO_IDS = np.empty(0, dtype=np.int64)
+NO_IDS.flags.writeable = False
 
 #: Relative tolerance for comparing two computations of the same quantity,
 #: with an absolute floor for values near zero.
@@ -104,21 +121,49 @@ def _nan_marginal(e: int, at: SubsetBits) -> InternalInvariantError:
     return InternalInvariantError(f"marginal of element {e} is NaN ({query} at {format_set(at)})")
 
 
+def _not_moved(e: int, added: bool, at: SubsetBits) -> ValueError:
+    """A move of e that would leave ``at`` as it is: an add of a member or a remove of a non-member."""
+    where = "already in" if added else "not in"
+    return ValueError(f"cannot {'add' if added else 'remove'} element {e}: it is {where} {format_set(at)}")
+
+
+def moved_set(x: SubsetBits, added: np.ndarray, removed: np.ndarray) -> SubsetBits:
+    """(x + added) - removed from one mask per side, checked as ``Cursor.move`` checks it id by id.
+
+    Raises ValueError for an id outside 1..n, an added id already in x, a
+    removed id in neither x nor ``added``, and an id named twice on one side.
+    """
+    grow = SubsetBits.from_ids(x.capacity, added)
+    shrink = SubsetBits.from_ids(x.capacity, removed)
+    if grow.cardinality() != len(added) or shrink.cardinality() != len(removed):
+        raise ValueError("a move names an element twice on one side")
+    if x.mask & grow.mask:
+        raise _not_moved(next(iter_bits(x.mask & grow.mask)), True, x)
+    grown = x.mask | grow.mask
+    if shrink.mask & ~grown:
+        raise _not_moved(next(iter_bits(shrink.mask & ~grown)), False, SubsetBits(x.capacity, grown))
+    return SubsetBits(x.capacity, grown & ~shrink.mask)
+
+
 class Cursor:
     """Incremental view of F anchored at a working set: marginals and moves.
 
     A cursor answers marginal queries and moves; it does not report F(X),
     which callers take from the oracle's ``value``, so it keeps only the state
     its marginals need. The base class owns the anchored set: ``add`` and
-    ``remove`` update it and then call ``_moved(e, added)``, the one hook a
-    subclass overrides to bring its own state along; only wrappers that
-    forward to an inner cursor override the moves themselves. The default
-    implementation answers every query with fresh evaluations, keeping F at
-    its anchor to take differences against, and its hook re-evaluates F at
-    the new anchor; benchmark families install replacements with cheap
-    hooks and vectorized batches. An epoch cursor defers the work of its
-    moves to the next query: one pending move is an in-place update, more
-    than one a refactor, and the answers agree either way. The base batch
+    ``remove`` update it and then call ``_moved(e, added)``, the hook a
+    subclass overrides to bring its own state along, and the base ``move``
+    of a batch is a loop over ``add`` then ``remove``. A wrapper that
+    forwards to an inner cursor overrides the moves themselves, and one that
+    overrides only ``add``/``remove`` still takes every batch through them;
+    a family cursor overrides ``move`` to build the new set once and call
+    one batch hook. The default implementation answers every query with
+    fresh evaluations, keeping F at its anchor to take differences against,
+    and its hook re-evaluates F at the new anchor; benchmark families
+    install replacements with cheap hooks and vectorized batches. An epoch
+    cursor defers the work of its moves to the next query: one pending move
+    is an in-place update, more than one a refactor, and the answers agree
+    either way. The base batch
     queries loop over the scalar ones, so a wrapper that overrides only
     ``add_marginal``/``drop_marginal`` (a timing proxy around a family
     cursor, say) still sees every query of a batch, one at a time, and needs
@@ -175,14 +220,31 @@ class Cursor:
         out[outside] = self.add_marginals(outside + 1)
         return out
 
+    def move(self, added: np.ndarray, removed: np.ndarray) -> None:
+        """Move the anchor to (X + added) - removed: each id of ``added`` in, then each of ``removed`` out.
+
+        The base loops over ``add`` and ``remove``, so a wrapper that
+        overrides only those sees every element of a batch, one at a time.
+        """
+        for u in np.asarray(added).tolist():
+            self.add(u)
+        for d in np.asarray(removed).tolist():
+            self.remove(d)
+
     def add(self, u: int) -> None:
-        """Move the anchor to X + u."""
-        self._current = self._current.add(u)
+        """Move the anchor to X + u, for u outside X."""
+        moved = self._current.add(u)
+        if moved.mask == self._current.mask:
+            raise _not_moved(u, True, self._current)
+        self._current = moved
         self._moved(u, True)
 
     def remove(self, d: int) -> None:
-        """Move the anchor to X - d."""
-        self._current = self._current.remove(d)
+        """Move the anchor to X - d, for d inside X."""
+        moved = self._current.remove(d)
+        if moved.mask == self._current.mask:
+            raise _not_moved(d, False, self._current)
+        self._current = moved
         self._moved(d, False)
 
     def _moved(self, e: int, added: bool) -> None:
@@ -291,6 +353,9 @@ class _CountingCursor(Cursor):
             i = int(np.isnan(marginals).argmax())
             raise _nan_marginal(i + 1 if ids is None else int(ids[i]), self._inner.members())
         return marginals
+
+    def move(self, added: np.ndarray, removed: np.ndarray) -> None:
+        self._inner.move(added, removed)
 
     def add(self, u: int) -> None:
         self._inner.add(u)

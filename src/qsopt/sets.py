@@ -73,6 +73,19 @@ class SubsetBits:
             mask |= 1 << (_check_element(capacity, i) - 1)
         return cls(capacity, mask)
 
+    @classmethod
+    def from_ids(cls, capacity: int, ids) -> "SubsetBits":
+        """``from_members`` for an int array of ids: one membership mask, packed once."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if not ids.size:
+            return cls(capacity, 0)
+        bad = (ids < 1) | (ids > capacity)
+        if bad.any():
+            raise _out_of_range(capacity, int(ids[bad.argmax()]))
+        members = np.zeros(capacity, dtype=bool)
+        members[ids - 1] = True
+        return cls.from_bool_array(members)
+
     # -- element ops ------------------------------------------------------
 
     def add(self, i: int) -> "SubsetBits":
@@ -267,8 +280,12 @@ def _check_element(capacity: int, i: int) -> int:
     """``i`` as a Python int in 1..capacity: a numpy int would overflow ``1 << (i - 1)`` past bit 63."""
     i = operator.index(i)
     if not 1 <= i <= capacity:
-        raise ValueError(f"element id {i} out of range 1..{capacity}")
+        raise _out_of_range(capacity, i)
     return i
+
+
+def _out_of_range(capacity: int, i: int) -> ValueError:
+    return ValueError(f"element id {i} out of range 1..{capacity}")
 
 
 def _check_same_capacity(x: SubsetBits, y: SubsetBits) -> None:

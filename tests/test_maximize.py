@@ -58,6 +58,23 @@ def test_nan_marginal_fails_loudly():
         uqsfmax(make_tabular(NAN_TABLE))
 
 
+# Two tables that are not quasi-submodular, each the other with its sets complemented, so
+# the X and Y sides swap. Index order {}, {1}, {2}, {1,2}. Step 0 commits one element to X and
+# expels the other from Y; for the first table F({2}) = F({}) = 5, and unchecked the run
+# returned the point [{2}, {2}], which leaves out the maximum {}.
+@pytest.mark.parametrize(
+    "table,message",
+    [
+        ([5.0, 2.0, 5.0, 4.0], "step 0 did not ascend on X: F({}) = 5.0 and F({2}) = 5.0"),
+        ([4.0, 5.0, 2.0, 5.0], "step 0 did not ascend on Y: F({1,2}) = 5.0 and F({1}) = 5.0"),
+    ],
+    ids=["x", "y"],
+)
+def test_a_side_that_does_not_ascend_fails_loudly(table, message):
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        uqsfmax(make_tabular(table))
+
+
 class TestLatticeInvariants:
     @pytest.mark.parametrize("seed", range(15))
     def test_interval_stays_nonempty_and_shrinks(self, seed):

@@ -129,7 +129,8 @@ class TestIterationBounds:
             assert trace.iterations <= n + 1
 
     def test_guard_trips_on_cycling_objective(self):
-        # not quasi-submodular; the working set oscillates and hits the guard
+        # not quasi-submodular; the working set would oscillate into the guard, but its
+        # first step already rises from F({1,2,3}) to F({1}), which the descent check stops
         values = [
             0.5436249914654229, 0.9350724237877682, 0.8158535541215322,
             0.002738500170148095, 0.8574042765875693, 0.033585575305464355,
@@ -142,6 +143,14 @@ class TestIterationBounds:
     def test_nan_marginal_fails_loudly(self):
         with pytest.raises(InternalInvariantError, match=re.escape("marginal of element 1 is NaN (add at {})")):
             min_lattice(make_tabular(NAN_TABLE))
+
+    def test_a_step_that_does_not_descend_fails_loudly(self):
+        # not quasi-submodular: 2 and 3 each lower F({}) = 1 to 0, together they raise it to 3.
+        # Unchecked, the run went on to return {1,2,3} (F = 2) while F({2}) = 0.
+        F = make_tabular([1.0, 2.0, 0.0, 2.0, 0.0, 4.0, 3.0, 2.0])
+        message = "step 0 did not descend: F({}) = 1.0 and F({2,3}) = 3.0"
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            uqsfmin(F, SubsetBits.empty(3))
 
 
 def test_arbitrary_start_reports_local_min_empirically():

@@ -324,6 +324,94 @@ def test_facility_cursor_agrees_under_move_patterns_in_small_blocks(name, block,
     walk_move_patterns(dict(MOVE_INSTANCES)[name](), exact=True)
 
 
+# the seven families, the generic cursor and a restricted oracle's cursor
+BATCH_MOVE_INSTANCES = CURSOR_INSTANCES + [("generic", generic_com)]
+
+
+@pytest.mark.parametrize("name,build", BATCH_MOVE_INSTANCES, ids=[f[0] for f in BATCH_MOVE_INSTANCES])
+def test_batch_move_equals_the_same_moves_one_at_a_time(name, build):
+    """One ``move`` through the counting cursor reaches the set, and the marginal bits,
+    of its ids moved one at a time; a wrapper with only single moves takes the base loop."""
+    F = build()
+    n = F.n
+    exact = name != "determinant"  # the wrapper's batches are scalar loops; see test_cursor_matches_oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, (1 << n) - 1),
+        st.lists(st.tuples(st.sets(st.integers(1, n), max_size=n), st.booleans()), max_size=6),
+    )
+    # {} -> {1} -> {} -> {1, 2}: single moves into and out of the empty set, then a burst from it
+    @example(0, [({1}, False), ({1}, False), ({1, 2}, False)])
+    def walk(mask, bursts):
+        x = SubsetBits(n, mask)
+        batch = CountingOracle(F).cursor(x)
+        single = F.cursor(x)
+        wrapped = _ScalarOnlyCursor(F.cursor(x))
+        for ids, also_remove in bursts:
+            added = np.array(sorted(i for i in ids if not x.contains(i)), dtype=np.int64)
+            removed = np.array(sorted(i for i in ids if x.contains(i)), dtype=np.int64)
+            if also_remove:  # ids added and removed in one move end outside, as one at a time
+                removed = np.concatenate((removed, added[::2]))
+            batch.move(added, removed)
+            wrapped.move(added, removed)
+            for u in added.tolist():
+                single.add(u)
+            for d in removed.tolist():
+                single.remove(d)
+            x = single.members()
+            assert batch.members() == wrapped.members() == x
+            members = x.to_bool_array()
+            outside = np.flatnonzero(~members) + 1
+            inside = np.flatnonzero(members) + 1
+            for ask in ("add_marginals", "drop_marginals"):
+                ids_of = outside if ask == "add_marginals" else inside
+                want = getattr(single, ask)(ids_of)
+                assert np.array_equal(getattr(batch, ask)(ids_of).view(np.int64), want.view(np.int64))
+                assert_batch_matches_scalar(getattr(wrapped, ask)(ids_of), want, exact)
+            assert_cursor_agrees(F, batch, x, det_scaled=name == "determinant")
+
+    walk()
+
+
+@pytest.mark.parametrize("name,build", BATCH_MOVE_INSTANCES, ids=[f[0] for f in BATCH_MOVE_INSTANCES])
+def test_moves_that_leave_the_set_as_it_is_are_rejected(name, build):
+    """Adding a member or removing a non-member raises, alone or in a batch, and leaves
+    the cursor's answers those of a fresh cursor at its set."""
+    F = build()
+    n = F.n
+    x = SubsetBits.from_members(n, range(1, n, 2))  # the odd ids
+    member, other = 1, 2
+    none = np.array([], dtype=np.int64)
+    for make in (F.cursor, CountingOracle(F).cursor):
+        cursor = make(x)
+        with pytest.raises(ValueError, match=rf"cannot add element 1: it is already in \{{1,3,"):
+            cursor.add(member)
+        with pytest.raises(ValueError, match=r"cannot remove element 2: it is not in \{1,3,"):
+            cursor.remove(other)
+        assert cursor.members() == x
+        assert_cursor_agrees(F, cursor, x, det_scaled=name == "determinant")
+        # a base cursor's loop may have moved the ids before the bad one: each batch starts afresh
+        for added, removed in (([member], []), ([], [other]), ([other, other], []), ([other], [member, member])):
+            with pytest.raises(ValueError, match="cannot add|cannot remove|twice"):
+                make(x).move(np.array(added, dtype=np.int64), np.array(removed, dtype=np.int64))
+        with pytest.raises(ValueError, match=rf"element id {n + 1} out of range 1..{n}"):
+            make(x).move(np.array([n + 1]), none)
+        with pytest.raises(ValueError, match=rf"element id 0 out of range 1..{n}"):
+            make(x).move(none, np.array([0]))
+
+
+def test_com_add_of_a_member_no_longer_corrupts_the_running_sum():
+    """At {1,2}, add(2) once left members() at {1,2} and w1 counted twice: add_marginal(3)
+    read 0.0324 against a fresh cursor's 0.0526 (Cobb-Douglas 0.0875 against 0.1031)."""
+    at = SubsetBits.from_members(6, [1, 2])
+    for F in (make_com(6, 1), make_cobb_douglas(6, 1)):
+        cursor = F.cursor(at)
+        with pytest.raises(ValueError, match=re.escape("cannot add element 2: it is already in {1,2}")):
+            cursor.add(2)
+        assert cursor.add_marginal(3) == F.cursor(at).add_marginal(3)
+
+
 BLOCK = functions._FACILITY_BLOCK
 
 
@@ -494,6 +582,59 @@ def test_batched_sweeps_match_scalar_path(name, build):
     batched, scalar = runs(F), runs(scalar_only(F))
     assert batched == scalar
     assert batched[1][0].marginal_calls > 0 and batched[3].marginal_calls > 0
+
+
+class _SpyCursor(Cursor):
+    """Forwards the batches and ``move`` to a family cursor and logs each call by name."""
+
+    def __init__(self, inner: Cursor, log: list):
+        self._inner = inner
+        self._log = log
+
+    def members(self) -> SubsetBits:
+        return self._inner.members()
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._log.append("query")
+        return self._inner.add_marginals(ids)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._log.append("query")
+        return self._inner.drop_marginals(ids)
+
+    def move(self, added: np.ndarray, removed: np.ndarray) -> None:
+        self._log.append("move")
+        self._inner.move(added, removed)
+
+    def add(self, u: int) -> None:
+        self._log.append("add")
+        self._inner.add(u)
+
+    def remove(self, d: int) -> None:
+        self._log.append("remove")
+        self._inner.remove(d)
+
+
+@pytest.mark.parametrize("name,build", SWEEP_INSTANCES, ids=[f[0] for f in SWEEP_INSTANCES])
+def test_reductions_move_each_cursor_once_per_phase(name, build):
+    """The move cost model: one ``move`` per phase on each cursor, no single-element move."""
+    F = build()
+    logs = []
+
+    def spy_cursor(_owner, start):
+        logs.append([])
+        return _SpyCursor(F.cursor(start), logs[-1])
+
+    spied = SetFunctionOracle(F.ground, F.value, cursor_factory=spy_cursor)
+    _, (up, down) = min_lattice(spied)
+    _, max_trace = uqsfmax(spied)
+    phases = [2 * up.iterations, 2 * down.iterations, max_trace.iterations, max_trace.iterations]
+    assert len(logs) == len(phases)
+    for log, most in zip(logs, phases):
+        assert "add" not in log and "remove" not in log
+        assert 0 < log.count("move") <= most
+        assert "move,move" not in ",".join(log)  # a query between any two moves
+        assert log[0] == "query"
 
 
 @pytest.mark.parametrize("seed", [1, 3])

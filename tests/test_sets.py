@@ -57,6 +57,15 @@ class TestSubsetOps:
         assert x == bits(100, 70) and x.contains(np.int64(70))
         assert x.remove(np.int64(70)) == SubsetBits.empty(100)
 
+    def test_from_ids_is_from_members_of_an_id_array(self):
+        for n, ids in ((100, [70, 3, 100, 1]), (5, []), (1, [1])):
+            assert SubsetBits.from_ids(n, np.array(ids, dtype=np.int64)) == SubsetBits.from_members(n, ids)
+        for bad in (0, 6, -3):
+            with pytest.raises(ValueError, match=f"^element id {bad} out of range 1..5$"):
+                SubsetBits.from_ids(5, np.array([2, bad, 9]))
+            with pytest.raises(ValueError, match=f"^element id {bad} out of range 1..5$"):
+                SubsetBits.from_members(5, [2, bad, 9])
+
     def test_members_are_one_based_ascending(self):
         assert bits(6, 5, 1, 3).members() == [1, 3, 5]
 
