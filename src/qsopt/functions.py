@@ -10,11 +10,12 @@ matrix, one row per set (or one bare row), plus one cursor class, which
 own). A cursor's batch formulas take an id or an id array alike: a scalar
 query is the batch at the bare id, the reverse of the base ``Cursor``.
 A single move is the base ``Cursor``'s, which keeps the anchored set; a
-batch move, ``_FamilyCursor.move``, builds the new set from one mask and
-calls one batch hook. A family that keeps statistics over the members (com's
-w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending move) updates them
-in the ``_moved`` hook and its batch form, ``_moved_batch``, with the same
-bits; iwata and tabular read the set itself.
+batch move, ``_FamilyCursor.move``, builds the new set from one mask. Either
+way the cursor's one hook, ``_moved(added, removed)``, then takes the ids
+that moved in and out, once per move. A family that keeps statistics over
+the members (com's w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending
+move) updates them there, by one rule for a move of one id or of many;
+iwata and tabular read the set itself.
 ``_EpochCursor._sync`` alone chooses between an in-place update and a
 refactor for the half_products, facility and determinant cursors.
 A ``FunctionSpec`` names an instance and is the one place that checks one:
@@ -163,23 +164,13 @@ class _FamilyCursor(Cursor):
         self._current = start  # no F at the anchor: the family formulas need none
 
     def move(self, added: np.ndarray, removed: np.ndarray) -> None:
-        """The batch move: the new set built and checked once, then one ``_moved_batch``."""
-        added = np.asarray(added, dtype=np.int64)
-        removed = np.asarray(removed, dtype=np.int64)
-        if not (added.size or removed.size):
-            return
-        self._current = moved_set(self._current, added, removed)
-        self._moved_batch(added, removed)
+        """The batch move: the new set built and checked once, then one ``_moved``."""
+        if len(added) or len(removed):
+            self._current = moved_set(self._current, added, removed)
+            self._moved(np.asarray(added).tolist(), np.asarray(removed).tolist())
 
-    def _moved(self, e: int, added: bool) -> None:
+    def _moved(self, added, removed) -> None:
         """Nothing to update; a family with statistics over the members overrides this."""
-
-    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
-        """``_moved`` of each added id, then of each removed id, in order."""
-        for u in added.tolist():
-            self._moved(u, True)
-        for d in removed.tolist():
-            self._moved(d, False)
 
     def add_marginal(self, u: int) -> float:
         return float(self.add_marginals(u))
@@ -226,9 +217,6 @@ class _IwataCursor(_FamilyCursor):
         super().__init__(start)
         self._n = n
 
-    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
-        """Nothing to update, not even id by id: the marginals take the member count at the query."""
-
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         return np.asarray(3 * self._n - 2 * len(self._current) - 1 - 5 * ids, dtype=float)
 
@@ -262,6 +250,7 @@ class _ComCursor(_FamilyCursor):
     def __init__(self, start: SubsetBits, w1: np.ndarray, w2: np.ndarray):
         super().__init__(start)
         self._w1 = w1
+        self._w1_of = memoryview(w1)  # the running sum reads Python floats, no copy
         self._w2 = w2
         self._s1 = self._exact_sum()
 
@@ -280,23 +269,17 @@ class _ComCursor(_FamilyCursor):
         s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
         return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1[ids - 1], 0.0)) - self._w2[ids - 1]
 
-    def _moved(self, e: int, added: bool) -> None:
-        if added:
-            self._s1 += self._w1[e - 1]
-        else:
-            self._s1 -= self._w1[e - 1]
-
-    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
-        self._s1 = _running_sum(self._s1, self._w1, added, removed)
+    def _moved(self, added, removed) -> None:
+        self._s1 = _running_sum(self._s1, self._w1_of, added, removed)
 
 
-def _running_sum(total: float, weights: np.ndarray, added: np.ndarray, removed: np.ndarray) -> float:
-    """``total`` plus the weights of ``added``, then minus those of ``removed``, one id at a
-    time in order: the bits of the same moves made one by one through ``_moved``."""
-    for w in weights[added - 1].tolist():
-        total += w
-    for w in weights[removed - 1].tolist():
-        total -= w
+def _running_sum(total: float, weights: memoryview, added, removed) -> float:
+    """``total`` plus the weight of each id in ``added``, then minus that of each in ``removed``,
+    one id at a time in order: a batch has the bits of the same moves made one by one."""
+    for e in added:
+        total += weights[e - 1]
+    for e in removed:
+        total -= weights[e - 1]
     return total
 
 
@@ -356,17 +339,12 @@ class _EpochCursor(_FamilyCursor):
             self._delete(pending[1])
         self._pending = None
 
-    def _moved(self, e: int, added: bool) -> None:
-        self._pending = (added, e) if self._pending is None else _STALE
-
-    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
-        # the rule of as many single moves: one is an update, two or more a refactor
-        if len(added) + len(removed) > 1:
-            self._pending = _STALE
-        elif len(added):
-            self._moved(int(added[0]), True)
+    def _moved(self, added, removed) -> None:
+        # one id with nothing pending is an update; anything else, as many single moves, a refactor
+        if self._pending is None and len(added) + len(removed) == 1:
+            self._pending = (bool(added), (added or removed)[0])
         else:
-            self._moved(int(removed[0]), False)
+            self._pending = _STALE
 
 
 # ---------------------------------------------------------------------------
@@ -971,6 +949,7 @@ class _CobbCursor(_FamilyCursor):
     def __init__(self, start: SubsetBits, delta: np.ndarray):
         super().__init__(start)
         self._delta = delta
+        self._delta_of = memoryview(delta)  # the running sum reads Python floats, no copy
         self._logsum = float(delta @ start.to_bool_array())
 
     def _scale(self) -> float:
@@ -983,14 +962,8 @@ class _CobbCursor(_FamilyCursor):
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         return -self._scale() * np.expm1(-self._delta[ids - 1])
 
-    def _moved(self, e: int, added: bool) -> None:
-        if added:
-            self._logsum += self._delta[e - 1]
-        else:
-            self._logsum -= self._delta[e - 1]
-
-    def _moved_batch(self, added: np.ndarray, removed: np.ndarray) -> None:
-        self._logsum = _running_sum(self._logsum, self._delta, added, removed)
+    def _moved(self, added, removed) -> None:
+        self._logsum = _running_sum(self._logsum, self._delta_of, added, removed)
 
 
 def cobb_log_factors(w: np.ndarray, alpha: np.ndarray) -> np.ndarray:

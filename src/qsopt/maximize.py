@@ -160,11 +160,11 @@ class _RestrictedCursor(Cursor):
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._inner.drop_marginals(self._free_arr[ids - 1])
 
-    def _moved(self, e: int, added: bool) -> None:
-        if added:
-            self._inner.add(self._free_ids[e - 1])
-        else:
-            self._inner.remove(self._free_ids[e - 1])
+    def _moved(self, added, removed) -> None:
+        for u in added:
+            self._inner.add(self._free_ids[u - 1])
+        for d in removed:
+            self._inner.remove(self._free_ids[d - 1])
 
 
 def u_prefix(

@@ -26,22 +26,24 @@ differences.
 A cursor holds no value of its own: callers take F(X) from ``value``, so a
 cursor keeps only what its marginals need.
 
-The base ``Cursor`` owns the anchored set. Its ``add``/``remove`` move one
-element: each updates the set and then calls one hook, ``_moved(e, added)``,
-where a subclass brings whatever it keeps along (the generic cursor
-re-evaluates F; a family cursor with no statistics does nothing).
-``move(added, removed)`` takes two arrays of 1-based ids and moves the
-anchor to (X + added) - removed. The base ``move`` is a loop over ``add``
-then ``remove``, so the generic cursor still evaluates once per element and
-a wrapper that overrides only ``add``/``remove`` sees every element of a
-batch. A family cursor overrides ``move``: it builds and checks the new set
-once (``moved_set``) and calls one batch hook, ``_moved_batch``, which by
-default runs ``_moved`` per id in order. The reductions move once per
-phase; the sequential baselines, which move one element between queries,
-keep ``add``/``remove``. A move that would not change the set (an add of a
-member, a remove of a non-member) raises ValueError; a batch with no ids
-moves nothing. ``members()`` reads the set back, so an algorithm keeps no
-copy of its working set beside its cursor.
+The base ``Cursor`` owns the anchored set and has one move hook,
+``_moved(added, removed)``: after every move the cursor's set is the new
+one, and the hook, called once per move with the ids that moved in and out,
+brings along whatever else the cursor keeps (the generic cursor re-evaluates
+F; a family cursor with no statistics does nothing). ``add``/``remove`` move
+one element and call it with one id. ``move(added, removed)`` takes two
+arrays of 1-based ids and moves the anchor to (X + added) - removed, checking
+the whole batch (``moved_set``) before it changes anything. The base
+``move`` is then a loop over ``add`` and ``remove``, so the generic cursor
+still evaluates once per element and a wrapper that overrides only
+``add``/``remove`` sees every element of a batch; a family cursor's ``move``
+sets the new set once and calls the hook once with the whole batch. The
+reductions move once per phase; the sequential baselines, which move one
+element between queries, keep ``add``/``remove``. A move that would not
+change the set (an add of a member, a remove of a non-member) raises
+ValueError, and an id array that is not of an integer type TypeError; a
+batch with no ids moves nothing. ``members()`` reads the set back, so an
+algorithm keeps no copy of its working set beside its cursor.
 
 Queries come in two shapes. ``add_marginal(u)``/``drop_marginal(d)`` answer one
 element; ``add_marginals(ids)``/``drop_marginals(ids)`` answer a whole array of
@@ -127,16 +129,26 @@ def _not_moved(e: int, added: bool, at: SubsetBits) -> ValueError:
     return ValueError(f"cannot {'add' if added else 'remove'} element {e}: it is {where} {format_set(at)}")
 
 
-def moved_set(x: SubsetBits, added: np.ndarray, removed: np.ndarray) -> SubsetBits:
-    """(x + added) - removed from one mask per side, checked as ``Cursor.move`` checks it id by id.
+def _named_twice(ids, added: bool) -> ValueError:
+    """A move that names an element twice on one side: the smallest such id."""
+    ordered = np.sort(np.asarray(ids))
+    e = int(ordered[1:][ordered[1:] == ordered[:-1]][0])
+    return ValueError(f"a move names element {e} twice among the ids it {'adds' if added else 'removes'}")
 
-    Raises ValueError for an id outside 1..n, an added id already in x, a
-    removed id in neither x nor ``added``, and an id named twice on one side.
+
+def moved_set(x: SubsetBits, added: np.ndarray, removed: np.ndarray) -> SubsetBits:
+    """(x + added) - removed from one mask per side, checked as ``Cursor.add``/``remove`` check one id.
+
+    Raises TypeError for a nonempty id array of no integer type, and
+    ValueError for an id outside 1..n, an id named twice on one side, an
+    added id already in x, and a removed id in neither x nor ``added``.
     """
     grow = SubsetBits.from_ids(x.capacity, added)
     shrink = SubsetBits.from_ids(x.capacity, removed)
-    if grow.cardinality() != len(added) or shrink.cardinality() != len(removed):
-        raise ValueError("a move names an element twice on one side")
+    if grow.cardinality() != len(added):
+        raise _named_twice(added, True)
+    if shrink.cardinality() != len(removed):
+        raise _named_twice(removed, False)
     if x.mask & grow.mask:
         raise _not_moved(next(iter_bits(x.mask & grow.mask)), True, x)
     grown = x.mask | grow.mask
@@ -150,14 +162,15 @@ class Cursor:
 
     A cursor answers marginal queries and moves; it does not report F(X),
     which callers take from the oracle's ``value``, so it keeps only the state
-    its marginals need. The base class owns the anchored set: ``add`` and
-    ``remove`` update it and then call ``_moved(e, added)``, the hook a
-    subclass overrides to bring its own state along, and the base ``move``
-    of a batch is a loop over ``add`` then ``remove``. A wrapper that
-    forwards to an inner cursor overrides the moves themselves, and one that
-    overrides only ``add``/``remove`` still takes every batch through them;
-    a family cursor overrides ``move`` to build the new set once and call
-    one batch hook. The default implementation answers every query with
+    its marginals need. The base class owns the anchored set and calls one
+    hook, ``_moved(added, removed)``, once per move of any size with the ids
+    that moved in and out: a subclass overrides it to bring its own state
+    along. ``add`` and ``remove`` call it with one id; the base ``move``
+    checks the whole batch and then loops over ``add`` and ``remove``, so a
+    wrapper that overrides only those still takes every batch through them,
+    and a family cursor overrides ``move`` to set the new set once and call
+    the hook once. A wrapper that forwards to an inner cursor overrides the
+    moves themselves. The default implementation answers every query with
     fresh evaluations, keeping F at its anchor to take differences against,
     and its hook re-evaluates F at the new anchor; benchmark families
     install replacements with cheap hooks and vectorized batches. An epoch
@@ -223,9 +236,11 @@ class Cursor:
     def move(self, added: np.ndarray, removed: np.ndarray) -> None:
         """Move the anchor to (X + added) - removed: each id of ``added`` in, then each of ``removed`` out.
 
-        The base loops over ``add`` and ``remove``, so a wrapper that
+        The whole batch is checked first, so a bad one moves nothing. The
+        base then loops over ``add`` and ``remove``, so a wrapper that
         overrides only those sees every element of a batch, one at a time.
         """
+        moved_set(self.members(), added, removed)
         for u in np.asarray(added).tolist():
             self.add(u)
         for d in np.asarray(removed).tolist():
@@ -237,7 +252,7 @@ class Cursor:
         if moved.mask == self._current.mask:
             raise _not_moved(u, True, self._current)
         self._current = moved
-        self._moved(u, True)
+        self._moved((u,), ())
 
     def remove(self, d: int) -> None:
         """Move the anchor to X - d, for d inside X."""
@@ -245,10 +260,11 @@ class Cursor:
         if moved.mask == self._current.mask:
             raise _not_moved(d, False, self._current)
         self._current = moved
-        self._moved(d, False)
+        self._moved((), (d,))
 
-    def _moved(self, e: int, added: bool) -> None:
-        """Bring the cursor's own state to the new anchor after element e moved in or out."""
+    def _moved(self, added, removed) -> None:
+        """Bring the cursor's own state to the new anchor, after the ids ``added`` moved in
+        and ``removed`` out: two lists or tuples of ids, each in the order of the move."""
         self._value = self._oracle.value(self._current)
 
 

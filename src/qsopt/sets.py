@@ -75,10 +75,15 @@ class SubsetBits:
 
     @classmethod
     def from_ids(cls, capacity: int, ids) -> "SubsetBits":
-        """``from_members`` for an int array of ids: one membership mask, packed once."""
-        ids = np.asarray(ids, dtype=np.int64)
+        """``from_members`` for an int array of ids: one membership mask, packed once.
+
+        A nonempty array of no integer type (floats, a bool mask) raises TypeError.
+        """
+        ids = np.asarray(ids)
         if not ids.size:
             return cls(capacity, 0)
+        if ids.dtype.kind not in "iu":
+            raise TypeError(f"element ids must be integers, got an array of {ids.dtype}")
         bad = (ids < 1) | (ids > capacity)
         if bad.any():
             raise _out_of_range(capacity, int(ids[bad.argmax()]))

@@ -66,6 +66,14 @@ class TestSubsetOps:
             with pytest.raises(ValueError, match=f"^element id {bad} out of range 1..5$"):
                 SubsetBits.from_members(5, [2, bad, 9])
 
+    def test_from_ids_takes_integer_ids_only(self):
+        # 1.7 and 2.2 were once cast to {1,2}, and a bool mask read as ids 1 and 0
+        for ids in ([1.7, 2.2], np.array([True, False, True])):
+            with pytest.raises(TypeError, match="^element ids must be integers, got an array of (float64|bool)$"):
+                SubsetBits.from_ids(5, ids)
+        assert SubsetBits.from_ids(5, np.array([3], dtype=np.uint8)) == SubsetBits.from_members(5, [3])
+        assert SubsetBits.from_ids(5, []) == SubsetBits.empty(5)
+
     def test_members_are_one_based_ascending(self):
         assert bits(6, 5, 1, 3).members() == [1, 3, 5]
 
