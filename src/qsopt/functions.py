@@ -7,8 +7,11 @@ with its builder and the parameters it takes (``family_parameters`` names
 those to the harness). Each family is a value formula on a membership
 matrix, one row per set (or one bare row), plus one cursor class, which
 ``_family_oracle`` puts together (tabular, looked up by mask, builds its
-own). A cursor's batch formulas take an id or an id array alike: a scalar
-query is the batch at the bare id, the reverse of the base ``Cursor``.
+own). The determinant's formula keeps the Cholesky factors of the last two
+sets it answered as a bare row, and its cursor's refactor takes such a
+factor over, so a set is factored once. A cursor's batch formulas take an
+id or an id array alike: a scalar query is the batch at the bare id, the
+reverse of the base ``Cursor``.
 A single move is the base ``Cursor``'s, which keeps the anchored set; a
 batch move, ``_FamilyCursor.move``, builds the new set from one mask. Either
 way the cursor's one hook, ``_moved(added, removed)``, then takes the ids
@@ -654,7 +657,7 @@ _DET_FLOOR = float(np.finfo(float).tiny)
 def _linalg() -> SimpleNamespace:
     """The LAPACK/BLAS routines of the determinant family.
 
-    Imported on first use: ``scipy.linalg`` takes a few hundred ms to import,
+    Imported on first use: ``scipy.linalg`` takes about 0.1 s to import,
     and no other family needs it.
     """
     from scipy.linalg import blas, lapack
@@ -695,6 +698,11 @@ class _DeterminantCursor(_EpochCursor):
     leaves the normal range (where it could never come back from 0), takes
     the refactor instead.
 
+    The refactor takes the factor of K_X from the oracle's
+    ``_DeterminantFactors`` (``take``): where ``value`` has just factored X,
+    dpotri turns that factor into the inverse in place, and X is not factored
+    again.
+
     Once ``gains()`` has been read, the cursor also keeps the Schur vector
     c_j = k_jj - v_j^T K_X^{-1} v_j of every non-member j (the add marginal is
     det * (c_j - 1)), updated with one product over K[X, :], O(nk), per move:
@@ -704,16 +712,17 @@ class _DeterminantCursor(_EpochCursor):
     updates, which bounds its rounding drift.
     """
 
-    def __init__(self, start: SubsetBits, kernel: np.ndarray, la: SimpleNamespace):
+    def __init__(self, start: SubsetBits, factors: _DeterminantFactors):
         super().__init__(start)
-        self._kernel = kernel
-        self._la = la
+        self._factors = factors
+        self._kernel = factors.kernel
+        self._la = factors.la
         self._idx = None
         self._inv = None
         self._det = 1.0
         self._schur = None
         self._schur_updates = 0
-        self._schur_budget = max(1, math.isqrt(len(kernel)))
+        self._schur_budget = max(1, math.isqrt(len(self._kernel)))
 
     def _refactor(self) -> None:
         self._schur = None
@@ -723,7 +732,7 @@ class _DeterminantCursor(_EpochCursor):
             self._inv = np.empty((0, 0), order="F")
             self._det = 1.0
             return
-        chol, self._det = _cholesky_det(self._la, self._kernel[np.ix_(idx, idx)])
+        chol, self._det = self._factors.take(idx)
         self._inv, info = self._la.dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise InternalInvariantError(f"Cholesky factor is singular (dpotri info={info})")
@@ -927,14 +936,83 @@ def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> np.ndarray
     return out
 
 
+class _DeterminantFactors:
+    """A determinant oracle's value formula, which keeps the last two sets it factored.
+
+    A block of rows is ``principal_determinant``'s stack path and leaves the
+    memo alone. A bare row, the ``value`` of one set, is answered from the
+    memo, or factors the set and records it: the sorted member ids (as
+    bytes), det, and the lower Cholesky factor. The set's cursor then takes
+    that factor over (``take``): dpotri overwrites it, so the memo keeps
+    only the det. At a set with no recorded factor the refactor factors
+    K_X itself and records the det. Two entries, the least recently used
+    dropped first, because ``uqsfmax`` reads F at both of its working sets
+    before its cursors refactor there: one would thrash between X and Y.
+    Both paths factor the same C-ordered gather of K_X with
+    ``_cholesky_det``, so an answer from the memo has the bits of a fresh
+    factorization, and a failed factorization records nothing.
+    """
+
+    def __init__(self, kernel: np.ndarray, la: SimpleNamespace):
+        self.kernel = kernel
+        self.la = la
+        self._entries = {}  # member ids as bytes: [det, factor or None], least recently used first
+
+    def __call__(self, members: np.ndarray):
+        if members.ndim > 1:
+            return principal_determinant(self.kernel, members)
+        idx = np.flatnonzero(members)
+        if not len(idx):
+            return 1.0
+        key = idx.tobytes()
+        entry = self._entry(key)
+        if entry is None:
+            chol, det = self._factor(idx)
+            self._record(key, det, chol)
+            return det
+        return entry[0]
+
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray, float]:
+        """The lower Cholesky factor of K at the sorted 0-based ``idx`` and its det; the caller may overwrite it."""
+        key = idx.tobytes()
+        entry = self._entry(key)
+        if entry is not None and entry[1] is not None:
+            chol, entry[1] = entry[1], None
+            return chol, entry[0]
+        chol, det = self._factor(idx)
+        if entry is None:
+            self._record(key, det, None)
+        return chol, det
+
+    def _factor(self, idx: np.ndarray) -> tuple[np.ndarray, float]:
+        return _cholesky_det(self.la, self.kernel[np.ix_(idx, idx)])
+
+    def _entry(self, key: bytes):
+        """The entry of the set ``key``, now the most recently used, or None."""
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._entries[key] = entry
+        return entry
+
+    def _record(self, key: bytes, det: float, chol) -> None:
+        self._entries[key] = [det, chol]
+        if len(self._entries) > 2:
+            del self._entries[next(iter(self._entries))]
+
+
 def make_determinant(n: int, seed: int) -> SetFunctionOracle:
-    """det of the principal submatrix of a clustered quality-diversity kernel."""
+    """det of the principal submatrix of a clustered quality-diversity kernel.
+
+    The oracle's value formula and its cursors share one
+    ``_DeterminantFactors``: a cursor's refactor takes the factor that
+    ``value`` left at the same set, so a reduction factors each set once.
+    """
     kernel = _determinant_kernel(n, seed)
-    la = _linalg()
+    factors = _DeterminantFactors(kernel, _linalg())
     return _family_oracle(
         n,
-        functools.partial(principal_determinant, kernel),
-        lambda start: _DeterminantCursor(start, kernel, la),
+        factors,
+        lambda start: _DeterminantCursor(start, factors),
         {"kernel": kernel},
         f"determinant(n={n}, seed={seed})",
     )

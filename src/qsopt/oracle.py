@@ -9,7 +9,10 @@ per-row reduction (a numpy sum, or ``np.vecdot``, one dot product per row),
 never by a matrix product, whose blocking would make a row's bits depend on
 its position in the block. So a row has the same bits at any block height
 and as a bare row: a scalar and a batch agree by construction, as a family
-cursor's scalar marginal is its batch at the bare id. ``lattice_values``
+cursor's scalar marginal is its batch at the bare id. A family's formula may
+answer a bare row from sets it has already factored, as long as the answer
+keeps those bits: the determinant's keeps the Cholesky factors of the last
+two sets, which its cursor then takes over. ``lattice_values``
 asks the formula for a lattice's members in row blocks of at most
 ``BLOCK_CELLS`` membership cells, and ``eval_table`` for the full cube the
 same way. An oracle with no formula (``value_rows`` None or absent: a
