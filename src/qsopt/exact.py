@@ -4,10 +4,9 @@ Each function builds one value array over the sets it judges, in ascending
 mask order, and answers from whole-array comparisons. Entry i of that array
 is F at ``lattice.member(i)``: ``exact_opt`` takes ``lattice_values`` of its
 interval, full cube or not, and the full-cube functions take ``eval_table``,
-the same over the cube. A family oracle answers those in row blocks of its
-value formula; an oracle without one, one ``value`` call per member. A NaN
-entry fails every comparison, so it raises ``InternalInvariantError`` naming
-the first set that has one.
+the same over the cube. Every oracle answers those in row blocks of its
+value formula. A NaN entry fails every comparison, so it raises
+``InternalInvariantError`` naming the first set that has one.
 
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
 256 MiB for an interval at the default enumeration cap of 25 free elements.
@@ -81,7 +80,7 @@ def exact_opt(
     Returns the optimal value and every optimizer attaining it, in ascending
     mask order, compared with exact float equality on the computed values.
     The values are ``lattice_values``: row blocks of the oracle's value
-    formula, or one ``value`` call per member without one. Over ``cap`` free
+    formula. Over ``cap`` free
     elements it raises ``CapExceeded`` before any evaluation; a NaN value
     raises ``InternalInvariantError`` naming the first set that has one.
     """

@@ -5,13 +5,12 @@ negated maximization objective), perturbed_facility, determinant,
 cobb_douglas, and small tabular functions, each named once in ``_FAMILIES``
 with its builder and the parameters it takes (``family_parameters`` names
 those to the harness). Each family is a value formula on a membership
-matrix, one row per set (or one bare row), plus one cursor class, which
-``_family_oracle`` puts together (tabular, looked up by mask, builds its
-own). The determinant's formula keeps the Cholesky factors of the last two
-sets it answered as a bare row, and its cursor's refactor takes such a
-factor over, so a set is factored once. A cursor's batch formulas take an
-id or an id array alike: a scalar query is the batch at the bare id, the
-reverse of the base ``Cursor``.
+matrix, one row per set, plus one cursor class, which ``_family_oracle``
+puts together. The determinant's formula keeps the Cholesky factors of the
+last two sets it answered as a one-row block, and its cursor's refactor
+takes such a factor over, so a set is factored once. A cursor's batch
+formulas take an id or an id array alike: a scalar query is the batch at
+the bare id, the reverse of the base ``Cursor``.
 A single move is the base ``Cursor``'s, which keeps the anchored set; a
 batch move, ``_FamilyCursor.move``, builds the new set from one mask. Either
 way the cursor's one hook, ``_moved(added, removed)``, then takes the ids
@@ -180,24 +179,6 @@ class _FamilyCursor(Cursor):
 
     def drop_marginal(self, d: int) -> float:
         return float(self.drop_marginals(d))
-
-
-def _row_formula(formula):
-    """``formula``, written for a (k, n) membership matrix, also taking one bare (n,) row.
-
-    The bare row is answered as row 0 of its one-row matrix, so the two give
-    the same bits. The families whose formula is elementwise along the rows
-    take both shapes as they are.
-    """
-
-    @functools.wraps(formula)
-    def value(*args):
-        members = args[-1]
-        if members.ndim > 1:
-            return formula(*args)
-        return formula(*args[:-1], members[None, :])[0]
-
-    return value
 
 
 def _family_oracle(n: int, value_rows, cursor_at, params: dict, name: str) -> SetFunctionOracle:
@@ -585,7 +566,6 @@ def _member_max(mat: np.ndarray, block: np.ndarray, ids: np.ndarray) -> np.ndarr
     return np.where(block[:, ids, None], mat[ids], -np.inf).max(axis=1)
 
 
-@_row_formula
 def facility_value(mat: np.ndarray, sigma: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Column-wise best facility among the members plus modular noise per row; empty gives 0.
 
@@ -915,7 +895,6 @@ def _determinant_kernel(n: int, seed: int) -> np.ndarray:
 _STACK_CELLS = 1 << 16
 
 
-@_row_formula
 def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> np.ndarray:
     """det of the kernel restricted to the members per row; the empty restriction gives 1.
 
@@ -939,13 +918,13 @@ def principal_determinant(kernel: np.ndarray, members: np.ndarray) -> np.ndarray
 class _DeterminantFactors:
     """A determinant oracle's value formula, which keeps the last two sets it factored.
 
-    A block of rows is ``principal_determinant``'s stack path and leaves the
-    memo alone. A bare row, the ``value`` of one set, is answered from the
-    memo, or factors the set and records it: the sorted member ids (as
-    bytes), det, and the lower Cholesky factor. The set's cursor then takes
-    that factor over (``take``): dpotri overwrites it, so the memo keeps
-    only the det. At a set with no recorded factor the refactor factors
-    K_X itself and records the det. Two entries, the least recently used
+    A one-row block, the ``value`` of one set, is answered from the memo, or
+    factors the set and records it: the sorted member ids (as bytes), det,
+    and the lower Cholesky factor. The set's cursor then takes that factor
+    over (``take``): dpotri overwrites it, so the memo keeps only the det.
+    At a set with no recorded factor the refactor factors K_X itself and
+    records the det. Any other block is ``principal_determinant``'s stack
+    path and leaves the memo alone. Two entries, the least recently used
     dropped first, because ``uqsfmax`` reads F at both of its working sets
     before its cursors refactor there: one would thrash between X and Y.
     Both paths factor the same C-ordered gather of K_X with
@@ -958,19 +937,19 @@ class _DeterminantFactors:
         self.la = la
         self._entries = {}  # member ids as bytes: [det, factor or None], least recently used first
 
-    def __call__(self, members: np.ndarray):
-        if members.ndim > 1:
+    def __call__(self, members: np.ndarray) -> np.ndarray:
+        if len(members) != 1:
             return principal_determinant(self.kernel, members)
-        idx = np.flatnonzero(members)
+        idx = np.flatnonzero(members[0])
         if not len(idx):
-            return 1.0
+            return np.ones(1)
         key = idx.tobytes()
         entry = self._entry(key)
         if entry is None:
             chol, det = self._factor(idx)
             self._record(key, det, chol)
-            return det
-        return entry[0]
+            return np.array([det])
+        return np.array([entry[0]])
 
     def take(self, idx: np.ndarray) -> tuple[np.ndarray, float]:
         """The lower Cholesky factor of K at the sorted 0-based ``idx`` and its det; the caller may overwrite it."""
@@ -1063,7 +1042,6 @@ def _cobb_exp(log_value: float, count) -> float:
         ) from None
 
 
-@_row_formula
 def cobb_value(delta: np.ndarray, members: np.ndarray) -> np.ndarray:
     """Product over members of w(i)**alpha_i per row: exp of the ``cobb_log_factors`` sum.
 
@@ -1125,12 +1103,12 @@ def make_tabular(values) -> SetFunctionOracle:
         raise ValueError(f"table length {size} is not a power of two >= 2")
     if n > TABLE_MAX_N:
         raise ValueError(f"tabular capped at n <= {TABLE_MAX_N}, got {n}")
-    return SetFunctionOracle(
-        GroundSet(n),
-        value_rows=functools.partial(_table_value, arr),
-        cursor_factory=lambda o, s: _TabularCursor(s, arr),
-        params={"values": arr},
-        name=f"tabular(n={n})",
+    return _family_oracle(
+        n,
+        functools.partial(_table_value, arr),
+        lambda start: _TabularCursor(start, arr),
+        {"values": arr},
+        f"tabular(n={n})",
     )
 
 
@@ -1160,9 +1138,7 @@ def _random_submodular_table(n: int, rng: np.random.Generator) -> np.ndarray:
         w2 = rng.uniform(0.0, 1.0, n)
         m = rng.uniform(-0.5, 0.5, n)
         beta = rng.uniform(0.5, 2.0)
-        table = np.array(
-            [beta * math.sqrt(float(w1 @ row)) + float(w2 @ ~row) + float(m @ row) for row in sel]
-        )
+        table = beta * np.sqrt(np.vecdot(sel, w1)) + np.vecdot(~sel, w2) + np.vecdot(sel, m)
     else:
         # weighted coverage minus a modular cost
         m_items = 2 * n
@@ -1170,10 +1146,10 @@ def _random_submodular_table(n: int, rng: np.random.Generator) -> np.ndarray:
         v = rng.uniform(0.0, 1.0, m_items)
         cost = rng.uniform(0.0, 0.6, n)
         covered = (sel.view(np.uint8) @ covers.view(np.uint8)) > 0  # counts up to n: exact
-        table = np.array([float(v @ c) - float(cost @ row) for c, row in zip(covered, sel)])
+        table = np.vecdot(covered, v) - np.vecdot(sel, cost)
     # tiny modular jitter keeps subset values generically distinct
     jitter = rng.uniform(0.0, 1.0, n) * 1e-4
-    return table + np.array([float(jitter @ row) for row in sel])
+    return table + np.vecdot(sel, jitter)
 
 
 def _increasing_transform(table: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -114,15 +114,21 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
     """The induced objective over the lattice's free elements.
 
     Free elements are relabeled 1..m ascending; evaluating a relabeled set T
-    evaluates the original objective at ``lattice.member(T.mask)``.
+    evaluates the original objective at ``lattice.member(T.mask)``. The value
+    formula lifts each row to the original's: the lower bound set, with the
+    free columns scattered in, and asks ``oracle.value_rows`` for the block.
     """
     free_ids = lattice.free_elements()
     m = len(free_ids)
     if m == 0:
         raise ValueError("point lattice leaves nothing to restrict to")
+    lower = lattice.lower.to_bool_array()
+    free_columns = np.asarray(free_ids) - 1
 
-    def evaluate(t: SubsetBits) -> float:
-        return oracle.value(lattice.member(t.mask))
+    def value_rows(members: np.ndarray) -> np.ndarray:
+        rows = np.repeat(lower[None, :], len(members), axis=0)
+        rows[:, free_columns] = members
+        return oracle.value_rows(rows)
 
     def cursor_factory(_owner, start: SubsetBits) -> Cursor:
         # a checked cursor of F names a NaN marginal in F's elements and sets, so it replays on F
@@ -132,7 +138,7 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
     return (
         SetFunctionOracle(
             GroundSet(m),
-            evaluate,
+            value_rows=value_rows,
             cursor_factory=cursor_factory,
             name=f"restricted({getattr(oracle, 'name', '')}, free={m})",
         ),

@@ -1,24 +1,23 @@
 """Value-oracle contract for set functions, marginal gains, and call accounting.
 
-An oracle is a value formula, its scalar row, and ``cursor``. The value
-formula, ``value_rows``, takes a (k, n) boolean membership matrix, row r the
-indicator of one set, and returns the k values; given one bare (n,) row it
-returns that row's value, and ``value(x)`` is the formula at x's row. A
-formula works along each row's contiguous last axis, elementwise or by a
-per-row reduction (a numpy sum, or ``np.vecdot``, one dot product per row),
-never by a matrix product, whose blocking would make a row's bits depend on
-its position in the block. So a row has the same bits at any block height
-and as a bare row: a scalar and a batch agree by construction, as a family
-cursor's scalar marginal is its batch at the bare id. A family's formula may
-answer a bare row from sets it has already factored, as long as the answer
+An oracle is a value formula and ``cursor``. The value formula,
+``value_rows``, takes a (k, n) boolean membership matrix, row r the indicator
+of one set, and returns the k values; ``value(x)`` is the formula at the
+one-row block of x. Every oracle has one: ``SetFunctionOracle`` wraps a
+scalar ``eval_fn`` (a test oracle's, a timing proxy's around ``value``) into
+a formula that calls it once per row, in row order, and a restricted
+oracle's formula asks the original's at lifted rows. A family formula works
+along each row's contiguous last axis, elementwise or by a per-row reduction
+(a numpy sum, or ``np.vecdot``, one dot product per row), never by a matrix
+product, whose blocking would make a row's bits depend on its position in
+the block. So a row has the same bits at any block height: a one-row block
+and a taller block agree by construction, as a family cursor's scalar
+marginal is its batch at the bare id. A family's formula may answer a
+one-row block from sets it has already factored, as long as the answer
 keeps those bits: the determinant's keeps the Cholesky factors of the last
-two sets, which its cursor then takes over. ``lattice_values``
-asks the formula for a lattice's members in row blocks of at most
-``BLOCK_CELLS`` membership cells, and ``eval_table`` for the full cube the
-same way. An oracle with no formula (``value_rows`` None or absent: a
-restricted oracle, a plain test oracle, a timing proxy around ``value``) has
-only the scalar ``value``, and those two fall back to one ``value`` call per
-member.
+two sets, which its cursor then takes over. ``lattice_values`` asks the
+formula for a lattice's members in row blocks of at most ``BLOCK_CELLS``
+membership cells, and ``eval_table`` for the full cube the same way.
 
 A cursor is an incremental view anchored at a working set: it answers
 add/drop marginal queries against that set and moves, one element or one
@@ -75,11 +74,12 @@ many elements pays one refactor.
 Half_products' update is its refactor, one O(n) prefix sum.
 
 A NaN marginal fails every strict sign test, so an algorithm would take it
-for a fixed point. The one rule against it is here, not in the algorithms:
-the counting cursor checks every answer it forwards, and the generic cursor
-its two scalar queries, which its batches and ``gains()`` loop over. The
-InternalInvariantError, ``marginal of element 2 is NaN (drop at {1,2})``,
-names a query that ``F.cursor({1,2})`` replays.
+for a fixed point. The one rule against it is here, not in the algorithms,
+in one check, ``_checked``: the counting cursor checks every answer it
+forwards, and the generic cursor its two scalar queries, which its batches
+and ``gains()`` loop over. The InternalInvariantError,
+``marginal of element 2 is NaN (drop at {1,2})``, names a query that
+``F.cursor({1,2})`` replays.
 """
 
 from __future__ import annotations
@@ -94,15 +94,13 @@ from .sets import (
     GroundSet,
     IntervalLattice,
     SubsetBits,
-    enumerate_lattice,
+    capped_free_count,
     format_set,
     iter_bits,
-    lattice_free_count,
 )
 
 EvalFn = Callable[[SubsetBits], float]
-#: A value formula: F of each row of a (k, n) boolean membership matrix, as k
-#: floats, or F of one bare (n,) row.
+#: A value formula: F of each row of a (k, n) boolean membership matrix, as k floats.
 RowsFn = Callable[[np.ndarray], np.ndarray]
 MarginalFn = Callable[[int, SubsetBits], float]
 
@@ -120,10 +118,27 @@ def values_close(a: float, b: float, rel: float = REL_TOL, abs_floor: float = AB
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_floor)
 
 
-def _nan_marginal(e: int, at: SubsetBits) -> InternalInvariantError:
-    """A NaN marginal of e at ``at``: an add query if e is outside, a drop if inside."""
+def _checked(answers, ids, cursor: "Cursor"):
+    """``answers``, marginals at the anchored set of ``cursor``, unless one is NaN.
+
+    ``answers`` is one gain with ``ids`` its element, or an array with
+    ``ids`` the array of its elements, or None for a gains vector over 1..n.
+    A NaN raises naming its element and query: an add if the element is
+    outside the anchored set, a drop if inside. The set is read only then.
+    """
+    if isinstance(answers, np.ndarray):
+        nan = np.isnan(answers)
+        if not nan.any():
+            return answers
+        i = int(nan.argmax())
+        e = i + 1 if ids is None else int(ids[i])
+    elif answers == answers:  # NaN, the one value unequal to itself
+        return answers
+    else:
+        e = ids
+    at = cursor.members()
     query = "drop" if at.contains(e) else "add"
-    return InternalInvariantError(f"marginal of element {e} is NaN ({query} at {format_set(at)})")
+    raise InternalInvariantError(f"marginal of element {e} is NaN ({query} at {format_set(at)})")
 
 
 def _not_moved(e: int, added: bool, at: SubsetBits) -> ValueError:
@@ -206,17 +221,11 @@ class Cursor:
 
     def add_marginal(self, u: int) -> float:
         """F(u | X) for u outside the anchored set X."""
-        gain = self._oracle.value(self._current.add(u)) - self._value
-        if gain != gain:  # NaN, the one value unequal to itself
-            raise _nan_marginal(u, self._current)
-        return gain
+        return _checked(self._oracle.value(self._current.add(u)) - self._value, u, self)
 
     def drop_marginal(self, d: int) -> float:
         """F(d | X - d) = F(X) - F(X - d) for d inside the anchored set X."""
-        gain = self._value - self._oracle.value(self._current.remove(d))
-        if gain != gain:
-            raise _nan_marginal(d, self._current)
-        return gain
+        return _checked(self._value - self._oracle.value(self._current.remove(d)), d, self)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         """``add_marginal`` of each id in ``ids``, all outside the anchored set."""
@@ -275,11 +284,12 @@ class SetFunctionOracle:
     """Evaluation access to F: 2^N -> R, through ``value_rows``, ``value`` and ``cursor``.
 
     Built from exactly one of a scalar ``eval_fn`` or a ``value_rows``
-    formula; with the formula, ``value(x)`` is the formula at x's membership
-    row, and ``value_rows`` is None otherwise. Evaluation must
-    be deterministic, and a cursor's marginals must equal the value
-    differences within relative 1e-9. A marginal query goes through
-    ``cursor(X)``; the oracle answers none itself.
+    formula. A scalar ``eval_fn`` becomes the formula that calls it once per
+    row, in row order, so ``value_rows`` is never None, and ``value(x)`` is
+    the formula at x's one-row block. Evaluation must be deterministic, and
+    a cursor's marginals must equal the value differences within relative
+    1e-9. A marginal query goes through ``cursor(X)``; the oracle answers
+    none itself.
 
     The ``fast_marginal=``/``fast_drop_marginal=`` and ``dense_table=`` kwargs
     and their attributes are read by nothing in this package. They stay only
@@ -301,11 +311,10 @@ class SetFunctionOracle:
         params: Optional[dict] = None,
         name: str = "",
     ):
-        if (eval_fn is None) == (value_rows is None):
+        if (eval_fn, value_rows).count(None) != 1:
             raise ValueError("an oracle takes exactly one of eval_fn and value_rows")
         self.ground = ground
-        self._eval = eval_fn
-        self.value_rows = value_rows
+        self.value_rows = value_rows if eval_fn is None else _rows_of(eval_fn)
         self._fast_marginal = fast_marginal
         self._fast_drop = fast_drop_marginal
         self._cursor_factory = cursor_factory
@@ -318,14 +327,24 @@ class SetFunctionOracle:
         return self.ground.n
 
     def value(self, x: SubsetBits) -> float:
-        if self.value_rows is None:
-            return float(self._eval(x))
-        return float(self.value_rows(x.to_bool_array()))
+        return float(self.value_rows(x.to_bool_array()[None, :])[0])
 
     def cursor(self, start: SubsetBits) -> Cursor:
         if self._cursor_factory is not None:
             return self._cursor_factory(self, start)
         return Cursor(self, start)
+
+
+def _rows_of(eval_fn: EvalFn) -> RowsFn:
+    """The value formula of a scalar ``eval_fn``: one call per row, in row order."""
+
+    def value_rows(members: np.ndarray) -> np.ndarray:
+        n = members.shape[1]
+        packed = np.packbits(members, axis=1, bitorder="little")
+        sets = (SubsetBits(n, int.from_bytes(row.tobytes(), "little")) for row in packed)
+        return np.fromiter((eval_fn(x) for x in sets), dtype=float, count=len(packed))
+
+    return value_rows
 
 
 class _CountingCursor(Cursor):
@@ -342,36 +361,23 @@ class _CountingCursor(Cursor):
 
     def add_marginal(self, u: int) -> float:
         self._counter.marginal_calls += 1
-        gain = self._inner.add_marginal(u)
-        if gain != gain:  # NaN, the one value unequal to itself
-            raise _nan_marginal(u, self._inner.members())
-        return gain
+        return _checked(self._inner.add_marginal(u), u, self._inner)
 
     def drop_marginal(self, d: int) -> float:
         self._counter.marginal_calls += 1
-        gain = self._inner.drop_marginal(d)
-        if gain != gain:
-            raise _nan_marginal(d, self._inner.members())
-        return gain
+        return _checked(self._inner.drop_marginal(d), d, self._inner)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._counter.marginal_calls += len(ids)
-        return self._checked(self._inner.add_marginals(ids), ids)
+        return _checked(self._inner.add_marginals(ids), ids, self._inner)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._counter.marginal_calls += len(ids)
-        return self._checked(self._inner.drop_marginals(ids), ids)
+        return _checked(self._inner.drop_marginals(ids), ids, self._inner)
 
     def gains(self) -> np.ndarray:
         self._counter.marginal_calls += self._counter.n
-        return self._checked(self._inner.gains())
-
-    def _checked(self, marginals: np.ndarray, ids: Optional[np.ndarray] = None) -> np.ndarray:
-        """``marginals`` unless one is NaN; without ``ids`` they are a gains vector over 1..n."""
-        if np.isnan(marginals).any():
-            i = int(np.isnan(marginals).argmax())
-            raise _nan_marginal(i + 1 if ids is None else int(ids[i]), self._inner.members())
-        return marginals
+        return _checked(self._inner.gains(), None, self._inner)
 
     def move(self, added: np.ndarray, removed: np.ndarray) -> None:
         self._inner.move(added, removed)
@@ -416,11 +422,9 @@ class CountingOracle:
         return self.inner.value(x)
 
     @property
-    def value_rows(self) -> Optional[RowsFn]:
-        """The wrapped formula, booking one evaluation per row; None when it has none."""
-        rows_of = getattr(self.inner, "value_rows", None)
-        if rows_of is None:
-            return None
+    def value_rows(self) -> RowsFn:
+        """The wrapped formula, booking one evaluation per row."""
+        rows_of = self.inner.value_rows
 
         def counted(members: np.ndarray) -> np.ndarray:
             self.eval_calls += len(members)
@@ -445,16 +449,12 @@ BLOCK_CELLS = 1 << 13
 def lattice_values(oracle, lattice: IntervalLattice, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """F at every member of ``lattice``: entry i is F at ``lattice.member(i)``.
 
-    An oracle with a value formula answers row blocks of ``lattice.member_rows``,
-    ``BLOCK_CELLS // n`` rows each; any other oracle takes one ``value`` call
-    per member, in the walk of ``enumerate_lattice``. Over ``cap`` free
-    elements it raises ``CapExceeded`` before any evaluation.
+    The oracle's value formula answers row blocks of ``lattice.member_rows``,
+    ``BLOCK_CELLS // n`` rows each. Over ``cap`` free elements it raises
+    ``CapExceeded`` before any evaluation.
     """
-    members = enumerate_lattice(lattice, cap=cap)  # raises over the cap, before any evaluation
-    count = 1 << lattice_free_count(lattice)
-    value_rows = getattr(oracle, "value_rows", None)
-    if value_rows is None:
-        return np.fromiter((oracle.value(x) for x in members), dtype=float, count=count)
+    count = 1 << capped_free_count(lattice, cap)
+    value_rows = oracle.value_rows
     height = max(1, BLOCK_CELLS // lattice.capacity)
     out = np.empty(count)
     for start in range(0, count, height):
@@ -467,7 +467,6 @@ def eval_table(oracle, n: int) -> np.ndarray:
     """F on every subset; entry m holds F of the set with mask m.
 
     ``lattice_values`` over the full cube, whose member m has mask m: row
-    blocks of the value formula, or 2**n ``value`` calls without one. Callers
-    are responsible for keeping n small.
+    blocks of the value formula. Callers are responsible for keeping n small.
     """
     return lattice_values(oracle, IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n)), cap=n)

@@ -257,6 +257,14 @@ def lattice_free_count(lattice: IntervalLattice) -> int:
     return lattice.free_mask().bit_count()
 
 
+def capped_free_count(lattice: IntervalLattice, cap: int) -> int:
+    """``lattice_free_count``; over ``cap`` free elements it raises CapExceeded."""
+    free = lattice_free_count(lattice)
+    if free > cap:
+        raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
+    return free
+
+
 def enumerate_lattice(
     lattice: IntervalLattice, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[SubsetBits]:
@@ -266,9 +274,7 @@ def enumerate_lattice(
     for i = 0, 1, ...: the walk visits the submasks of the free mask upward.
     Over ``cap`` free elements it raises CapExceeded at the call, not at the first ``next``.
     """
-    free = lattice_free_count(lattice)
-    if free > cap:
-        raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
+    capped_free_count(lattice, cap)
     return _submask_walk(lattice.capacity, lattice.lower.mask, lattice.free_mask())
 
 

@@ -1,12 +1,12 @@
 """The determinant family's shared factor: ``value`` and the cursor's refactor factor a set once.
 
-A bare-row ``value`` records the Cholesky factor of the last two sets it
-factored, and a cursor's refactor at such a set takes the factor over
-instead of factoring again. These tests pin that this changes no bit (every
-``value`` equals the block formula, which never reads the memo, and every
-batch a fresh cursor's), that each set of a reduction is factored once,
-that a failed factorization records nothing, and that the memo holds at
-most two factors, none of them taken over by a cursor.
+A ``value``, the formula at a one-row block, records the Cholesky factor of
+the last two sets it factored, and a cursor's refactor at such a set takes
+the factor over instead of factoring again. These tests pin that this
+changes no bit (every ``value`` equals the block formula, which never reads
+the memo, and every batch a fresh cursor's), that each set of a reduction is
+factored once, that a failed factorization records nothing, and that the
+memo holds at most two factors, none of them taken over by a cursor.
 """
 
 import hashlib
@@ -112,6 +112,17 @@ def test_a_reduction_factors_each_set_once(run, monkeypatch):
     monkeypatch.setattr(functions, "_cholesky_det", spy)
     run(make_determinant(300, 1))
     assert factored and len(factored) == len(set(factored))
+
+
+def test_a_one_row_block_at_n_1_takes_the_memo():
+    """At n = 1 a one-row block is (1, 1): it is still the value of one set, and the memo records it."""
+    F = make_determinant(1, 0)
+    got = F.value_rows(np.array([[True]]))
+    assert memo_state(F) == [(np.array([0]).tobytes(), got[0], id(held_factors(F)[0]))]
+    assert block_value(F, SubsetBits.full(1)) == float(got[0]).hex()
+    before = memo_state(F)
+    F.value_rows(np.array([[True], [False]]))  # any taller block is the stack path
+    assert memo_state(F) == before
 
 
 def test_the_empty_set_factors_nothing(monkeypatch):

@@ -138,14 +138,13 @@ class TestPerturbedFacility:
     def test_column_max(self):
         mat = np.array([[0.5], [0.9]])
         sigma = np.zeros(2)
-        assert facility_value(mat, sigma, np.array([True, True])) == 0.9
-        assert facility_value(mat, sigma, np.array([True, False])) == 0.5
+        assert facility_value(mat, sigma, np.array([[True, True], [True, False]])).tolist() == [0.9, 0.5]
 
     def test_oracle_matches_pure_function(self):
         F = make_perturbed_facility(6, 11, 4)
         for mask in range(64):
             x = SubsetBits(6, mask)
-            want = facility_value(F.params["M"], F.params["sigma"], x.to_bool_array())
+            want = facility_value(F.params["M"], F.params["sigma"], x.to_bool_array()[None, :])[0]
             assert values_close(F.value(x), want)
 
     def test_blocked_value_equals_one_shot_value(self):
@@ -159,7 +158,7 @@ class TestPerturbedFacility:
                 members = rng.random(n) < density
                 members[rng.integers(n)] = True
                 want = float(mat[members].max(axis=0).sum() + sigma @ members)
-                assert facility_value(mat, sigma, members).hex() == want.hex()
+                assert facility_value(mat, sigma, members[None, :])[0].hex() == want.hex()
 
     def test_reductions_hold_temporaries_below_the_matrix(self):
         """Every pass over the matrix is a row block: the reductions' peak stays under M."""
@@ -187,7 +186,7 @@ class TestDeterminant:
 
     def test_two_by_two(self):
         kernel = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert values_close(principal_determinant(kernel, np.array([True, True])), 3.0)
+        assert values_close(principal_determinant(kernel, np.array([[True, True]]))[0], 3.0)
 
     def test_full_matches_dense_determinant(self):
         F = make_determinant(12, 5)
@@ -237,16 +236,16 @@ class TestCobbDouglas:
         assert make_cobb_douglas(6, 2).value(SubsetBits.empty(6)) == 1.0
 
     def test_hand_values(self):
-        assert cobb_value(cobb_log_factors(np.array([2.0]), np.array([1.0])), np.array([True])) == 2.0
+        assert cobb_value(cobb_log_factors(np.array([2.0]), np.array([1.0])), np.array([[True]])).tolist() == [2.0]
         delta = cobb_log_factors(np.array([2.0, 0.5]), np.array([1.0, 1.0]))
-        got = cobb_value(delta, np.array([True, True]))
+        got = cobb_value(delta, np.array([[True, True]]))[0]
         assert values_close(got, 1.0)
 
     def test_zero_weight_with_positive_exponent(self):
-        got = cobb_value(cobb_log_factors(np.array([0.0, 2.0]), np.array([0.5, 1.0])), np.array([True, True]))
-        assert got == 0.0
-        neutral = cobb_value(cobb_log_factors(np.array([0.0]), np.array([0.0])), np.array([True]))
-        assert neutral == 1.0
+        got = cobb_value(cobb_log_factors(np.array([0.0, 2.0]), np.array([0.5, 1.0])), np.array([[True, True]]))
+        assert got.tolist() == [0.0]
+        neutral = cobb_value(cobb_log_factors(np.array([0.0]), np.array([0.0])), np.array([[True]]))
+        assert neutral.tolist() == [1.0]
 
     def test_overflow_is_invariant_error(self):
         F = make_cobb_douglas(7000, 1)
@@ -266,7 +265,7 @@ class TestCobbDouglas:
         delta = cobb_log_factors(F.params["w"], F.params["alpha"])
         for mask in range(128):
             x = SubsetBits(7, mask)
-            assert values_close(F.value(x), cobb_value(delta, x.to_bool_array()))
+            assert values_close(F.value(x), cobb_value(delta, x.to_bool_array()[None, :])[0])
 
 
 class TestTabular:

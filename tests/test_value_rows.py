@@ -1,10 +1,11 @@
 """Value formulas on membership matrices: the batch, the scalar and the exact layer agree.
 
-Every family's ``value_rows`` answers a (k, n) block; ``value`` is the same
-formula at one row. These tests pin that a row has the same bits as its
-scalar at any block height, that the row-block path of ``exact_opt`` and
-``eval_table`` returns exactly what the one-``value``-per-member loop returns
-(the loop a scalar-only oracle, such as a timing proxy, takes), and that the
+Every oracle's ``value_rows`` answers a (k, n) block; ``value`` is the same
+formula at a one-row block. These tests pin that a row has the same bits as
+its scalar at any block height, that a family's formula gives ``exact_opt``
+and ``eval_table`` exactly what the formula of a scalar ``eval_fn`` (the
+shape of a timing proxy) gives, one call per row, that a restricted
+oracle's rows are the parent's values at the lattice members, and that the
 block form of the relabeling is ``IntervalLattice.member``.
 """
 
@@ -40,6 +41,7 @@ from qsopt import (
 )
 from qsopt import functions, oracle
 from qsopt.functions import cobb_log_factors, seeded_stream
+from qsopt.maximize import restricted_oracle
 from qsopt.sets import IntervalLattice
 
 BUILDERS = {
@@ -91,7 +93,7 @@ class TestRowsEqualScalars:
     @pytest.mark.parametrize("n", [1, 5, 12, 20])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_block_height_does_not_change_a_row(self, family, n):
-        """The same set at heights 1, 7 and 4096, and as a bare row, gives the same bits."""
+        """The same set at heights 1, 7 and 4096, and as ``value``, gives the same bits."""
         F = instance(family, n, 2)
         rng = np.random.default_rng(n)
         masks = [0, (1 << n) - 1, *(1 << i for i in range(n))]
@@ -102,7 +104,6 @@ class TestRowsEqualScalars:
         assert same_bits(sevens, tall)
         for r in [*range(n + 2), *rng.integers(0, len(block), 64)]:
             assert same_bits(F.value_rows(block[r : r + 1]), tall[r : r + 1])
-            assert same_bits(F.value_rows(block[r]), tall[r])
             assert same_bits(F.value(SubsetBits(n, masks[r])), tall[r])
 
 
@@ -181,7 +182,6 @@ class TestBatchPathEqualsScalarPath:
         # a random table need not be quasi-submodular, and the reductions would refuse it
         F = make_random_qsb(n, 1) if family == "tabular" else instance(family, n, 1)
         scalar = SetFunctionOracle(F.ground, F.value)
-        assert scalar.value_rows is None
         table = eval_table(F, n)
         assert same_bits(table, eval_table(scalar, n))
         lattices = [full_lattice(n), uqsfmax(F)[0], min_lattice(F)[0]]
@@ -204,13 +204,47 @@ class TestBatchPathEqualsScalarPath:
         counted.value_rows(rows_of(6, range(9)))
         counted.value(SubsetBits.full(6))
         assert counted.eval_calls == 10
-        assert CountingOracle(SetFunctionOracle(F.ground, F.value)).value_rows is None
+
+    @pytest.mark.parametrize("n", [1, 9, 20])
+    def test_a_scalar_oracle_calls_its_function_once_per_row_in_row_order(self, n):
+        F = instance("com", n, 0)
+        seen = []
+
+        def eval_fn(x):
+            seen.append(x)
+            return F.value(x)
+
+        scalar = SetFunctionOracle(F.ground, eval_fn)
+        masks = [(1 << n) - 1, 0, 1 << (n - 1), *np.random.default_rng(n).integers(0, 1 << n, 9).tolist(), 0]
+        got = scalar.value_rows(rows_of(n, masks))
+        assert seen == [SubsetBits(n, m) for m in masks]
+        values = [scalar.value(SubsetBits(n, m)) for m in masks]
+        assert seen[len(masks) :] == [SubsetBits(n, m) for m in masks]  # value is one call too
+        assert same_bits(got, values)
+        assert same_bits(got, [F.value(SubsetBits(n, m)) for m in masks])
 
     def test_an_oracle_takes_one_formula(self):
         F = instance("com", 3, 0)
         for kwargs in ({}, {"eval_fn": F.value, "value_rows": F.value_rows}):
             with pytest.raises(ValueError, match="exactly one of eval_fn and value_rows"):
                 SetFunctionOracle(F.ground, **kwargs)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_restricted_rows_are_the_parent_values_at_the_members(family):
+    n = 11
+    F = make_random_qsb(n, 2) if family == "tabular" else instance(family, n, 2)
+    rng = np.random.default_rng(5)
+    for free_count in (1, 4, 8, n):
+        for _ in range(2):
+            order = rng.permutation(n) + 1
+            lower = SubsetBits.from_ids(n, order[free_count:][rng.random(n - free_count) < 0.5])
+            lattice = IntervalLattice(lower, lower.union(SubsetBits.from_ids(n, order[:free_count])))
+            sub, _ = restricted_oracle(F, lattice)
+            count = 1 << free_count
+            want = [F.value(lattice.member(i)) for i in range(count)]
+            assert same_bits(sub.value_rows(rows_of(free_count, range(count))), want)
+            assert same_bits([sub.value(SubsetBits(free_count, i)) for i in range(count)], want)
 
 
 @st.composite
