@@ -1,8 +1,9 @@
 """Exhaustive verification of submodularity-type properties on small ground sets.
 
-Every checker takes F on all 2**n subsets from ``exact.checked_table``, which
-applies its size cap and the NaN rule, and tests its defining condition over
-that table in whole-array passes. On failure it returns a witness carrying the
+Every checker judges F on its own ground set, n = ``oracle.n``: it takes F
+on all 2**n subsets from ``exact.checked_table``, which applies its size cap
+and the NaN rule, and tests its defining condition over that table in
+whole-array passes. On failure it returns a witness carrying the
 participating sets and the values that violate the condition, so the verdict
 can be replayed against the oracle. ``is_local_min``/``is_local_max`` take
 each value from ``exact.checked_value``, under the same NaN rule.
@@ -193,9 +194,10 @@ def _ssbc_first_failure(values: np.ndarray, n: int) -> Optional[tuple[int, int]]
     return None
 
 
-def is_submodular(oracle, n: int) -> PropertyVerdict:
+def is_submodular(oracle) -> PropertyVerdict:
     """Check diminishing returns: F(i|A) >= F(i|B) for all A <= B <= N-i."""
-    values = checked_table(oracle, n, SUBMODULAR_MAX_N, "is_submodular")
+    n = oracle.n
+    values = checked_table(oracle, SUBMODULAR_MAX_N, "is_submodular")
     gains, excludes = _gains(values, n)
     lowest = _subset_reduce(gains, np.fmin)
     bad = (lowest < gains - SUBMODULAR_ATOL) & excludes
@@ -222,14 +224,15 @@ def is_submodular(oracle, n: int) -> PropertyVerdict:
     )
 
 
-def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
+def is_quasi_submodular(oracle) -> PropertyVerdict:
     """Check both lattice implications over every ordered pair (X, Y).
 
     Required for all X, Y:
       F(X & Y) >= F(X)  implies  F(Y) >= F(X | Y)
       F(X & Y) >  F(X)  implies  F(Y) >  F(X | Y)
     """
-    values = checked_table(oracle, n, QSB_MAX_N, "is_quasi_submodular")
+    n = oracle.n
+    values = checked_table(oracle, QSB_MAX_N, "is_quasi_submodular")
     size = 1 << n
     ys = np.arange(size)
     rows = max(1, _QSB_BLOCK >> n)
@@ -251,14 +254,15 @@ def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
+def satisfies_ssbc(oracle) -> PropertyVerdict:
     """Check the single sub-crossing property over all A <= B <= N, i not in B.
 
     Required:
       F(A) >= F(B)  implies  F(A+i) >= F(B+i)
       F(A) >  F(B)  implies  F(A+i) >  F(B+i)
     """
-    values = checked_table(oracle, n, SSBC_MAX_N, "satisfies_ssbc")
+    n = oracle.n
+    values = checked_table(oracle, SSBC_MAX_N, "satisfies_ssbc")
     first = _ssbc_first_failure(values, n)
     if first is None:
         return PropertyVerdict(True)
@@ -284,14 +288,15 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
     )
 
 
-def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
+def satisfies_weak_marginal(oracle) -> PropertyVerdict:
     """Check marginal-sign monotonicity over all A <= B <= N - i.
 
     Required:
       F(i|A) <= 0  implies  F(i|B) <= 0
       F(i|A) <  0  implies  F(i|B) <  0
     """
-    values = checked_table(oracle, n, WEAK_MARGINAL_MAX_N, "satisfies_weak_marginal")
+    n = oracle.n
+    values = checked_table(oracle, WEAK_MARGINAL_MAX_N, "satisfies_weak_marginal")
     gains, excludes = _gains(values, n)
     weak_bad, strict_bad = _crossing(0.0, _subset_reduce(gains, np.fmin), 0.0, gains)
     bad = (weak_bad | strict_bad) & excludes

@@ -83,9 +83,9 @@ def check(state: CliState, spec_path: str, prop: str) -> None:
     selected = PROPERTIES if prop == "all" else {prop: PROPERTIES[prop]}
     for checker, cap in selected.values():
         require_cap(spec.n, cap, checker)
-    table = make_tabular(eval_table(oracle, spec.n))
+    table = make_tabular(eval_table(oracle))
     # every verdict before any line, so a run that fails prints none
-    verdicts = {name: getattr(checkers, fn)(table, spec.n) for name, (fn, _) in selected.items()}
+    verdicts = {name: getattr(checkers, fn)(table) for name, (fn, _) in selected.items()}
     for name, verdict in verdicts.items():
         if verdict.holds:
             click.echo(f"{name}: holds=true")
@@ -134,7 +134,7 @@ def min_cmd(state: CliState, spec_path: str, start: str, trace_path: Optional[st
         return
     state.say(f"start={format_set(x0)} result={format_set(result)}")
     state.say(
-        f"value={oracle.value(result)!r} iterations={trace.iterations} "
+        f"value={trace.steps[-1].value!r} iterations={trace.iterations} "
         f"eval_calls={trace.total_calls} local_min={is_local_min(oracle, result)}"
     )
 

@@ -4,9 +4,10 @@ Each function builds one value array over the sets it judges, in ascending
 mask order, and answers from whole-array comparisons. Entry i of that array
 is F at ``lattice.member(i)``: ``exact_opt`` takes ``lattice_values`` of its
 interval, full cube or not, and the full-cube functions take ``eval_table``,
-the same over the cube. Every oracle answers those in row blocks of its
-value formula. A NaN entry fails every comparison, so it raises
-``InternalInvariantError`` naming the first set that has one.
+the same over the cube of the oracle's own ``oracle.n`` elements. Every
+oracle answers those in row blocks of its value formula. A NaN entry fails
+every comparison, so it raises ``InternalInvariantError`` naming the first
+set that has one.
 
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
 256 MiB for an interval at the default enumeration cap of 25 free elements.
@@ -49,14 +50,15 @@ def require_cap(n: int, cap: int, where: str) -> None:
         raise CapExceeded(f"{where} needs n <= {cap}, got {n}")
 
 
-def checked_table(oracle, n: int, cap: int, where: str) -> np.ndarray:
-    """F on all 2**n subsets in mask order; ``where`` names the caller in errors.
+def checked_table(oracle, cap: int, where: str) -> np.ndarray:
+    """F on all 2**n subsets, n = ``oracle.n``, in mask order; ``where`` names the caller in errors.
 
     n above ``cap`` raises ``CapExceeded`` before any evaluation, and a NaN
     value raises ``InternalInvariantError`` naming the first set that has one.
     """
+    n = oracle.n
     require_cap(n, cap, where)
-    values = eval_table(oracle, n)
+    values = eval_table(oracle)
     _require_no_nan_values(values, IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n)), where)
     return values
 
@@ -93,16 +95,18 @@ def exact_opt(
     return float(values[optimal[0]]), [within.member(int(i)) for i in optimal]
 
 
-def enumerate_local_optima(oracle, n: int, kind: str) -> list[SubsetBits]:
+def enumerate_local_optima(oracle, kind: str) -> list[SubsetBits]:
     """All sets where no single-element flip improves in the given direction.
 
-    Judged on the full value table, so n above ``TABLE_MAX_N`` raises
-    ``CapExceeded`` before any evaluation. A NaN value raises
-    ``InternalInvariantError`` naming the first set that has one.
+    Judged on the full value table over the oracle's ground set, so
+    ``oracle.n`` above ``TABLE_MAX_N`` raises ``CapExceeded`` before any
+    evaluation. A NaN value raises ``InternalInvariantError`` naming the
+    first set that has one.
     """
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    values = checked_table(oracle, n, TABLE_MAX_N, "enumerate_local_optima")
+    n = oracle.n
+    values = checked_table(oracle, TABLE_MAX_N, "enumerate_local_optima")
     idx = np.arange(1 << n)
     ok = np.ones(1 << n, dtype=bool)
     for b in range(n):

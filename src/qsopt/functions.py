@@ -1171,7 +1171,7 @@ def make_random_qsb(n: int, seed: int) -> SetFunctionOracle:
     table = _increasing_transform(_random_submodular_table(n, rng), rng)
     oracle = make_tabular(table)
     if n <= SSBC_MAX_N:
-        verdict = satisfies_ssbc(oracle, n)
+        verdict = satisfies_ssbc(oracle)
         if not verdict.holds:
             raise InternalInvariantError(
                 f"random instance (n={n}, seed={seed}) failed verification"

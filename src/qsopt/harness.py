@@ -37,7 +37,6 @@ from .sets import (
 )
 
 EXPERIMENTS = ("reduction", "ratio", "timing")
-RATIO_ALGORITHMS = ("rp", "urp", "rls", "urls", "rg", "urg", "dg", "udg")
 
 
 #: The integer fields of a config, each with its least allowed value.
@@ -266,6 +265,9 @@ BASELINES = {
     "dg": lambda F, trials, restarts, seed: double_greedy(F, list(range(1, F.n + 1))),
 }
 
+#: The algorithms of a ratio experiment: each baseline, then its ``u_prefix`` variant.
+RATIO_ALGORITHMS = tuple(alg for name in BASELINES for alg in (name, "u" + name))
+
 
 def baseline_runner(name: str, trials: int, restarts: int, seed: int):
     """The baseline ``name`` as a one-argument callable on an oracle."""
@@ -281,8 +283,9 @@ def _algorithm_runner(name: str, cfg: ExperimentConfig, algo_seed: int):
     return (lambda F: u_prefix(F, inner)), True
 
 
-def _exact_max(oracle, n: int, cap: int) -> float:
+def _exact_max(oracle, cap: int) -> float:
     """Ground-truth maximum: over the full cube when affordable, else over the reduced interval."""
+    n = oracle.n
     if n <= TABLE_MAX_N:
         lattice = IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n))
     else:
@@ -330,7 +333,7 @@ def _baseline_rows(cfg: ExperimentConfig, oracle, family: str, seed: int, algo_s
     """
     n = oracle.n
     with_exact = cfg.experiment == "ratio"
-    exact_value = _exact_max(oracle, n, cfg.enumeration_cap) if with_exact else None
+    exact_value = _exact_max(oracle, cfg.enumeration_cap) if with_exact else None
     for name in cfg.algorithms:
         runner, is_u = _algorithm_runner(name, cfg, algo_seed)
         result, ms = _timed(runner, oracle)

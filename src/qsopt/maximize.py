@@ -41,7 +41,6 @@ class MaxStep:
 
 @dataclass
 class MaxTrace:
-    lattice: IntervalLattice
     steps: list[MaxStep]
     eval_calls: int
     marginal_calls: int
@@ -64,8 +63,9 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
     steps: list[MaxStep] = []
     for t in range(n + 2):
         x, y = cursor_x.members(), cursor_y.members()
-        fx = counter.value(x)
-        fy = counter.value(y)
+        # a side the last step did not move keeps its value
+        fx = counter.value(x) if not steps or len(steps[-1].added) else steps[-1].fx
+        fy = counter.value(y) if not steps or len(steps[-1].removed) else steps[-1].fy
         if steps:  # the paper's strict ascent of each side the last step moved
             last = steps[-1]
             for side, moved, before, after, f_before, f_after in (
@@ -92,8 +92,7 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
                 "objective is likely not quasi-submodular"
             )
         if not added.size and not removed.size:
-            lattice = IntervalLattice(x, y)
-            return lattice, MaxTrace(lattice, steps, counter.eval_calls, counter.marginal_calls)
+            return IntervalLattice(x, y), MaxTrace(steps, counter.eval_calls, counter.marginal_calls)
         x_last, y_last = x, y
     raise InternalInvariantError(
         f"no fixed interval within {n + 2} iterations; objective is likely "
@@ -110,13 +109,14 @@ class UPrefixResult:
     inner: Optional[BaselineResult]
 
 
-def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOracle, list[int]]:
+def restricted_oracle(oracle, lattice: IntervalLattice) -> SetFunctionOracle:
     """The induced objective over the lattice's free elements.
 
-    Free elements are relabeled 1..m ascending; evaluating a relabeled set T
-    evaluates the original objective at ``lattice.member(T.mask)``. The value
-    formula lifts each row to the original's: the lower bound set, with the
-    free columns scattered in, and asks ``oracle.value_rows`` for the block.
+    The free elements, ``lattice.free_elements()``, are relabeled 1..m
+    ascending; evaluating a relabeled set T evaluates the original objective
+    at ``lattice.member(T.mask)``. The value formula lifts each row to the
+    original's: the lower bound set, with the free columns scattered in, and
+    asks ``oracle.value_rows`` for the block.
     """
     free_ids = lattice.free_elements()
     m = len(free_ids)
@@ -135,14 +135,11 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> tuple[SetFunctionOrac
         checked = CountingOracle(oracle).cursor(lattice.member(start.mask))
         return _RestrictedCursor(checked, free_ids, start)
 
-    return (
-        SetFunctionOracle(
-            GroundSet(m),
-            value_rows=value_rows,
-            cursor_factory=cursor_factory,
-            name=f"restricted({getattr(oracle, 'name', '')}, free={m})",
-        ),
-        free_ids,
+    return SetFunctionOracle(
+        GroundSet(m),
+        value_rows=value_rows,
+        cursor_factory=cursor_factory,
+        name=f"restricted({getattr(oracle, 'name', '')}, free={m})",
     )
 
 
@@ -183,11 +180,10 @@ def u_prefix(
     lower endpoint alone.
     """
     lattice, trace = uqsfmax(oracle)
-    base_value = oracle.value(lattice.lower)
+    base_value = trace.steps[-1].fx  # F(X+), taken by the step that fixed it
     if lattice.is_point():
         return UPrefixResult(base_value, lattice.lower, lattice, trace, None)
-    sub, _ = restricted_oracle(oracle, lattice)
-    inner_result = inner_algorithm(sub)
+    inner_result = inner_algorithm(restricted_oracle(oracle, lattice))
     lifted = lattice.member(inner_result.set.mask)
     if inner_result.value >= base_value:
         return UPrefixResult(inner_result.value, lifted, lattice, trace, inner_result)

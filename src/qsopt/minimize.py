@@ -39,7 +39,6 @@ class MinStep:
 
 @dataclass
 class MinTrace:
-    start: SubsetBits
     result: SubsetBits
     steps: list[MinStep]
     eval_calls: int
@@ -91,8 +90,7 @@ def uqsfmin(oracle, x0: SubsetBits) -> tuple[SubsetBits, MinTrace]:
             )
         )
         if not added.size and not removed.size:
-            trace = MinTrace(x0, x, steps, counter.eval_calls, counter.marginal_calls)
-            return x, trace
+            return x, MinTrace(x, steps, counter.eval_calls, counter.marginal_calls)
         x_last, x = x, cursor.members()
     raise InternalInvariantError(
         f"no fixed point within {n + 2} iterations from {x0}; objective is "

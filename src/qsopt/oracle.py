@@ -17,7 +17,8 @@ one-row block from sets it has already factored, as long as the answer
 keeps those bits: the determinant's keeps the Cholesky factors of the last
 two sets, which its cursor then takes over. ``lattice_values`` asks the
 formula for a lattice's members in row blocks of at most ``BLOCK_CELLS``
-membership cells, and ``eval_table`` for the full cube the same way.
+membership cells, and ``eval_table`` for the full cube of the oracle's own
+ground set, n = ``oracle.n``, the same way.
 
 A cursor is an incremental view anchored at a working set: it answers
 add/drop marginal queries against that set and moves, one element or one
@@ -463,10 +464,11 @@ def lattice_values(oracle, lattice: IntervalLattice, cap: int = DEFAULT_ENUMERAT
     return out
 
 
-def eval_table(oracle, n: int) -> np.ndarray:
-    """F on every subset; entry m holds F of the set with mask m.
+def eval_table(oracle) -> np.ndarray:
+    """F on every subset of ``oracle.n`` elements; entry m holds F of the set with mask m.
 
     ``lattice_values`` over the full cube, whose member m has mask m: row
     blocks of the value formula. Callers are responsible for keeping n small.
     """
+    n = oracle.n
     return lattice_values(oracle, IntervalLattice(SubsetBits.empty(n), SubsetBits.full(n)), cap=n)

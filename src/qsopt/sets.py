@@ -35,15 +35,6 @@ class GroundSet:
         if self.n < 1:
             raise ValueError(f"ground set needs n >= 1, got {self.n}")
 
-    def elements(self) -> range:
-        return range(1, self.n + 1)
-
-    def empty(self) -> "SubsetBits":
-        return SubsetBits(self.n, 0)
-
-    def full(self) -> "SubsetBits":
-        return SubsetBits(self.n, (1 << self.n) - 1)
-
 
 @dataclass(frozen=True, slots=True)
 class SubsetBits:

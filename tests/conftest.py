@@ -16,6 +16,9 @@ TWIN_PEAKS_TABLE = [1.0, 1.5, 1.5, 1.0]
 # Three elements, values 7..0 by bitmask, with F({1}) = NaN: every strict sign
 # test on a NaN marginal is false, so a silent run would report a "fixed point".
 NAN_TABLE = [7.0, float("nan"), 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]
+# Three elements: the gain of element 3 flips from negative at {} to positive
+# at {1}, so every property checker fails, each witness on a set that holds 3.
+ELEMENT_3_SIGN_FLIP_TABLE = [0.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0]
 # Instance files with a parameter of the wrong type or value or an unknown
 # parameter key, each with the field the config error must name.
 MALFORMED_SPECS = {

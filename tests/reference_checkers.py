@@ -29,18 +29,20 @@ def _submasks_ascending(mask: int, n: int) -> np.ndarray:
     return out
 
 
-def _table(oracle, n: int, where: str) -> np.ndarray:
-    """F on every mask, scanned one mask at a time for the first NaN."""
-    values = eval_table(oracle, n)
+def _table(oracle, where: str) -> np.ndarray:
+    """F on every mask of the oracle's ground set, scanned one mask at a time for the first NaN."""
+    n = oracle.n
+    values = eval_table(oracle)
     for mask in range(1 << n):
         if math.isnan(values[mask]):
             raise InternalInvariantError(f"{where}: value of {SubsetBits(n, mask)} is NaN")
     return values
 
 
-def is_submodular(oracle, n: int) -> PropertyVerdict:
+def is_submodular(oracle) -> PropertyVerdict:
     """Check diminishing returns: F(i|A) >= F(i|B) for all A <= B <= N-i."""
-    values = _table(oracle, n, "is_submodular")
+    n = oracle.n
+    values = _table(oracle, "is_submodular")
     full = (1 << n) - 1
     for i in range(1, n + 1):
         ibit = 1 << (i - 1)
@@ -76,14 +78,15 @@ def is_submodular(oracle, n: int) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
+def is_quasi_submodular(oracle) -> PropertyVerdict:
     """Check both lattice implications over every ordered pair (X, Y).
 
     Required for all X, Y:
       F(X & Y) >= F(X)  implies  F(Y) >= F(X | Y)
       F(X & Y) >  F(X)  implies  F(Y) >  F(X | Y)
     """
-    values = _table(oracle, n, "is_quasi_submodular")
+    n = oracle.n
+    values = _table(oracle, "is_quasi_submodular")
     size = 1 << n
     ys = np.arange(size, dtype=np.int64)
     vy = values
@@ -118,14 +121,15 @@ def is_quasi_submodular(oracle, n: int) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
+def satisfies_ssbc(oracle) -> PropertyVerdict:
     """Check the single sub-crossing property over all A <= B <= N, i not in B.
 
     Required:
       F(A) >= F(B)  implies  F(A+i) >= F(B+i)
       F(A) >  F(B)  implies  F(A+i) >  F(B+i)
     """
-    values = _table(oracle, n, "satisfies_ssbc")
+    n = oracle.n
+    values = _table(oracle, "satisfies_ssbc")
     full = (1 << n) - 1
     for b_mask in range(1 << n):
         subs = _submasks_ascending(b_mask, n)
@@ -165,14 +169,15 @@ def satisfies_ssbc(oracle, n: int) -> PropertyVerdict:
     return PropertyVerdict(True)
 
 
-def satisfies_weak_marginal(oracle, n: int) -> PropertyVerdict:
+def satisfies_weak_marginal(oracle) -> PropertyVerdict:
     """Check marginal-sign monotonicity over all A <= B <= N - i.
 
     Required:
       F(i|A) <= 0  implies  F(i|B) <= 0
       F(i|A) <  0  implies  F(i|B) <  0
     """
-    values = _table(oracle, n, "satisfies_weak_marginal")
+    n = oracle.n
+    values = _table(oracle, "satisfies_weak_marginal")
     full = (1 << n) - 1
     for i in range(1, n + 1):
         ibit = 1 << (i - 1)

@@ -103,8 +103,8 @@ def qsb_runs():
                 down_trace=down,
                 max_lat=max_lat,
                 max_trace=max_trace,
-                local_minima=enumerate_local_optima(F, n, "min"),
-                local_maxima=enumerate_local_optima(F, n, "max"),
+                local_minima=enumerate_local_optima(F, "min"),
+                local_maxima=enumerate_local_optima(F, "max"),
                 global_minima=arg_min,
                 global_maxima=arg_max,
             )
@@ -135,8 +135,8 @@ def family_runs_100():
 def test_criterion_1_counterexample_suite():
     start = time.monotonic()
     prop = make_tabular(PROP_TABLE)
-    ok = is_quasi_submodular(prop, 2).holds
-    sub = is_submodular(prop, 2)
+    ok = is_quasi_submodular(prop).holds
+    sub = is_submodular(prop)
     ok &= not sub.holds
     ok &= sub.witness.sets["X"] == SubsetBits.from_members(2, [1])
     ok &= sub.witness.sets["Y"] == SubsetBits.from_members(2, [2])
@@ -145,7 +145,7 @@ def test_criterion_1_counterexample_suite():
     lattice, _ = uqsfmax(twin)
     ok &= lattice.lower == SubsetBits.empty(2)
     ok &= lattice.upper == SubsetBits.full(2)
-    maxima = enumerate_local_optima(twin, 2, "max")
+    maxima = enumerate_local_optima(twin, "max")
     ok &= maxima == [SubsetBits.from_members(2, [1]), SubsetBits.from_members(2, [2])]
     elapsed = time.monotonic() - start
     ok &= elapsed < 1.0
@@ -230,11 +230,11 @@ def test_criterion_5_pair_condition_equivalence():
     for k in range(500):
         n = 2 + k % 5  # sizes 2..6
         F = make_tabular(random_spaced_values(n, rng))
-        qsb = is_quasi_submodular(F, n).holds
-        ssbc = satisfies_ssbc(F, n).holds
+        qsb = is_quasi_submodular(F).holds
+        ssbc = satisfies_ssbc(F).holds
         if qsb != ssbc:
             disagreements += 1
-        if ssbc and not satisfies_weak_marginal(F, n).holds:
+        if ssbc and not satisfies_weak_marginal(F).holds:
             implication_failures += 1
     ok = disagreements == 0 and implication_failures == 0
     verdict(

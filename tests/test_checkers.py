@@ -25,7 +25,7 @@ from qsopt import (
 from qsopt import checkers
 from qsopt.functions import seeded_stream
 
-from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE, random_spaced_values
+from conftest import ELEMENT_3_SIGN_FLIP_TABLE, NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE, random_spaced_values
 
 CHECKERS = ("is_submodular", "is_quasi_submodular", "satisfies_ssbc", "satisfies_weak_marginal")
 
@@ -38,7 +38,7 @@ SIGN_FLIP_TABLE = [0.0, -1.0, 0.0, 0.5]
 
 class TestIsSubmodular:
     def test_supermodular_counterexample(self):
-        verdict = is_submodular(make_tabular(PROP_TABLE), 2)
+        verdict = is_submodular(make_tabular(PROP_TABLE))
         assert not verdict.holds
         w = verdict.witness
         assert w.sets["X"] == SubsetBits.from_members(2, [1])
@@ -47,27 +47,27 @@ class TestIsSubmodular:
         assert w.values["F(X)"] + w.values["F(Y)"] < w.values["F(X&Y)"] + w.values["F(X|Y)"]
 
     def test_twin_peaks_is_submodular(self):
-        assert is_submodular(make_tabular(TWIN_PEAKS_TABLE), 2).holds
+        assert is_submodular(make_tabular(TWIN_PEAKS_TABLE)).holds
 
     def test_modular_is_submodular(self):
         weights = [0.0, 1.0, -2.0, 3.0]
         table = [sum(w for k, w in enumerate(weights[1:], 1) if m >> (k - 1) & 1) for m in range(8)]
-        assert is_submodular(make_tabular(table), 3).holds
+        assert is_submodular(make_tabular(table)).holds
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
-            is_submodular(make_tabular(np.zeros(1 << 15)), 15)
+            is_submodular(make_tabular(np.zeros(1 << 15)))
 
 
 class TestIsQuasiSubmodular:
     def test_supermodular_counterexample_is_qsb(self):
-        assert is_quasi_submodular(make_tabular(PROP_TABLE), 2).holds
+        assert is_quasi_submodular(make_tabular(PROP_TABLE)).holds
 
     def test_submodular_implies_qsb(self):
-        assert is_quasi_submodular(make_tabular(TWIN_PEAKS_TABLE), 2).holds
+        assert is_quasi_submodular(make_tabular(TWIN_PEAKS_TABLE)).holds
 
     def test_strict_violation(self):
-        verdict = is_quasi_submodular(make_tabular(STRICT_VIOLATION_TABLE), 2)
+        verdict = is_quasi_submodular(make_tabular(STRICT_VIOLATION_TABLE))
         assert not verdict.holds
         w = verdict.witness
         assert {w.sets["X"], w.sets["Y"]} == {
@@ -77,7 +77,7 @@ class TestIsQuasiSubmodular:
 
     def test_witness_replays(self):
         F = make_tabular(STRICT_VIOLATION_TABLE)
-        w = is_quasi_submodular(F, 2).witness
+        w = is_quasi_submodular(F).witness
         x, y = w.sets["X"], w.sets["Y"]
         assert F.value(x) == w.values["F(X)"]
         assert F.value(y) == w.values["F(Y)"]
@@ -87,21 +87,21 @@ class TestIsQuasiSubmodular:
 
 class TestSatisfiesSsbc:
     def test_counterexample_table_passes(self):
-        assert satisfies_ssbc(make_tabular(PROP_TABLE), 2).holds
+        assert satisfies_ssbc(make_tabular(PROP_TABLE)).holds
 
     def test_strict_violation_table_fails(self):
-        assert not satisfies_ssbc(make_tabular(STRICT_VIOLATION_TABLE), 2).holds
+        assert not satisfies_ssbc(make_tabular(STRICT_VIOLATION_TABLE)).holds
 
     def test_constant_function(self):
-        assert satisfies_ssbc(make_tabular(np.ones(16)), 4).holds
+        assert satisfies_ssbc(make_tabular(np.ones(16))).holds
 
 
 class TestWeakMarginal:
     def test_implied_by_ssbc(self):
-        assert satisfies_weak_marginal(make_tabular(PROP_TABLE), 2).holds
+        assert satisfies_weak_marginal(make_tabular(PROP_TABLE)).holds
 
     def test_sign_flip_fails(self):
-        verdict = satisfies_weak_marginal(make_tabular(SIGN_FLIP_TABLE), 2)
+        verdict = satisfies_weak_marginal(make_tabular(SIGN_FLIP_TABLE))
         assert not verdict.holds
         w = verdict.witness
         assert w.element == 1
@@ -109,10 +109,32 @@ class TestWeakMarginal:
         assert w.values["F(i|B)"] == 0.5
 
 
+def _replayed(F, witness) -> dict:
+    """Each value the witness reports, evaluated again on F at the sets it names."""
+    sets, i = dict(witness.sets), witness.element
+    if "X" in sets:
+        sets["X&Y"], sets["X|Y"] = sets["X"].intersection(sets["Y"]), sets["X"].union(sets["Y"])
+    if "A" in sets and i is not None:
+        sets["A+i"], sets["B+i"] = sets["A"].add(i), sets["B"].add(i)
+    at = {f"F({name})": F.value(x) for name, x in sets.items()}
+    if "F(A+i)" in at:
+        at["F(i|A)"], at["F(i|B)"] = at["F(A+i)"] - at["F(A)"], at["F(B+i)"] - at["F(B)"]
+    return {key: at[key] for key in witness.values}
+
+
+@pytest.mark.parametrize("name", CHECKERS)
+def test_witness_is_on_the_oracle_ground_set_and_replays(name):
+    F = make_tabular(ELEMENT_3_SIGN_FLIP_TABLE)
+    verdict = getattr(checkers, name)(F)
+    assert not verdict.holds
+    assert [x.capacity for x in verdict.witness.sets.values()] == [3] * len(verdict.witness.sets)
+    assert _replayed(F, verdict.witness) == verdict.witness.values
+
+
 @pytest.mark.parametrize("name", CHECKERS)
 def test_nan_value_raises_naming_the_set(name):
     with pytest.raises(InternalInvariantError, match=rf"^{name}: value of \{{1\}} is NaN$"):
-        getattr(checkers, name)(make_tabular(NAN_TABLE), 3)
+        getattr(checkers, name)(make_tabular(NAN_TABLE))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in:RuntimeWarning")
@@ -120,8 +142,8 @@ def test_nan_value_raises_naming_the_set(name):
 def test_nan_gains_of_infinite_values_break_nothing(name):
     """F({}) = F({1}) = inf, so F(1|{}) is NaN; the violation at A={2}, B={2,3} still counts."""
     F = make_tabular([math.inf, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-    got = getattr(checkers, name)(F, 3)
-    assert repr(got) == repr(getattr(reference_checkers, name)(F, 3))
+    got = getattr(checkers, name)(F)
+    assert repr(got) == repr(getattr(reference_checkers, name)(F))
     assert got.witness.element == 1
     assert (str(got.witness.sets["A"]), str(got.witness.sets["B"])) == ("{2}", "{2,3}")
 
@@ -146,7 +168,7 @@ def test_cap_raises_before_any_evaluation(name, cap):
 
     oracle = SetFunctionOracle(GroundSet(cap + 1), value)
     with pytest.raises(CapExceeded, match=rf"^{name} needs n <= {cap}, got {cap + 1}$"):
-        getattr(checkers, name)(oracle, cap + 1)
+        getattr(checkers, name)(oracle)
 
 
 class TestLocalOptima:
@@ -176,7 +198,7 @@ class TestEquivalences:
         for k in range(120):
             n = 2 + k % 5
             F = make_tabular(random_spaced_values(n, rng))
-            assert is_quasi_submodular(F, n).holds == satisfies_ssbc(F, n).holds
+            assert is_quasi_submodular(F).holds == satisfies_ssbc(F).holds
 
     def test_ssbc_implies_weak_marginal(self):
         rng = seeded_stream(2025, 0)
@@ -184,23 +206,23 @@ class TestEquivalences:
         for k in range(200):
             n = 2 + k % 5
             F = make_tabular(random_spaced_values(n, rng))
-            if satisfies_ssbc(F, n).holds:
-                assert satisfies_weak_marginal(F, n).holds
+            if satisfies_ssbc(F).holds:
+                assert satisfies_weak_marginal(F).holds
                 checked += 1
         for seed in range(15):
             F = make_random_qsb(6, seed)
-            assert satisfies_ssbc(F, 6).holds
-            assert satisfies_weak_marginal(F, 6).holds
+            assert satisfies_ssbc(F).holds
+            assert satisfies_weak_marginal(F).holds
 
     def test_submodular_implies_qsb_not_conversely(self):
         rng = seeded_stream(2026, 0)
         for k in range(100):
             n = 2 + k % 4
             F = make_tabular(random_spaced_values(n, rng))
-            if is_submodular(F, n).holds:
-                assert is_quasi_submodular(F, n).holds
+            if is_submodular(F).holds:
+                assert is_quasi_submodular(F).holds
         prop = make_tabular(PROP_TABLE)
-        assert is_quasi_submodular(prop, 2).holds and not is_submodular(prop, 2).holds
+        assert is_quasi_submodular(prop).holds and not is_submodular(prop).holds
 
 
 @st.composite
@@ -233,17 +255,17 @@ def test_checkers_match_loop_reference(table, ssbc_block_n):
     The single sub-crossing blocks are drawn smaller than n too, so that
     several blocks of B run at these sizes.
     """
-    n, values = table
+    _, values = table
     F = make_tabular(values)
     for name in CHECKERS:
         with mock.patch.object(checkers, "_SSBC_BLOCK_N", ssbc_block_n):
-            got = _outcome(getattr(checkers, name), F, n)
-        assert got == _outcome(getattr(reference_checkers, name), F, n), name
+            got = _outcome(getattr(checkers, name), F)
+        assert got == _outcome(getattr(reference_checkers, name), F), name
 
 
-def _outcome(check, F, n) -> str:
+def _outcome(check, F) -> str:
     """The verdict's repr, which shows every set and value, or the NaN error raised."""
     try:
-        return repr(check(F, n))
+        return repr(check(F))
     except InternalInvariantError as exc:
         return f"InternalInvariantError: {exc}"

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import qsopt.cli as cli_module
-from qsopt import FunctionSpec, SetFunctionOracle, instantiate, save_spec, tabular_spec
+from qsopt import FunctionSpec, SetFunctionOracle, instantiate, is_local_min, save_spec, tabular_spec, uqsfmin
 
 from conftest import (
     MALFORMED_CONFIGS,
@@ -46,6 +46,19 @@ def com_spec(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every set the CLI's instances evaluate, in order."""
+    seen = []
+
+    def counting_instantiate(spec):
+        F = instantiate(spec)
+        return SetFunctionOracle(F.ground, lambda x: seen.append(x) or F.value(x))
+
+    monkeypatch.setattr(cli_module, "instantiate", counting_instantiate)
+    return seen
+
+
 class TestCheck:
     def test_verdicts_and_witness(self, prop_spec):
         proc = qsopt("check", "--spec", prop_spec)
@@ -59,18 +72,6 @@ class TestCheck:
         proc = qsopt("check", "--spec", prop_spec, "--property", "ssbc")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "ssbc: holds=true"
-
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        """Every set the CLI's instances evaluate, in order."""
-        seen = []
-
-        def counting_instantiate(spec):
-            F = instantiate(spec)
-            return SetFunctionOracle(F.ground, lambda x: seen.append(x) or F.value(x))
-
-        monkeypatch.setattr(cli_module, "instantiate", counting_instantiate)
-        return seen
 
     def test_all_properties_evaluate_the_table_once(self, tmp_path, evaluations):
         """A spec without a dense table costs 2^n evaluations for one check or all four."""
@@ -153,6 +154,25 @@ class TestMin:
         monkeypatch.setattr(cli_module, "is_local_min", None)  # called, it would raise
         assert cli_module.main(["--quiet", "min", "--spec", prop_spec]) == 0
         assert capsys.readouterr() == ("", "")
+
+    def test_value_line_evaluates_nothing(self, prop_spec, capsys, monkeypatch, evaluations):
+        """F(result) comes from the trace: the local-min check makes the first evaluation after the reduction."""
+        marks = {}
+
+        def reduce(oracle, x0):
+            out = uqsfmin(oracle, x0)
+            marks["reduced"] = len(evaluations)
+            return out
+
+        def local_min(oracle, x):
+            marks["check"] = len(evaluations)
+            return is_local_min(oracle, x)
+
+        monkeypatch.setattr(cli_module, "uqsfmin", reduce)
+        monkeypatch.setattr(cli_module, "is_local_min", local_min)
+        assert cli_module.main(["min", "--spec", prop_spec]) == 0
+        assert "value=0.0 " in capsys.readouterr().out
+        assert marks["check"] == marks["reduced"] > 0
 
 
 class TestMax:

@@ -11,6 +11,8 @@ from qsopt import (
     SubsetBits,
     enumerate_local_optima,
     exact_opt,
+    is_local_max,
+    is_local_min,
     make_random_qsb,
     make_tabular,
     min_lattice,
@@ -20,7 +22,7 @@ from qsopt import (
 from qsopt.functions import seeded_stream
 from qsopt.sets import IntervalLattice
 
-from conftest import NAN_TABLE
+from conftest import ELEMENT_3_SIGN_FLIP_TABLE, NAN_TABLE
 
 
 def full_lattice(n):
@@ -104,17 +106,17 @@ class TestExactOpt:
 
 class TestLocalOptimaEnumeration:
     def test_twin_peaks(self, twin_peaks_oracle):
-        assert enumerate_local_optima(twin_peaks_oracle, 2, "max") == [
+        assert enumerate_local_optima(twin_peaks_oracle, "max") == [
             SubsetBits.from_members(2, [1]),
             SubsetBits.from_members(2, [2]),
         ]
 
     def test_constant_function_every_set_is_optimal(self):
         F = make_tabular(np.zeros(16))
-        assert len(enumerate_local_optima(F, 4, "min")) == 16
+        assert len(enumerate_local_optima(F, "min")) == 16
 
     def test_reference_table_min(self, prop_oracle):
-        assert enumerate_local_optima(prop_oracle, 2, "min") == [SubsetBits.from_members(2, [1])]
+        assert enumerate_local_optima(prop_oracle, "min") == [SubsetBits.from_members(2, [1])]
 
     @pytest.mark.parametrize("kind", ["min", "max"])
     def test_nan_value_is_invariant_error(self, kind):
@@ -123,7 +125,14 @@ class TestLocalOptimaEnumeration:
         with pytest.raises(
             InternalInvariantError, match=re.escape("enumerate_local_optima: value of {1} is NaN")
         ):
-            enumerate_local_optima(F, 3, kind)
+            enumerate_local_optima(F, kind)
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_optima_are_the_local_optima_of_the_oracle_ground_set(self, kind):
+        F = make_tabular(ELEMENT_3_SIGN_FLIP_TABLE)
+        check = is_local_min if kind == "min" else is_local_max
+        expected = [SubsetBits(3, m) for m in range(8) if check(F, SubsetBits(3, m))]
+        assert expected and enumerate_local_optima(F, kind) == expected
 
     def test_above_table_cap_raises_before_any_evaluation(self):
         class Unevaluable:
@@ -134,7 +143,7 @@ class TestLocalOptimaEnumeration:
 
         for kind in ("min", "max"):
             with pytest.raises(CapExceeded, match="n <= 20, got 21"):
-                enumerate_local_optima(Unevaluable(), 21, kind)
+                enumerate_local_optima(Unevaluable(), kind)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_global_optima_are_local(self, seed):
@@ -142,7 +151,7 @@ class TestLocalOptimaEnumeration:
         F = make_random_qsb(n, seed + 4100)
         for direction in ("min", "max"):
             _, argopt = exact_opt(F, direction, full_lattice(n))
-            locals_ = set(enumerate_local_optima(F, n, direction))
+            locals_ = set(enumerate_local_optima(F, direction))
             assert set(argopt) <= locals_
 
 

@@ -373,13 +373,13 @@ class TestRandomQsb:
 
     def test_submodular_base_is_quasi_submodular(self):
         G = make_tabular(TWIN_PEAKS_TABLE)
-        assert is_quasi_submodular(G, 2).holds
+        assert is_quasi_submodular(G).holds
 
     def test_seeded_draws_verify(self):
         for seed in range(10):
             n = 2 + seed % 5
             F = make_random_qsb(n, seed)
-            assert is_quasi_submodular(F, n).holds
+            assert is_quasi_submodular(F).holds
 
     def test_reproducible(self):
         a = make_random_qsb(6, 123)
@@ -402,5 +402,5 @@ class TestRandomQsb:
 def test_every_family_single_sub_crossing(family, build):
     for seed in range(20):
         oracle = build(seed)
-        verdict = satisfies_ssbc(oracle, 10)
+        verdict = satisfies_ssbc(oracle)
         assert verdict.holds, (family, seed, verdict.witness and verdict.witness.describe())

@@ -19,10 +19,11 @@ from qsopt import (
     u_prefix,
     uqsfmax,
 )
+from qsopt import maximize
 from qsopt.maximize import restricted_oracle
 from qsopt.sets import IntervalLattice
 
-from conftest import NAN_TABLE
+from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
 
 
 class TestUqsfmaxReferenceTables:
@@ -41,7 +42,7 @@ class TestUqsfmaxReferenceTables:
         lattice, _ = uqsfmax(twin_peaks_oracle)
         assert lattice.lower == SubsetBits.empty(2)
         assert lattice.upper == SubsetBits.full(2)
-        maxima = enumerate_local_optima(twin_peaks_oracle, 2, "max")
+        maxima = enumerate_local_optima(twin_peaks_oracle, "max")
         assert maxima == [SubsetBits.from_members(2, [1]), SubsetBits.from_members(2, [2])]
         assert all(lattice.contains(s) for s in maxima)
 
@@ -108,7 +109,7 @@ class TestLatticeInvariants:
         n = 4 + seed % 7
         F = make_random_qsb(n, seed + 2200)
         lattice, _ = uqsfmax(F)
-        for local in enumerate_local_optima(F, n, "max"):
+        for local in enumerate_local_optima(F, "max"):
             assert lattice.contains(local)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -138,14 +139,30 @@ class TestLocalMaxReporting:
         assert is_local_max(twin_peaks_oracle, lattice.upper) is False
 
 
+def test_a_side_the_last_step_left_keeps_its_value():
+    """F(S) = [1 in S]: step 0 adds 1 to X and removes nothing, so step 1 evaluates F(X) alone."""
+    F = make_tabular([0.0, 1.0, 0.0, 1.0])
+    rows = []
+    G = SetFunctionOracle(
+        F.ground,
+        value_rows=lambda members: rows.append(len(members)) or F.value_rows(members),
+        cursor_factory=lambda _owner, start: F.cursor(start),
+    )
+    lattice, trace = uqsfmax(G)
+    assert (lattice.lower, lattice.upper) == (SubsetBits.from_members(2, [1]), SubsetBits.full(2))
+    assert [(len(s.added), len(s.removed)) for s in trace.steps] == [(1, 0), (0, 0)]
+    assert sum(rows) == 3  # F(X) and F(Y) at step 0, then F(X) at step 1
+    assert (trace.steps[1].fx, trace.steps[1].fy) == (1.0, trace.steps[0].fy)
+
+
 class TestRestrictedOracle:
     def test_relabeling_and_lifting(self):
         F = make_iwata(6)
         lattice = IntervalLattice(
             SubsetBits.from_members(6, [2]), SubsetBits.from_members(6, [2, 4, 5])
         )
-        sub, free = restricted_oracle(F, lattice)
-        assert free == [4, 5]
+        sub = restricted_oracle(F, lattice)
+        assert lattice.free_elements() == [4, 5]
         assert sub.n == 2
         got = sub.value(SubsetBits.from_members(2, [2]))
         assert got == F.value(SubsetBits.from_members(6, [2, 5]))
@@ -178,6 +195,29 @@ class TestUPrefix:
             twin_peaks_oracle, lambda sub: double_greedy(sub, list(range(1, sub.n + 1)))
         )
         assert result.value == 1.5
+
+    @pytest.mark.parametrize("table", [PROP_TABLE, TWIN_PEAKS_TABLE], ids=["point", "stuck"])
+    def test_evaluates_only_inside_the_reduction_and_the_inner_run(self, table, monkeypatch):
+        """F(X+) comes from the trace: u_prefix itself evaluates nothing."""
+        F = make_tabular(table)
+        seen = []
+        G = SetFunctionOracle(F.ground, lambda x: seen.append(x) or F.value(x))
+        inside = []
+
+        def counted(fn):
+            def run(*args):
+                start = len(seen)
+                out = fn(*args)
+                inside.append(len(seen) - start)
+                return out
+
+            return run
+
+        monkeypatch.setattr(maximize, "uqsfmax", counted(uqsfmax))
+        result = u_prefix(G, counted(lambda sub: double_greedy(sub, list(range(1, sub.n + 1)))))
+        assert result.value == 1.5
+        assert len(inside) == (1 if result.lattice.is_point() else 2)
+        assert len(seen) == sum(inside)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_never_worse_than_lower_endpoint(self, seed):

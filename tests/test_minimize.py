@@ -107,7 +107,7 @@ class TestMinLattice:
         n = 4 + seed % 7
         F = make_random_qsb(n, seed + 500)
         lattice, _ = min_lattice(F)
-        for local in enumerate_local_optima(F, n, "min"):
+        for local in enumerate_local_optima(F, "min"):
             assert lattice.contains(local)
 
     @pytest.mark.parametrize("seed", range(10))

@@ -109,7 +109,7 @@ def restricted_com():
     """com over 40 elements seen through the 30 free elements of [{1..5}, N - {36..40}]."""
     lower = SubsetBits.from_members(40, range(1, 6))
     upper = SubsetBits.from_members(40, range(1, 36))
-    return restricted_oracle(make_com(40, 5), IntervalLattice(lower, upper))[0]
+    return restricted_oracle(make_com(40, 5), IntervalLattice(lower, upper))
 
 
 CURSOR_INSTANCES = FAMILY_INSTANCES + [
@@ -215,7 +215,7 @@ def restricted_determinant():
     """determinant over 40 elements seen through the 30 free elements of [{1..5}, N - {36..40}]."""
     lower = SubsetBits.from_members(40, range(1, 6))
     upper = SubsetBits.from_members(40, range(1, 36))
-    return restricted_oracle(make_determinant(40, 5), IntervalLattice(lower, upper))[0]
+    return restricted_oracle(make_determinant(40, 5), IntervalLattice(lower, upper))
 
 
 def tied_facility():

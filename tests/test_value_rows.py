@@ -182,8 +182,8 @@ class TestBatchPathEqualsScalarPath:
         # a random table need not be quasi-submodular, and the reductions would refuse it
         F = make_random_qsb(n, 1) if family == "tabular" else instance(family, n, 1)
         scalar = SetFunctionOracle(F.ground, F.value)
-        table = eval_table(F, n)
-        assert same_bits(table, eval_table(scalar, n))
+        table = eval_table(F)
+        assert same_bits(table, eval_table(scalar))
         lattices = [full_lattice(n), uqsfmax(F)[0], min_lattice(F)[0]]
         for lattice in lattices:
             for direction in ("min", "max"):
@@ -196,7 +196,7 @@ class TestBatchPathEqualsScalarPath:
             assert counted.eval_calls == 1 << len(lattice.free_elements())
         # blocks of a few rows: the values do not depend on where the blocks split
         monkeypatch.setattr(oracle, "BLOCK_CELLS", 5 * n)
-        assert same_bits(eval_table(F, n), table)
+        assert same_bits(eval_table(F), table)
 
     def test_counting_oracle_books_every_row(self):
         F = instance("com", 6, 0)
@@ -240,7 +240,7 @@ def test_restricted_rows_are_the_parent_values_at_the_members(family):
             order = rng.permutation(n) + 1
             lower = SubsetBits.from_ids(n, order[free_count:][rng.random(n - free_count) < 0.5])
             lattice = IntervalLattice(lower, lower.union(SubsetBits.from_ids(n, order[:free_count])))
-            sub, _ = restricted_oracle(F, lattice)
+            sub = restricted_oracle(F, lattice)
             count = 1 << free_count
             want = [F.value(lattice.member(i)) for i in range(count)]
             assert same_bits(sub.value_rows(rows_of(free_count, range(count))), want)
@@ -286,7 +286,7 @@ def test_temporaries_are_bounded_per_block():
     n = 16
     F = make_perturbed_facility(n, 48, 3)
     # unblocked, the (2**16, n, d) member mask alone would be 400 MB, the column maxima 25 MB
-    assert peak_bytes(lambda: eval_table(F, n)) < (8 << n) + (2 << 20)
+    assert peak_bytes(lambda: eval_table(F)) < (8 << n) + (2 << 20)
     K = make_determinant(n, 3).params["kernel"]
     block = rows_of(n, range(1 << n))
     eights = block[block.sum(axis=1) == 8]
