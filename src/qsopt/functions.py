@@ -340,7 +340,12 @@ class _EpochCursor(_FamilyCursor):
 class _HalfProductsCursor(_EpochCursor):
     """Epoch cursor over prefix sums of a and suffix sums of b on the members.
 
-    Every sync is the refactor: one O(n) cumsum is as cheap as any update.
+    It keeps a and b masked to the members and their two running sums, four
+    arrays allocated once. An update writes the one entry that moved (a(e)
+    and b(e) in, +0.0 out: a, b >= 0, so a * False is +0.0) and a refactor
+    rewrites both masked arrays from the member mask; either way both sums
+    are then taken again in place, two O(n) cumsums. A cumsum adds in order,
+    so the sums have the bits of a refactor at the same set.
     """
 
     def __init__(self, start: SubsetBits, a, b, c):
@@ -348,19 +353,34 @@ class _HalfProductsCursor(_EpochCursor):
         self._a = a
         self._b = b
         self._c = c
-        self._prefix_a = None
-        self._suffix_b = None
+        n = len(a)
+        self._masked_a = np.empty(n)
+        self._masked_b = np.empty(n)
+        # prefix_a[k] = sum of a over members with id <= k (1-based, index 0 = 0)
+        self._prefix_a = np.zeros(n + 1)
+        # suffix_b[k] = sum of b over members with id > k (index n = 0)
+        self._suffix_b = np.zeros(n + 1)
 
     def _refactor(self) -> None:
         m = self._current.to_bool_array()
-        # prefix_a[k] = sum of a over members with id <= k (1-based, index 0 = 0)
-        self._prefix_a = np.concatenate(([0.0], np.cumsum(self._a * m)))
-        self._suffix_b = np.concatenate((np.cumsum((self._b * m)[::-1])[::-1], [0.0]))
+        np.multiply(self._a, m, out=self._masked_a)
+        np.multiply(self._b, m, out=self._masked_b)
+        self._sum()
 
     def _insert(self, e: int) -> None:
-        self._refactor()
+        self._masked_a[e - 1] = self._a[e - 1]
+        self._masked_b[e - 1] = self._b[e - 1]
+        self._sum()
 
-    _delete = _insert
+    def _delete(self, e: int) -> None:
+        self._masked_a[e - 1] = 0.0
+        self._masked_b[e - 1] = 0.0
+        self._sum()
+
+    def _sum(self) -> None:
+        self._masked_a.cumsum(out=self._prefix_a[1:])
+        # the suffix sums are the cumsum of the reversed array, written reversed
+        self._masked_b[::-1].cumsum(out=self._suffix_b[-2::-1])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
@@ -420,7 +440,7 @@ def _top_two(mat: np.ndarray, rows: np.ndarray, cols=None) -> tuple[np.ndarray, 
     """
     max1 = max2 = counts = None
     for block in _row_blocks(rows):
-        sub = mat[block] if cols is None else mat[np.ix_(block, cols)]  # a copy: masked in place
+        sub = mat[block] if cols is None else mat[block[:, None], cols]  # a copy: masked in place
         b1 = sub.max(axis=0)
         hit = sub == b1
         bc = hit.sum(axis=0)
@@ -673,7 +693,10 @@ class _DeterminantCursor(_EpochCursor):
     dsymm/dsymv. Adding u is the bordered update: w = K_X^{-1} v with
     v = K[X, u], s = k_uu - v.w, det <- det * s. Removing d is the Schur
     complement: the inverse loses row and column d, less a a^T / a_dd with a
-    its column d, and det <- det * a_dd. Both cost O(k^2) at k members. An
+    its column d, and det <- det * a_dd. Both cost O(k^2) at k members: v is
+    gathered along row u, which holds the same numbers as column u of the
+    exactly symmetric kernel, and the member ids are rejoined from two
+    slices around the position that moved. An
     update whose pivot is not positive and finite, or whose determinant
     leaves the normal range (where it could never come back from 0), takes
     the refactor instead.
@@ -735,7 +758,7 @@ class _DeterminantCursor(_EpochCursor):
         idx, inv = self._idx, self._inv
         k = len(idx)
         kuu = float(self._kernel[u - 1, u - 1])
-        v = self._kernel[idx, u - 1]
+        v = self._kernel[u - 1, idx]  # K[X, u], read along row u: the kernel is exactly symmetric
         w = self._la.dsymv(1.0, inv, v, lower=1)
         s = kuu - float(v @ w)
         if not self._accept(s):
@@ -744,7 +767,7 @@ class _DeterminantCursor(_EpochCursor):
             e = self._kernel[u - 1] - w @ self._kernel[idx]
             self._schur -= e * e / s
             self._count_schur_update()
-        p = int(np.searchsorted(idx, u - 1))
+        p = int(idx.searchsorted(u - 1))
         inv = self._la.dsyr(1.0 / s, w, a=inv, lower=1, overwrite_a=1)
         new = np.empty((k + 1, k + 1), order="F")
         new[:p, :p] = inv[:p, :p]
@@ -753,13 +776,13 @@ class _DeterminantCursor(_EpochCursor):
         new[p, :p] = w[:p] / -s
         new[p + 1 :, p] = w[p:] / -s
         new[p, p] = 1.0 / s
-        self._idx = np.insert(idx, p, u - 1)
+        self._idx = np.concatenate((idx[:p], [u - 1], idx[p:]))
         self._inv = new
 
     def _delete(self, d: int) -> None:
         idx, inv = self._idx, self._inv
         k = len(idx)
-        p = int(np.searchsorted(idx, d - 1))
+        p = int(idx.searchsorted(d - 1))
         a_pp = float(inv[p, p])
         if not self._accept(a_pp):
             return
@@ -774,14 +797,14 @@ class _DeterminantCursor(_EpochCursor):
         new[p:, :p] = inv[p + 1 :, :p]
         new[p:, p:] = inv[p + 1 :, p + 1 :]
         self._inv = self._la.dsyr(-1.0 / a_pp, a, a=new, lower=1, overwrite_a=1)
-        self._idx = np.delete(idx, p)
+        self._idx = np.concatenate((idx[:p], idx[p + 1 :]))
 
     def _schur_of(self, ids: np.ndarray) -> np.ndarray:
         """k_jj - v_j^T K_X^{-1} v_j for each non-member id j, from the inverse."""
         kuu = self._kernel[ids - 1, ids - 1]
         if len(self._idx) == 0 or len(ids) == 0:
             return kuu
-        v = self._kernel[np.ix_(self._idx, ids - 1)]
+        v = self._kernel[self._idx[:, None], ids - 1]
         w = self._la.dsymm(1.0, self._inv, v, lower=1)
         return kuu - np.einsum("ij,ij->j", v, w)
 

@@ -303,19 +303,21 @@ def _timed(fn, *args):
 def _reduction_rows(cfg: ExperimentConfig, oracle, family: str, seed: int, algo_seed: int):
     """Both reductions on one instance: the better endpoint value, rate, and trace sums.
 
-    ``min_lattice`` has two traces and ``uqsfmax`` one. The reductions are
+    ``min_lattice`` has two traces and ``uqsfmax`` one. Each reduction's
+    endpoint values are read from its last steps, which took them at the
+    endpoints, so nothing is evaluated after it returns. The reductions are
     looked up at call time, so a patched ``min_lattice`` or ``uqsfmax`` runs.
     """
     n = oracle.n
-    for name, direction, reduce, pick in (
-        ("uqsfmin", "min", min_lattice, min),
-        ("uqsfmax", "max", uqsfmax, max),
+    for name, direction, reduce, pick, endpoint_values in (
+        ("uqsfmin", "min", min_lattice, min, lambda traces: [t.steps[-1].value for t in traces]),
+        ("uqsfmax", "max", uqsfmax, max, lambda traces: [traces[0].steps[-1].fx, traces[0].steps[-1].fy]),
     ):
         (lattice, traces), ms = _timed(reduce, oracle)
         traces = traces if isinstance(traces, tuple) else (traces,)
         yield RunRow(
             family, n, seed, name, direction,
-            value=pick(oracle.value(lattice.lower), oracle.value(lattice.upper)),
+            value=pick(endpoint_values(traces)),
             reduction_rate=reduction_rate(lattice, n),
             iterations=sum(t.iterations for t in traces),
             eval_calls=sum(t.total_calls for t in traces),

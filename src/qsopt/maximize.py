@@ -11,7 +11,9 @@ every local and global maximum. Unlike the minimization run, the endpoints
 themselves need not be local maxima. On such objectives each side a step
 moves strictly rises, F(X) after additions and F(Y) after removals; a run
 checks this from the two values its trace takes anyway and raises
-InternalInvariantError where it fails. Each cursor moves once per step.
+InternalInvariantError where it fails. Each cursor moves once per step, and
+a side the last step did not move is neither evaluated nor queried again:
+it would fix nothing.
 """
 
 from __future__ import annotations
@@ -63,9 +65,13 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
     steps: list[MaxStep] = []
     for t in range(n + 2):
         x, y = cursor_x.members(), cursor_y.members()
-        # a side the last step did not move keeps its value
-        fx = counter.value(x) if not steps or len(steps[-1].added) else steps[-1].fx
-        fy = counter.value(y) if not steps or len(steps[-1].removed) else steps[-1].fy
+        # a side the last step did not move keeps its value, and a query would fix nothing on
+        # it: each id still free was judged at the same set a step before, and the other
+        # side's move only took ids out of the free ones
+        moved_x = not steps or len(steps[-1].added)
+        moved_y = not steps or len(steps[-1].removed)
+        fx = counter.value(x) if moved_x else steps[-1].fx
+        fy = counter.value(y) if moved_y else steps[-1].fy
         if steps:  # the paper's strict ascent of each side the last step moved
             last = steps[-1]
             for side, moved, before, after, f_before, f_after in (
@@ -78,13 +84,15 @@ def uqsfmax(oracle) -> tuple[IntervalLattice, MaxTrace]:
                         f"F({after}) = {f_after!r}; objective is likely not quasi-submodular"
                     )
         free = np.flatnonzero(y.to_bool_array() & ~x.to_bool_array()) + 1
-        added = free[cursor_y.drop_marginals(free) > 0.0]
-        removed = free[cursor_x.add_marginals(free) < 0.0]
+        added = free[cursor_y.drop_marginals(free) > 0.0] if moved_y else NO_IDS
+        removed = free[cursor_x.add_marginals(free) < 0.0] if moved_x else NO_IDS
         steps.append(
             MaxStep(t, SubsetBits.from_ids(n, added), SubsetBits.from_ids(n, removed), fx, fy, counter.total_calls)
         )
-        cursor_x.move(added, NO_IDS)
-        cursor_y.move(NO_IDS, removed)
+        if added.size:  # a side moves only when the other fixed something
+            cursor_x.move(added, NO_IDS)
+        if removed.size:
+            cursor_y.move(NO_IDS, removed)
         x_next, y_next = cursor_x.members(), cursor_y.members()
         if not x_next.is_subset(y_next):
             raise InternalInvariantError(

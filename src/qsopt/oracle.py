@@ -72,7 +72,9 @@ two or more moves, and one move into or out of the empty set take a full
 refactor. A batch counts as many moves as it has ids. So a baseline that
 moves once between queries pays one update per move, and a sweep that fixes
 many elements pays one refactor.
-Half_products' update is its refactor, one O(n) prefix sum.
+Half_products' update writes the one entry that moved and takes its two
+running sums again in place, O(n) with no allocation and the bits of a
+refactor.
 
 A NaN marginal fails every strict sign test, so an algorithm would take it
 for a fixed point. The one rule against it is here, not in the algorithms,

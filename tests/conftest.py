@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qsopt import SubsetBits, make_com, make_tabular
+from qsopt.oracle import Cursor
 from qsopt.functions import seeded_stream
 
 # Two-element reference tables, index order: {}, {1}, {2}, {1,2}.
@@ -138,3 +139,34 @@ def nonneg_submodular_oracle(n: int, seed: int):
         covered = covers[sel].any(axis=0) if sel.any() else np.zeros(m, dtype=bool)
         table[mask] = float(weights @ covered)
     return make_tabular(table)
+
+
+class SpyCursor(Cursor):
+    """Forwards the batches and ``move`` to a family cursor and logs each call by name."""
+
+    def __init__(self, inner: Cursor, log: list):
+        self._inner = inner
+        self._log = log
+
+    def members(self) -> SubsetBits:
+        return self._inner.members()
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._log.append("query")
+        return self._inner.add_marginals(ids)
+
+    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
+        self._log.append("query")
+        return self._inner.drop_marginals(ids)
+
+    def move(self, added: np.ndarray, removed: np.ndarray) -> None:
+        self._log.append("move")
+        self._inner.move(added, removed)
+
+    def add(self, u: int) -> None:
+        self._log.append("add")
+        self._inner.add(u)
+
+    def remove(self, d: int) -> None:
+        self._log.append("remove")
+        self._inner.remove(d)

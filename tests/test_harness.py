@@ -10,6 +10,7 @@ from qsopt import (
     ConfigError,
     ExperimentConfig,
     FunctionSpec,
+    SetFunctionOracle,
     SubsetBits,
     instantiate,
     min_lattice,
@@ -19,6 +20,7 @@ from qsopt import (
     run_timing_experiment,
     uqsfmax,
 )
+from qsopt import harness
 from qsopt.harness import RUN_CSV_HEADER, run_experiment
 from qsopt.sets import IntervalLattice
 
@@ -145,6 +147,41 @@ class TestReductionExperiment:
             assert row_min.eval_calls == up.total_calls + down.total_calls
             assert row_max.iterations == uqsfmax(F)[1].iterations
             assert_uqsfmax_row_of(row_max, FunctionSpec(row_max.family, row_max.n, row_max.seed))
+
+    def test_nothing_is_evaluated_after_a_reduction_returns(self, monkeypatch):
+        """Each row's value comes from its reduction's traces, not from F at the endpoints again."""
+        seen = []
+
+        def counted_instance(spec):
+            F = instantiate(spec)
+            return SetFunctionOracle(
+                F.ground,
+                lambda x: seen.append(x) or F.value(x),
+                cursor_factory=lambda _owner, start: F.cursor(start),
+            )
+
+        spans = []  # the evaluation count when each reduction is called and when it returns
+
+        def counted(reduce):
+            def run(oracle):
+                start = len(seen)
+                out = reduce(oracle)
+                spans.append((start, len(seen)))
+                return out
+
+            return run
+
+        monkeypatch.setattr(harness, "instantiate", counted_instance)
+        monkeypatch.setattr(harness, "min_lattice", counted(min_lattice))
+        monkeypatch.setattr(harness, "uqsfmax", counted(uqsfmax))
+        cfg = ExperimentConfig("reduction", ["com", "half_products"], [12], trials=2, master_seed=5)
+        report = run_reduction_experiment(cfg)
+        assert len(report.rows) == len(spans) == 8 and not report.failures
+        # every evaluation falls inside a reduction: each starts where the last returned
+        assert [start for start, _ in spans] == [0] + [end for _, end in spans[:-1]]
+        assert spans[-1][1] == len(seen)
+        expected = run_reduction_experiment(cfg)  # unpatched: the same rows, wall time aside
+        assert [replace(r, wall_ms=0.0) for r in report.rows] == [replace(r, wall_ms=0.0) for r in expected.rows]
 
     def test_csv_header_pinned(self):
         cfg = ExperimentConfig("reduction", ["com"], [8], trials=1, master_seed=1)

@@ -2,6 +2,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsopt import (
     InternalInvariantError,
@@ -23,7 +25,7 @@ from qsopt import maximize
 from qsopt.maximize import restricted_oracle
 from qsopt.sets import IntervalLattice
 
-from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE
+from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE, SpyCursor
 
 
 class TestUqsfmaxReferenceTables:
@@ -153,6 +155,46 @@ def test_a_side_the_last_step_left_keeps_its_value():
     assert [(len(s.added), len(s.removed)) for s in trace.steps] == [(1, 0), (0, 0)]
     assert sum(rows) == 3  # F(X) and F(Y) at step 0, then F(X) at step 1
     assert (trace.steps[1].fx, trace.steps[1].fy) == (1.0, trace.steps[0].fy)
+
+
+def reference_uqsfmax(F):
+    """The reduction as the paper states it: both sides judged at every step, by fresh cursors.
+
+    Returns the lattice and each step's (added, removed) sets.
+    """
+    n = F.n
+    x, y = SubsetBits.empty(n), SubsetBits.full(n)
+    steps = []
+    while True:
+        free = [i for i in range(1, n + 1) if y.contains(i) and not x.contains(i)]
+        at_x, at_y = F.cursor(x), F.cursor(y)
+        added = SubsetBits.from_members(n, [i for i in free if at_y.drop_marginal(i) > 0.0])
+        removed = SubsetBits.from_members(n, [i for i in free if at_x.add_marginal(i) < 0.0])
+        steps.append((added, removed))
+        if not len(added) and not len(removed):
+            return IntervalLattice(x, y), steps
+        x, y = x.union(added), y.difference(removed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 9), st.integers(0, 10_000))
+def test_uqsfmax_queries_only_a_side_that_moved(n, seed):
+    """On random quasi-submodular tables the run matches the paper's loop, which queries both
+    sides every step, and after step 0 asks a side only once it has moved."""
+    F = make_random_qsb(n, seed)
+    logs = []
+
+    def spy_cursor(_owner, start):
+        logs.append([])
+        return SpyCursor(F.cursor(start), logs[-1])
+
+    lattice, trace = uqsfmax(SetFunctionOracle(F.ground, value_rows=F.value_rows, cursor_factory=spy_cursor))
+    want, want_steps = reference_uqsfmax(F)
+    assert (lattice.lower, lattice.upper) == (want.lower, want.upper)
+    assert [(s.added, s.removed) for s in trace.steps] == want_steps
+    # X moves at each step that added something, Y at each that removed something
+    for log, moved in zip(logs, ([len(s.added) for s in trace.steps], [len(s.removed) for s in trace.steps])):
+        assert log == ["query"] + ["move", "query"] * sum(map(bool, moved[:-1]))
 
 
 class TestRestrictedOracle:

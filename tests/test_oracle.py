@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from qsopt.maximize import restricted_oracle
 from qsopt.oracle import ABS_TOL, REL_TOL, Cursor
 from qsopt.sets import IntervalLattice
 
-from conftest import NAN_TABLE, PROP_TABLE
+from conftest import NAN_TABLE, PROP_TABLE, SpyCursor
 
 
 def test_marginal_gain_reference_table():
@@ -469,6 +470,72 @@ def test_epoch_cursor_updates_one_pending_id_and_refactors_more():
     assert_cursor_agrees(F, cursor, x, exact=True)
 
 
+# the epoch cursors whose updates keep the bits of a refactor at the same set
+EXACT_EPOCH_INSTANCES = [
+    ("half_products", lambda: make_half_products(60, 1)),
+    ("perturbed_facility", lambda: make_perturbed_facility(60, 40, 1)),
+]
+
+
+@pytest.mark.parametrize("name,build", EXACT_EPOCH_INSTANCES, ids=[f[0] for f in EXACT_EPOCH_INSTANCES])
+def test_epoch_cursor_answers_like_a_fresh_cursor_after_every_move(name, build):
+    """Single moves (updates) and batch moves (refactors), into and out of the empty set:
+    after every move the adds, drops and ``gains()`` have the bits of a fresh cursor."""
+    F = build()
+    n = F.n
+    flip = st.integers(1, n)  # one id by add/remove
+    batch = st.sets(st.integers(1, n), min_size=2, max_size=8)  # their flips in one move
+    clear = st.just("clear")  # every member out in one move
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, (1 << n) - 1), st.lists(st.one_of(flip, flip, batch, clear), min_size=5, max_size=30))
+    # {1} -> {} -> {1} -> {1,2} one id at a time, then out to {} and back in by batches
+    @example(1, [1, 1, 2, "clear", {3, 4}, 3])
+    def walk(mask, moves):
+        x = SubsetBits(n, mask)
+        cursor = F.cursor(x)
+        for move in moves:
+            if isinstance(move, int):
+                if x.contains(move):
+                    cursor.remove(move)
+                else:
+                    cursor.add(move)
+            else:
+                ids = sorted(x) if move == "clear" else sorted(move)
+                added = np.array([i for i in ids if not x.contains(i)], dtype=np.int64)
+                removed = np.array([i for i in ids if x.contains(i)], dtype=np.int64)
+                cursor.move(added, removed)
+            x = SubsetBits.from_members(n, set(x) ^ ({move} if isinstance(move, int) else set(ids)))
+            assert cursor.members() == x
+            assert_cursor_agrees(F, cursor, x, exact=True)
+
+    walk()
+
+
+def test_double_greedy_reads_the_half_products_mask_only_to_refactor(monkeypatch):
+    """An update writes the one entry that moved: a double greedy pass reads the member
+    mask at its cursors' few refactors, not once per move."""
+    F = make_half_products(60, 1)
+    callers = []
+    read = SubsetBits.to_bool_array
+
+    def spy(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return read(self)
+
+    refactors = []
+    refactor = functions._HalfProductsCursor._refactor
+    monkeypatch.setattr(SubsetBits, "to_bool_array", spy)
+    monkeypatch.setattr(
+        functions._HalfProductsCursor, "_refactor", lambda self: (refactors.append(self), refactor(self))[1]
+    )
+    double_greedy(F, list(range(1, F.n + 1)))
+    # each cursor's first query, and the inner set's first add out of the empty set
+    assert callers.count("_refactor") == len(refactors) <= 3
+    assert callers.count("value") == 1  # F of the result
+    assert len(callers) == len(refactors) + 1
+
+
 def test_com_add_of_a_member_no_longer_corrupts_the_running_sum():
     """At {1,2}, add(2) once left members() at {1,2} and w1 counted twice: add_marginal(3)
     read 0.0324 against a fresh cursor's 0.0526 (Cobb-Douglas 0.0875 against 0.1031)."""
@@ -652,37 +719,6 @@ def test_batched_sweeps_match_scalar_path(name, build):
     assert batched[1][0].marginal_calls > 0 and batched[3].marginal_calls > 0
 
 
-class _SpyCursor(Cursor):
-    """Forwards the batches and ``move`` to a family cursor and logs each call by name."""
-
-    def __init__(self, inner: Cursor, log: list):
-        self._inner = inner
-        self._log = log
-
-    def members(self) -> SubsetBits:
-        return self._inner.members()
-
-    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._log.append("query")
-        return self._inner.add_marginals(ids)
-
-    def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        self._log.append("query")
-        return self._inner.drop_marginals(ids)
-
-    def move(self, added: np.ndarray, removed: np.ndarray) -> None:
-        self._log.append("move")
-        self._inner.move(added, removed)
-
-    def add(self, u: int) -> None:
-        self._log.append("add")
-        self._inner.add(u)
-
-    def remove(self, d: int) -> None:
-        self._log.append("remove")
-        self._inner.remove(d)
-
-
 @pytest.mark.parametrize("name,build", SWEEP_INSTANCES, ids=[f[0] for f in SWEEP_INSTANCES])
 def test_reductions_move_each_cursor_once_per_phase(name, build):
     """The move cost model: one ``move`` per phase on each cursor, no single-element move."""
@@ -691,7 +727,7 @@ def test_reductions_move_each_cursor_once_per_phase(name, build):
 
     def spy_cursor(_owner, start):
         logs.append([])
-        return _SpyCursor(F.cursor(start), logs[-1])
+        return SpyCursor(F.cursor(start), logs[-1])
 
     spied = SetFunctionOracle(F.ground, F.value, cursor_factory=spy_cursor)
     _, (up, down) = min_lattice(spied)
