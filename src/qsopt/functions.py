@@ -10,7 +10,8 @@ puts together. The determinant's formula keeps the Cholesky factors of the
 last two sets it answered as a one-row block, and its cursor's refactor
 takes such a factor over, so a set is factored once. A cursor's batch
 formulas take an id or an id array alike: a scalar query is the batch at
-the bare id, the reverse of the base ``Cursor``.
+the bare id, the reverse of the base ``Cursor``. The com and half_products
+formulas also take the slice of every id, which ``gains()`` passes.
 A single move is the base ``Cursor``'s, which keeps the anchored set; a
 batch move, ``_FamilyCursor.move``, builds the new set from one mask. Either
 way the cursor's one hook, ``_moved(added, removed)``, then takes the ids
@@ -180,6 +181,11 @@ class _FamilyCursor(Cursor):
     def drop_marginal(self, d: int) -> float:
         return float(self.drop_marginals(d))
 
+    def _flips(self, add: np.ndarray, drop: np.ndarray) -> np.ndarray:
+        """The flip-gain vector from the add and the drop formula, each evaluated at all n ids:
+        the add gain outside the anchored set, minus the drop gain inside it."""
+        return np.where(self._current.to_bool_array(), -drop, add)
+
 
 def _family_oracle(n: int, value_rows, cursor_at, params: dict, name: str) -> SetFunctionOracle:
     """The oracle of ``value_rows``, a value formula on a membership matrix, and ``cursor_at(start)``."""
@@ -235,7 +241,10 @@ class _ComCursor(_FamilyCursor):
         super().__init__(start)
         self._w1 = w1
         self._w1_of = memoryview(w1)  # the running sum reads Python floats, no copy
-        self._w2 = w2
+        # the weights by id for the formulas, entry 0 unused: gains() passes the slice of
+        # every id, a view where an id array would gather
+        self._w1_at, self._w2_at = (np.concatenate(([0.0], w)) for w in (w1, w2))
+        self._every_id = slice(1, len(w1) + 1)
         self._s1 = self._exact_sum()
 
     def _exact_sum(self) -> float:
@@ -247,11 +256,15 @@ class _ComCursor(_FamilyCursor):
     # thousands of elements between two batch queries
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
-        return np.sqrt(s + self._w1[ids - 1]) - math.sqrt(s) - self._w2[ids - 1]
+        return np.sqrt(s + self._w1_at[ids]) - math.sqrt(s) - self._w2_at[ids]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
-        return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1[ids - 1], 0.0)) - self._w2[ids - 1]
+        return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1_at[ids], 0.0)) - self._w2_at[ids]
+
+    def gains(self) -> np.ndarray:
+        # each formula once over all n ids: elementwise, so an entry has the bits of a batch
+        return self._flips(self.add_marginals(self._every_id), self.drop_marginals(self._every_id))
 
     def _moved(self, added, removed) -> None:
         self._s1 = _running_sum(self._s1, self._w1_of, added, removed)
@@ -346,52 +359,61 @@ class _HalfProductsCursor(_EpochCursor):
     rewrites both masked arrays from the member mask; either way both sums
     are then taken again in place, two O(n) cumsums. A cumsum adds in order,
     so the sums have the bits of a refactor at the same set.
+
+    Every array is indexed by id, with entry 0 unused (0.0), so the formula
+    takes an id, an id array, or for ``gains()`` the slice of every id, a
+    view where an id array would gather.
     """
 
     def __init__(self, start: SubsetBits, a, b, c):
         super().__init__(start)
-        self._a = a
-        self._b = b
-        self._c = c
+        self._a, self._b, self._c = (np.concatenate(([0.0], v)) for v in (a, b, c))
         n = len(a)
-        self._masked_a = np.empty(n)
-        self._masked_b = np.empty(n)
-        # prefix_a[k] = sum of a over members with id <= k (1-based, index 0 = 0)
-        self._prefix_a = np.zeros(n + 1)
-        # suffix_b[k] = sum of b over members with id > k (index n = 0)
+        self._every_id = slice(1, n + 1)
+        self._masked_a = np.zeros(n + 1)
+        self._masked_b = np.zeros(n + 1)
+        # below_a[u] = sum of a over members with id < u
+        self._below_a = np.zeros(n + 1)
+        # suffix_b[u] = sum of b over members with id > u (index n = 0)
         self._suffix_b = np.zeros(n + 1)
 
     def _refactor(self) -> None:
         m = self._current.to_bool_array()
-        np.multiply(self._a, m, out=self._masked_a)
-        np.multiply(self._b, m, out=self._masked_b)
+        np.multiply(self._a[1:], m, out=self._masked_a[1:])
+        np.multiply(self._b[1:], m, out=self._masked_b[1:])
         self._sum()
 
     def _insert(self, e: int) -> None:
-        self._masked_a[e - 1] = self._a[e - 1]
-        self._masked_b[e - 1] = self._b[e - 1]
+        self._masked_a[e] = self._a[e]
+        self._masked_b[e] = self._b[e]
         self._sum()
 
     def _delete(self, e: int) -> None:
-        self._masked_a[e - 1] = 0.0
-        self._masked_b[e - 1] = 0.0
+        self._masked_a[e] = 0.0
+        self._masked_b[e] = 0.0
         self._sum()
 
     def _sum(self) -> None:
-        self._masked_a.cumsum(out=self._prefix_a[1:])
+        # from the unused entry 0: 0.0 + x is x, so the sums keep their bits
+        self._masked_a[:-1].cumsum(out=self._below_a[1:])
         # the suffix sums are the cumsum of the reversed array, written reversed
-        self._masked_b[::-1].cumsum(out=self._suffix_b[-2::-1])
+        self._masked_b[:0:-1].cumsum(out=self._suffix_b[-2::-1])
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
         self._sync()
-        a = self._a[ids - 1]
-        b = self._b[ids - 1]
-        pair = a * b + b * self._prefix_a[ids - 1] + a * self._suffix_b[ids]
-        return self._c[ids - 1] - pair
+        a = self._a[ids]
+        b = self._b[ids]
+        pair = a * b + b * self._below_a[ids] + a * self._suffix_b[ids]
+        return self._c[ids] - pair
 
-    # members too: prefix/suffix exclude the id itself by index choice
+    # members too: the two sums exclude the id itself by index choice
     drop_marginals = add_marginals
+
+    def gains(self) -> np.ndarray:
+        # add and drop are one formula, evaluated once over all n ids
+        pair = self.add_marginals(self._every_id)
+        return self._flips(pair, pair)
 
 
 def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -682,7 +704,7 @@ def _cholesky_det(la: SimpleNamespace, restricted: np.ndarray) -> tuple[np.ndarr
         raise InternalInvariantError(
             f"kernel restricted to {len(restricted)} members is not positive definite (dpotrf info={info})"
         )
-    return chol, float(np.prod(np.diag(chol)) ** 2)
+    return chol, float(chol.diagonal().prod() ** 2)
 
 
 class _DeterminantCursor(_EpochCursor):
@@ -820,9 +842,9 @@ class _DeterminantCursor(_EpochCursor):
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
-        pos = np.searchsorted(self._idx, ids - 1)
+        pos = self._idx.searchsorted(ids - 1)
         # det(K_{X-d}) = det(K_X) * (K_X^{-1})_{dd}
-        return self._det * (1.0 - np.diagonal(self._inv)[pos])
+        return self._det * (1.0 - self._inv.diagonal()[pos])
 
     def gains(self) -> np.ndarray:
         self._sync()

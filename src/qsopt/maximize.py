@@ -152,12 +152,21 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> SetFunctionOracle:
 
 
 class _RestrictedCursor(Cursor):
+    """A cursor of the restricted objective: each query and move goes to a cursor of the
+    original at the lifted set, with free id i relabeled to ``free_ids[i - 1]``.
+
+    ``gains()`` is the parent's vector read at the free ids, so a family that
+    keeps its vector under moves (facility, determinant) keeps it here too; an
+    oracle with no family cursor pays n evaluations per read, not m.
+    """
+
     def __init__(self, inner: Cursor, free_ids: list[int], start: SubsetBits):
         # no super().__init__: the inner cursor answers every query
         self._current = start
         self._inner = inner
         self._free_ids = free_ids
         self._free_arr = np.asarray(free_ids, dtype=np.int64)
+        self._free_columns = self._free_arr - 1
 
     def add_marginal(self, u: int) -> float:
         return self._inner.add_marginal(self._free_ids[u - 1])
@@ -170,6 +179,9 @@ class _RestrictedCursor(Cursor):
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         return self._inner.drop_marginals(self._free_arr[ids - 1])
+
+    def gains(self) -> np.ndarray:
+        return self._inner.gains()[self._free_columns]
 
     def _moved(self, added, removed) -> None:
         for u in added:

@@ -60,9 +60,11 @@ call per element queried: a batch of k counts as k.
 entry for element i (at index i - 1) is F(i | X) when i is outside the
 anchored set X and -F(i | X - i) when it is inside, the change in value from
 flipping i. The base cursor builds it from the two batches, and
-``CountingOracle`` books n marginal calls per read. The facility and
-determinant cursors keep the vector up to date under single moves instead of
-answering n marginals again, which is what single-flip local search needs.
+``CountingOracle`` books n marginal calls per read. The com and
+half_products cursors evaluate their formulas once over all n ids instead,
+and the facility and determinant cursors keep the vector up to date under
+single moves instead of answering n marginals again, which is what
+single-flip local search needs.
 
 Epoch cursors (the half_products, facility and determinant families) keep
 statistics over the members and bring them up to date at the next query
@@ -79,7 +81,8 @@ refactor.
 A NaN marginal fails every strict sign test, so an algorithm would take it
 for a fixed point. The one rule against it is here, not in the algorithms,
 in one check, ``_checked``: the counting cursor checks every answer it
-forwards, and the generic cursor its two scalar queries, which its batches
+forwards (a scalar answer by ``gain == gain`` first, calling the check only
+for a NaN), and the generic cursor its two scalar queries, which its batches
 and ``gains()`` loop over. The InternalInvariantError,
 ``marginal of element 2 is NaN (drop at {1,2})``, names a query that
 ``F.cursor({1,2})`` replays.
@@ -211,7 +214,10 @@ class Cursor:
     marginal of each element outside the anchored set and minus the drop
     marginal of each element inside it. The base method asks the two batches
     (drops first); a cursor that overrides it must return the same numbers
-    within the tolerance of its marginals.
+    within the tolerance of its marginals. The com and half_products cursors
+    evaluate their formulas once over all n ids, with the bits of the two
+    batches; the facility and determinant cursors keep the vector under
+    moves; a restricted oracle's cursor reads its parent's at the free ids.
     """
 
     def __init__(self, oracle: "SetFunctionOracle", start: SubsetBits):
@@ -362,13 +368,16 @@ class _CountingCursor(Cursor):
     def members(self) -> SubsetBits:
         return self._inner.members()
 
+    # the sequential baselines ask one scalar per step: test it inline, call ``_checked`` only to name a NaN
     def add_marginal(self, u: int) -> float:
         self._counter.marginal_calls += 1
-        return _checked(self._inner.add_marginal(u), u, self._inner)
+        gain = self._inner.add_marginal(u)
+        return gain if gain == gain else _checked(gain, u, self._inner)
 
     def drop_marginal(self, d: int) -> float:
         self._counter.marginal_calls += 1
-        return _checked(self._inner.drop_marginal(d), d, self._inner)
+        gain = self._inner.drop_marginal(d)
+        return gain if gain == gain else _checked(gain, d, self._inner)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._counter.marginal_calls += len(ids)

@@ -38,7 +38,12 @@ class GroundSet:
 
 @dataclass(frozen=True, slots=True)
 class SubsetBits:
-    """An immutable subset of {1..capacity} stored as a bit mask."""
+    """An immutable subset of {1..capacity} stored as a bit mask.
+
+    Construction checks the capacity and that the mask fits it. ``add`` and
+    ``remove`` check their element and skip the rest: an in-range mask with
+    one in-range bit set or cleared is still in range.
+    """
 
     capacity: int
     mask: int = 0
@@ -86,11 +91,11 @@ class SubsetBits:
 
     def add(self, i: int) -> "SubsetBits":
         i = _check_element(self.capacity, i)
-        return SubsetBits(self.capacity, self.mask | (1 << (i - 1)))
+        return _in_range(self.capacity, self.mask | (1 << (i - 1)))
 
     def remove(self, i: int) -> "SubsetBits":
         i = _check_element(self.capacity, i)
-        return SubsetBits(self.capacity, self.mask & ~(1 << (i - 1)))
+        return _in_range(self.capacity, self.mask & ~(1 << (i - 1)))
 
     def contains(self, i: int) -> bool:
         i = _check_element(self.capacity, i)
@@ -148,6 +153,18 @@ class SubsetBits:
 
     def __repr__(self) -> str:
         return f"SubsetBits({self.capacity}, {format_set(self)})"
+
+
+_set_capacity = SubsetBits.capacity.__set__
+_set_mask = SubsetBits.mask.__set__
+
+
+def _in_range(capacity: int, mask: int) -> SubsetBits:
+    """``SubsetBits(capacity, mask)`` for a mask known to fit, without ``__post_init__``'s checks."""
+    x = object.__new__(SubsetBits)
+    _set_capacity(x, capacity)
+    _set_mask(x, mask)
+    return x
 
 
 def format_set(x: SubsetBits) -> str:

@@ -1,6 +1,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +22,15 @@ from qsopt import (
     u_prefix,
     uqsfmax,
 )
-from qsopt import maximize
+from qsopt import FunctionSpec, instantiate, maximize
+from qsopt.functions import seeded_stream
 from qsopt.maximize import restricted_oracle
+from qsopt.oracle import Cursor
 from qsopt.sets import IntervalLattice
 
 from conftest import NAN_TABLE, PROP_TABLE, TWIN_PEAKS_TABLE, SpyCursor
+
+SIX_FAMILIES = ["iwata", "com", "half_products", "perturbed_facility", "determinant", "cobb_douglas"]
 
 
 class TestUqsfmaxReferenceTables:
@@ -218,6 +223,32 @@ class TestRestrictedOracle:
         with pytest.raises(ValueError):
             restricted_oracle(F, point)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", SIX_FAMILIES)
+    def test_gains_are_the_parent_vector_at_the_free_ids(self, family, seed):
+        """Along a walk of single flips, the restricted ``gains()`` has the bits of a cursor
+        of F moved alike, read at the free ids: a kept vector stays the parent's."""
+        F = instantiate(FunctionSpec(family, 60, seed))
+        rng = seeded_stream(seed, 7)
+        lower = rng.random(60) < 0.3
+        lattice = IntervalLattice(
+            SubsetBits.from_bool_array(lower), SubsetBits.from_bool_array(lower | (rng.random(60) < 0.6))
+        )
+        free = np.array(lattice.free_elements())
+        sub = restricted_oracle(F, lattice)
+        start = SubsetBits.from_bool_array(rng.random(sub.n) < 0.5)
+        cursor = sub.cursor(start)
+        parent = F.cursor(lattice.member(start.mask))
+        for i in rng.integers(1, sub.n + 1, 40).tolist():
+            got, want = cursor.gains(), parent.gains()[free - 1]
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+            if cursor.members().contains(i):
+                cursor.remove(i)
+                parent.remove(int(free[i - 1]))
+            else:
+                cursor.add(i)
+                parent.add(int(free[i - 1]))
+
 
 class TestUPrefix:
     def test_point_lattice_skips_inner(self, prop_oracle):
@@ -269,6 +300,27 @@ class TestUPrefix:
         assert result.value >= F.value(result.lattice.lower)
         assert result.lattice.contains(result.set)
         assert result.value == F.value(result.set)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", SIX_FAMILIES)
+    def test_rls_reads_the_same_steps_as_through_the_two_batch_split(self, family, seed, monkeypatch):
+        """u_prefix(F, rls) through the forwarded vector gives the set, value and oracle
+        calls of a restricted cursor whose ``gains()`` is the base two-batch split."""
+        F = instantiate(FunctionSpec(family, 60, seed))
+
+        def run(sub):
+            return randomized_local_search(sub, 3, seed)
+
+        forwarded = u_prefix(F, run)
+
+        class SplitCursor(maximize._RestrictedCursor):
+            gains = Cursor.gains
+
+        monkeypatch.setattr(maximize, "_RestrictedCursor", SplitCursor)
+        split = u_prefix(F, run)
+        assert (forwarded.set, forwarded.value, forwarded.lattice) == (split.set, split.value, split.lattice)
+        if forwarded.inner is not None:
+            assert forwarded.inner.oracle_calls == split.inner.oracle_calls
 
     @pytest.mark.parametrize("generic", [False, True], ids=["tabular", "generic"])
     def test_nan_inside_is_named_in_the_objective(self, generic):

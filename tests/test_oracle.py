@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -508,6 +509,48 @@ def test_epoch_cursor_answers_like_a_fresh_cursor_after_every_move(name, build):
             x = SubsetBits.from_members(n, set(x) ^ ({move} if isinstance(move, int) else set(ids)))
             assert cursor.members() == x
             assert_cursor_agrees(F, cursor, x, exact=True)
+
+    walk()
+
+
+# the cursors whose gains() evaluates their batch formulas once over all n ids
+ONE_READ_GAINS = [
+    (f"{name}-{n}", make, n)
+    for name, make in (("com", make_com), ("half_products", make_half_products))
+    for n in (1, 2, 60)
+]
+
+
+@pytest.mark.parametrize("name,make,n", ONE_READ_GAINS, ids=[g[0] for g in ONE_READ_GAINS])
+def test_one_read_gains_have_the_bits_of_the_two_batch_split(name, make, n):
+    """Single and batch moves, into and out of the empty set and the full set: after
+    every move ``gains()`` equals the base split into a drop and an add batch, bit
+    for bit, and neither side's formula warns at the ids on the other side."""
+    F = make(n, 3)
+    flip = st.integers(1, n)  # one id by add/remove
+    batch = st.sets(st.integers(1, n), min_size=1, max_size=8)  # their flips in one move
+    ends = st.sampled_from(["clear", "fill"])  # every member out, every non-member in
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, (1 << n) - 1), st.lists(st.one_of(flip, flip, batch, ends), min_size=3, max_size=20))
+    # {} -> {1} -> {} one id at a time, then out to N and back to {} by batches
+    @example(0, [1, 1, "fill", "clear"])
+    def walk(mask, moves):
+        cursor = F.cursor(SubsetBits(n, mask))
+        for move in moves:
+            x = cursor.members()
+            if isinstance(move, int):
+                (cursor.remove if x.contains(move) else cursor.add)(move)
+            else:
+                ids = move if isinstance(move, set) else set(x if move == "clear" else x.complement())
+                added = np.array(sorted(i for i in ids if not x.contains(i)), dtype=np.int64)
+                removed = np.array(sorted(i for i in ids if x.contains(i)), dtype=np.int64)
+                cursor.move(added, removed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = cursor.gains()
+                want = Cursor.gains(cursor)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
 
     walk()
 

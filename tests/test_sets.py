@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +52,30 @@ class TestSubsetOps:
             SubsetBits.empty(3).add(4)
         with pytest.raises(ValueError):
             SubsetBits.empty(3).contains(0)
+
+    @pytest.mark.parametrize("capacity", [1, 63, 64, 65])
+    def test_add_and_remove_build_the_set_construction_checks(self, capacity):
+        """``add``/``remove`` skip ``__post_init__``: each result equals, and hashes as, the
+        set built from its mask, is as frozen, and a bad id still raises."""
+        full = (1 << capacity) - 1
+        for mask in sorted({0, full, 0b1011 & full, full >> 1, 1 << (capacity - 1)}):
+            x = SubsetBits(capacity, mask)
+            for i in sorted({1, 2, capacity - 1, capacity} - {0, capacity + 1}):
+                bit = 1 << (i - 1)
+                for got, want in ((x.add(i), mask | bit), (x.remove(i), mask & ~bit)):
+                    assert type(got) is SubsetBits
+                    assert got == SubsetBits(capacity, want) and hash(got) == hash(SubsetBits(capacity, want))
+                    assert (type(got.capacity), type(got.mask)) == (int, int)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        got.mask = 0
+            for bad in (0, -1, capacity + 1):
+                for move in (x.add, x.remove):
+                    with pytest.raises(ValueError, match=f"^element id {bad} out of range 1..{capacity}$"):
+                        move(bad)
+            for bad in (1.0, "1", None):
+                for move in (x.add, x.remove):
+                    with pytest.raises(TypeError):
+                        move(bad)
 
     def test_numpy_ids_past_bit_63(self):
         assert SubsetBits.from_members(100, np.array([3, 70])) == bits(100, 3, 70)
