@@ -10,17 +10,16 @@ puts together. The determinant's formula keeps the Cholesky factors of the
 last two sets it answered as a one-row block, and its cursor's refactor
 takes such a factor over, so a set is factored once. A cursor's batch
 formulas take an id or an id array alike: a scalar query is the batch at
-the bare id, the reverse of the base ``Cursor``. The com and half_products
-formulas also take the slice of every id, which ``gains()`` passes.
+the bare id, the reverse of the base ``Cursor``. The vector families (iwata,
+com, half_products, cobb_douglas, tabular) read their parameters by id, so
+their formulas also take the slice of every id, which ``gains()`` passes.
 A single move is the base ``Cursor``'s, which keeps the anchored set; a
 batch move, ``_FamilyCursor.move``, builds the new set from one mask. Either
 way the cursor's one hook, ``_moved(added, removed)``, then takes the ids
-that moved in and out, once per move. A family that keeps statistics over
-the members (com's w1 sum, Cobb-Douglas' log sum, an epoch cursor's pending
-move) updates them there, by one rule for a move of one id or of many;
-iwata and tabular read the set itself.
-``_EpochCursor._sync`` alone chooses between an in-place update and a
-refactor for the half_products, facility and determinant cursors.
+that moved in and out, once per move, by one rule for one id or many: com
+and cobb_douglas move a running sum, half_products writes the masked
+entries that moved, and an epoch cursor (facility, determinant) records
+the pending move for ``_sync``, the one choice of update or refactor.
 A ``FunctionSpec`` names an instance and is the one place that checks one:
 the family, integer n >= 1 and seed >= 0, and the parameters the family takes,
 perturbed_facility's integer ``d`` >= 1 (400 when absent) and tabular's list
@@ -161,10 +160,17 @@ def instantiate(spec: FunctionSpec) -> SetFunctionOracle:
 
 
 class _FamilyCursor(Cursor):
-    """Family cursor base: a scalar query is the batch formula at the bare id, bit for bit."""
+    """Family cursor base: a scalar query is the batch formula at the bare id, bit for bit.
+
+    ``gains()`` evaluates both formulas once at the slice of every id, a view
+    of the by-id arrays where an id array would gather, and picks each entry
+    by membership: the formulas are elementwise, so it has the bits of the
+    two batches. The matrix families override it with their kept vectors.
+    """
 
     def __init__(self, start: SubsetBits):
         self._current = start  # no F at the anchor: the family formulas need none
+        self._every_id = slice(1, start.capacity + 1)
 
     def move(self, added: np.ndarray, removed: np.ndarray) -> None:
         """The batch move: the new set built and checked once, then one ``_moved``."""
@@ -181,10 +187,14 @@ class _FamilyCursor(Cursor):
     def drop_marginal(self, d: int) -> float:
         return float(self.drop_marginals(d))
 
-    def _flips(self, add: np.ndarray, drop: np.ndarray) -> np.ndarray:
-        """The flip-gain vector from the add and the drop formula, each evaluated at all n ids:
-        the add gain outside the anchored set, minus the drop gain inside it."""
-        return np.where(self._current.to_bool_array(), -drop, add)
+    def gains(self) -> np.ndarray:
+        every = self._every_id
+        return np.where(self._current.to_bool_array(), -self.drop_marginals(every), self.add_marginals(every))
+
+
+def _by_id(values: np.ndarray) -> np.ndarray:
+    """``values`` indexed by id: entry i holds element i's, entry 0 (unused) a zero."""
+    return np.concatenate(([0], values))
 
 
 def _family_oracle(n: int, value_rows, cursor_at, params: dict, name: str) -> SetFunctionOracle:
@@ -203,15 +213,15 @@ def _family_oracle(n: int, value_rows, cursor_at, params: dict, name: str) -> Se
 
 
 class _IwataCursor(_FamilyCursor):
-    def __init__(self, start: SubsetBits, n: int):
+    def __init__(self, start: SubsetBits, weights: np.ndarray):
         super().__init__(start)
-        self._n = n
+        self._weights = weights  # 5 i - 2 n by id: integers, so every step below is exact
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(3 * self._n - 2 * len(self._current) - 1 - 5 * ids, dtype=float)
+        return self._current.capacity - 2 * len(self._current) - 1 - self._weights[ids]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return np.asarray(3 * self._n - 2 * len(self._current) + 1 - 5 * ids, dtype=float)
+        return self._current.capacity - 2 * len(self._current) + 1 - self._weights[ids]
 
 
 def iwata_value(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -223,10 +233,11 @@ def iwata_value(weights: np.ndarray, members: np.ndarray) -> np.ndarray:
 def make_iwata(n: int) -> SetFunctionOracle:
     """Deterministic size-versus-rank benchmark; no seed."""
     weights = 5.0 * np.arange(1, n + 1) - 2.0 * n
+    weights_at = _by_id(weights)
     return _family_oracle(
         n,
         functools.partial(iwata_value, weights),
-        lambda start: _IwataCursor(start, n),
+        lambda start: _IwataCursor(start, weights_at),
         {"weights": weights},
         f"iwata(n={n})",
     )
@@ -239,44 +250,36 @@ def make_iwata(n: int) -> SetFunctionOracle:
 class _ComCursor(_FamilyCursor):
     def __init__(self, start: SubsetBits, w1: np.ndarray, w2: np.ndarray):
         super().__init__(start)
-        self._w1 = w1
+        self._w1, self._w2 = w1, w2
         self._w1_of = memoryview(w1)  # the running sum reads Python floats, no copy
-        # the weights by id for the formulas, entry 0 unused: gains() passes the slice of
-        # every id, a view where an id array would gather
-        self._w1_at, self._w2_at = (np.concatenate(([0.0], w)) for w in (w1, w2))
-        self._every_id = slice(1, len(w1) + 1)
         self._s1 = self._exact_sum()
 
     def _exact_sum(self) -> float:
         """w1(X) from the members. The running sum drifts under moves, and at one
         member or none sqrt(s - w_e) amplifies the drift, so a query there takes this."""
-        return float(self._w1 @ self._current.to_bool_array())
+        return float(self._w1[1:] @ self._current.to_bool_array())
 
     # the member count is taken at the query, not the move: the reductions move
     # thousands of elements between two batch queries
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
-        return np.sqrt(s + self._w1_at[ids]) - math.sqrt(s) - self._w2_at[ids]
+        return np.sqrt(s + self._w1[ids]) - math.sqrt(s) - self._w2[ids]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         s = max(self._s1, 0.0) if self._current.mask.bit_count() > 1 else self._exact_sum()
-        return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1_at[ids], 0.0)) - self._w2_at[ids]
-
-    def gains(self) -> np.ndarray:
-        # each formula once over all n ids: elementwise, so an entry has the bits of a batch
-        return self._flips(self.add_marginals(self._every_id), self.drop_marginals(self._every_id))
+        return math.sqrt(s) - np.sqrt(np.maximum(s - self._w1[ids], 0.0)) - self._w2[ids]
 
     def _moved(self, added, removed) -> None:
         self._s1 = _running_sum(self._s1, self._w1_of, added, removed)
 
 
 def _running_sum(total: float, weights: memoryview, added, removed) -> float:
-    """``total`` plus the weight of each id in ``added``, then minus that of each in ``removed``,
+    """``total`` plus ``weights[e]`` for each id e in ``added``, then minus it for each in ``removed``,
     one id at a time in order: a batch has the bits of the same moves made one by one."""
     for e in added:
-        total += weights[e - 1]
+        total += weights[e]
     for e in removed:
-        total -= weights[e - 1]
+        total -= weights[e]
     return total
 
 
@@ -289,17 +292,100 @@ def make_com(n: int, seed: int) -> SetFunctionOracle:
     """Concave-over-modular: sqrt of one modular weight plus the complement of another."""
     w1 = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
     w2 = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
+    w1_at, w2_at = _by_id(w1), _by_id(w2)
     return _family_oracle(
         n,
         functools.partial(com_value, w1, w2),
-        lambda start: _ComCursor(start, w1, w2),
+        lambda start: _ComCursor(start, w1_at, w2_at),
         {"w1": w1, "w2": w2},
         f"com(n={n}, seed={seed})",
     )
 
 
 # ---------------------------------------------------------------------------
-# Epoch cursors: statistics over the members, brought up to date at a query.
+# Half-products, served negated: the oracle evaluates
+#   -F(X) = c(X) - sum_{i,j in X, i <= j} a(i) b(j)
+# so maximizing the oracle minimizes the original half-products objective.
+
+
+class _HalfProductsCursor(_FamilyCursor):
+    """Cursor over prefix sums of a and suffix sums of b on the members.
+
+    It keeps a and b masked to the members, which the constructor fills from
+    the member mask, and their two running sums: four arrays allocated once,
+    indexed by id like a, b and c. A move writes each entry that moved (a(e)
+    and b(e) in, +0.0 out: a, b >= 0, so a * False is +0.0), and the next
+    query takes both sums again, two O(n) cumsums, once however many moves
+    came between. A cumsum adds in order and the masked arrays depend only on
+    the member set, so every path to a set gives the same bits.
+    """
+
+    def __init__(self, start: SubsetBits, a, b, c):
+        super().__init__(start)
+        self._a, self._b, self._c = a, b, c
+        members = start.to_bool_array()
+        self._masked_a, self._masked_b = np.zeros(len(a)), np.zeros(len(a))
+        np.multiply(a[1:], members, out=self._masked_a[1:])
+        np.multiply(b[1:], members, out=self._masked_b[1:])
+        # below_a[u]: a summed over members below u; suffix_b[u]: b over members above u
+        self._below_a, self._suffix_b = np.zeros(len(a)), np.zeros(len(a))
+        self._summed = False
+
+    def _moved(self, added, removed) -> None:
+        for e in added:
+            self._masked_a[e], self._masked_b[e] = self._a[e], self._b[e]
+        for e in removed:
+            self._masked_a[e] = self._masked_b[e] = 0.0
+        self._summed = False
+
+    def _sum(self) -> None:
+        # from the unused entry 0: 0.0 + x is x, so the sums keep their bits
+        self._masked_a[:-1].cumsum(out=self._below_a[1:])
+        # the suffix sums are the cumsum of the reversed array, written reversed
+        self._masked_b[:0:-1].cumsum(out=self._suffix_b[-2::-1])
+        self._summed = True
+
+    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
+        # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
+        if not self._summed:
+            self._sum()
+        a = self._a[ids]
+        b = self._b[ids]
+        pair = a * b + b * self._below_a[ids] + a * self._suffix_b[ids]
+        return self._c[ids] - pair
+
+    # members too: the two sums exclude the id itself by index choice
+    drop_marginals = add_marginals
+
+    def gains(self) -> np.ndarray:
+        pair = self.add_marginals(self._every_id)  # add and drop are one formula, evaluated once
+        return np.where(self._current.to_bool_array(), -pair, pair)
+
+
+def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Negated half-products per row: c(X) minus the a(i)b(j) sum over member pairs i <= j."""
+    pairs = np.vecdot(b * members, np.cumsum(a * members, axis=-1))
+    return np.vecdot(members, c) - pairs
+
+
+def make_half_products(n: int, seed: int) -> SetFunctionOracle:
+    """Negated half-products; c is uniform in [0, n/4]."""
+    a = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
+    b = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
+    c = seeded_stream(seed, 2).uniform(0.0, 0.25 * n, n)
+    by_id = [_by_id(v) for v in (a, b, c)]
+    return _family_oracle(
+        n,
+        functools.partial(half_products_value, a, b, c),
+        lambda start: _HalfProductsCursor(start, *by_id),
+        {"a": a, "b": b, "c": c},
+        f"half_products(n={n}, seed={seed})",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Epoch cursors, facility's and the determinant's: statistics over the members,
+# brought up to date at a query.
 
 
 _STALE = object()  #: the pending state of an epoch cursor that refactors at its next query
@@ -342,98 +428,6 @@ class _EpochCursor(_FamilyCursor):
             self._pending = (bool(added), (added or removed)[0])
         else:
             self._pending = _STALE
-
-
-# ---------------------------------------------------------------------------
-# Half-products, served negated: the oracle evaluates
-#   -F(X) = c(X) - sum_{i,j in X, i <= j} a(i) b(j)
-# so maximizing the oracle minimizes the original half-products objective.
-
-
-class _HalfProductsCursor(_EpochCursor):
-    """Epoch cursor over prefix sums of a and suffix sums of b on the members.
-
-    It keeps a and b masked to the members and their two running sums, four
-    arrays allocated once. An update writes the one entry that moved (a(e)
-    and b(e) in, +0.0 out: a, b >= 0, so a * False is +0.0) and a refactor
-    rewrites both masked arrays from the member mask; either way both sums
-    are then taken again in place, two O(n) cumsums. A cumsum adds in order,
-    so the sums have the bits of a refactor at the same set.
-
-    Every array is indexed by id, with entry 0 unused (0.0), so the formula
-    takes an id, an id array, or for ``gains()`` the slice of every id, a
-    view where an id array would gather.
-    """
-
-    def __init__(self, start: SubsetBits, a, b, c):
-        super().__init__(start)
-        self._a, self._b, self._c = (np.concatenate(([0.0], v)) for v in (a, b, c))
-        n = len(a)
-        self._every_id = slice(1, n + 1)
-        self._masked_a = np.zeros(n + 1)
-        self._masked_b = np.zeros(n + 1)
-        # below_a[u] = sum of a over members with id < u
-        self._below_a = np.zeros(n + 1)
-        # suffix_b[u] = sum of b over members with id > u (index n = 0)
-        self._suffix_b = np.zeros(n + 1)
-
-    def _refactor(self) -> None:
-        m = self._current.to_bool_array()
-        np.multiply(self._a[1:], m, out=self._masked_a[1:])
-        np.multiply(self._b[1:], m, out=self._masked_b[1:])
-        self._sum()
-
-    def _insert(self, e: int) -> None:
-        self._masked_a[e] = self._a[e]
-        self._masked_b[e] = self._b[e]
-        self._sum()
-
-    def _delete(self, e: int) -> None:
-        self._masked_a[e] = 0.0
-        self._masked_b[e] = 0.0
-        self._sum()
-
-    def _sum(self) -> None:
-        # from the unused entry 0: 0.0 + x is x, so the sums keep their bits
-        self._masked_a[:-1].cumsum(out=self._below_a[1:])
-        # the suffix sums are the cumsum of the reversed array, written reversed
-        self._masked_b[:0:-1].cumsum(out=self._suffix_b[-2::-1])
-
-    def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        # c(u) - a(u) b(u) - b(u) * sum_{i in X, i < u} a(i) - a(u) * sum_{j in X, j > u} b(j)
-        self._sync()
-        a = self._a[ids]
-        b = self._b[ids]
-        pair = a * b + b * self._below_a[ids] + a * self._suffix_b[ids]
-        return self._c[ids] - pair
-
-    # members too: the two sums exclude the id itself by index choice
-    drop_marginals = add_marginals
-
-    def gains(self) -> np.ndarray:
-        # add and drop are one formula, evaluated once over all n ids
-        pair = self.add_marginals(self._every_id)
-        return self._flips(pair, pair)
-
-
-def half_products_value(a: np.ndarray, b: np.ndarray, c: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """Negated half-products per row: c(X) minus the a(i)b(j) sum over member pairs i <= j."""
-    pairs = np.vecdot(b * members, np.cumsum(a * members, axis=-1))
-    return np.vecdot(members, c) - pairs
-
-
-def make_half_products(n: int, seed: int) -> SetFunctionOracle:
-    """Negated half-products; c is uniform in [0, n/4]."""
-    a = seeded_stream(seed, 0).uniform(0.0, 1.0, n)
-    b = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
-    c = seeded_stream(seed, 2).uniform(0.0, 0.25 * n, n)
-    return _family_oracle(
-        n,
-        functools.partial(half_products_value, a, b, c),
-        lambda start: _HalfProductsCursor(start, a, b, c),
-        {"a": a, "b": b, "c": c},
-        f"half_products(n={n}, seed={seed})",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1052,17 +1046,17 @@ class _CobbCursor(_FamilyCursor):
         super().__init__(start)
         self._delta = delta
         self._delta_of = memoryview(delta)  # the running sum reads Python floats, no copy
-        self._logsum = float(delta @ start.to_bool_array())
+        self._logsum = float(delta[1:] @ start.to_bool_array())
 
     def _scale(self) -> float:
         """F(X), the factor of every marginal."""
         return _cobb_exp(self._logsum, self._current.cardinality)
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return self._scale() * np.expm1(self._delta[ids - 1])
+        return self._scale() * np.expm1(self._delta[ids])
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
-        return -self._scale() * np.expm1(-self._delta[ids - 1])
+        return -self._scale() * np.expm1(-self._delta[ids])
 
     def _moved(self, added, removed) -> None:
         self._logsum = _running_sum(self._logsum, self._delta_of, added, removed)
@@ -1107,10 +1101,11 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
     w = seeded_stream(seed, 0).uniform(0.5, 2.0, n)
     alpha = seeded_stream(seed, 1).uniform(0.0, 1.0, n)
     delta = cobb_log_factors(w, alpha)
+    delta_at = _by_id(delta)
     return _family_oracle(
         n,
         functools.partial(cobb_value, delta),
-        lambda start: _CobbCursor(start, delta),
+        lambda start: _CobbCursor(start, delta_at),
         {"w": w, "alpha": alpha, "product_over": "members"},
         f"cobb_douglas(n={n}, seed={seed})",
     )
@@ -1121,22 +1116,25 @@ def make_cobb_douglas(n: int, seed: int) -> SetFunctionOracle:
 
 
 class _TabularCursor(_FamilyCursor):
-    def __init__(self, start: SubsetBits, values: np.ndarray):
+    # both formulas read F at the set and with the id flipped: the side gains() does not
+    # use reads the two table entries of the side it uses, so it warns where that one does
+    def __init__(self, start: SubsetBits, values: np.ndarray, bits: np.ndarray):
         super().__init__(start)
         self._values = values
+        self._bits = bits
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         mask = self._current.mask
-        return self._values[mask | (1 << (ids - 1))] - self._values[mask]
+        return self._values[mask ^ self._bits[ids]] - self._values[mask]
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         mask = self._current.mask
-        return self._values[mask] - self._values[mask & ~(1 << (ids - 1))]
+        return self._values[mask] - self._values[mask ^ self._bits[ids]]
 
 
-def _table_value(values: np.ndarray, members: np.ndarray) -> np.ndarray:
+def _table_value(values: np.ndarray, bits: np.ndarray, members: np.ndarray) -> np.ndarray:
     """The table entry of each row, looked up by the row's mask (bit i-1 for element i)."""
-    return values[np.vecdot(members, 1 << np.arange(members.shape[-1]))]
+    return values[np.vecdot(members, bits)]
 
 
 def make_tabular(values) -> SetFunctionOracle:
@@ -1148,10 +1146,12 @@ def make_tabular(values) -> SetFunctionOracle:
         raise ValueError(f"table length {size} is not a power of two >= 2")
     if n > TABLE_MAX_N:
         raise ValueError(f"tabular capped at n <= {TABLE_MAX_N}, got {n}")
+    bits = 1 << np.arange(n)
+    bits_at = _by_id(bits)
     return _family_oracle(
         n,
-        functools.partial(_table_value, arr),
-        lambda start: _TabularCursor(start, arr),
+        functools.partial(_table_value, arr, bits),
+        lambda start: _TabularCursor(start, arr, bits_at),
         {"values": arr},
         f"tabular(n={n})",
     )

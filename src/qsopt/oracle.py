@@ -18,7 +18,10 @@ keeps those bits: the determinant's keeps the Cholesky factors of the last
 two sets, which its cursor then takes over. ``lattice_values`` asks the
 formula for a lattice's members in row blocks of at most ``BLOCK_CELLS``
 membership cells, and ``eval_table`` for the full cube of the oracle's own
-ground set, n = ``oracle.n``, the same way.
+ground set, n = ``oracle.n``, the same way. ``value``, ``cursor`` and
+``lattice_values`` refuse a set or lattice whose capacity is not
+``oracle.n`` with ``CapacityMismatch``, naming both sizes, before any
+evaluation: no set is judged on another cube.
 
 A cursor is an incremental view anchored at a working set: it answers
 add/drop marginal queries against that set and moves, one element or one
@@ -60,23 +63,23 @@ call per element queried: a batch of k counts as k.
 entry for element i (at index i - 1) is F(i | X) when i is outside the
 anchored set X and -F(i | X - i) when it is inside, the change in value from
 flipping i. The base cursor builds it from the two batches, and
-``CountingOracle`` books n marginal calls per read. The com and
-half_products cursors evaluate their formulas once over all n ids instead,
-and the facility and determinant cursors keep the vector up to date under
-single moves instead of answering n marginals again, which is what
-single-flip local search needs.
+``CountingOracle`` books n marginal calls per read. The five vector
+families (iwata, com, half_products, cobb_douglas, tabular) evaluate their
+formulas once over all n ids instead, with the bits of the two batches,
+and the two matrix families (facility, determinant) keep the vector up to
+date under single moves instead of answering n marginals again, which is
+what single-flip local search needs.
 
-Epoch cursors (the half_products, facility and determinant families) keep
-statistics over the members and bring them up to date at the next query
-after a move, by one rule: exactly one move since the last query, between
-two nonempty sets, is applied as an exact in-place update; the first query,
-two or more moves, and one move into or out of the empty set take a full
-refactor. A batch counts as many moves as it has ids. So a baseline that
-moves once between queries pays one update per move, and a sweep that fixes
-many elements pays one refactor.
-Half_products' update writes the one entry that moved and takes its two
-running sums again in place, O(n) with no allocation and the bits of a
-refactor.
+Epoch cursors (the facility and determinant families) keep statistics over
+the members and bring them up to date at the next query after a move, by
+one rule: exactly one move since the last query, between two nonempty
+sets, is applied as an exact in-place update; the first query, two or more
+moves, and one move into or out of the empty set take a full refactor. A
+batch counts as many moves as it has ids. So a baseline that moves once
+between queries pays one update per move, and a sweep that fixes many
+elements pays one refactor. Half_products keeps no epochs: a move writes
+each masked entry that moved, and the next query takes its two running sums
+again, O(n) with no allocation, so every path to a set gives the same bits.
 
 A NaN marginal fails every strict sign test, so an algorithm would take it
 for a fixed point. The one rule against it is here, not in the algorithms,
@@ -94,7 +97,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InternalInvariantError
+from .errors import CapacityMismatch, InternalInvariantError
 from .sets import (
     DEFAULT_ENUMERATION_CAP,
     GroundSet,
@@ -145,6 +148,12 @@ def _checked(answers, ids, cursor: "Cursor"):
     at = cursor.members()
     query = "drop" if at.contains(e) else "add"
     raise InternalInvariantError(f"marginal of element {e} is NaN ({query} at {format_set(at)})")
+
+
+def _require_capacity(what: str, capacity: int, n: int) -> None:
+    """Raise ``CapacityMismatch`` for a set or lattice judged by an oracle of another ground-set size."""
+    if capacity != n:
+        raise CapacityMismatch(f"{what} has capacity {capacity}, but the oracle has n = {n}")
 
 
 def _not_moved(e: int, added: bool, at: SubsetBits) -> ValueError:
@@ -198,9 +207,9 @@ class Cursor:
     fresh evaluations, keeping F at its anchor to take differences against,
     and its hook re-evaluates F at the new anchor; benchmark families
     install replacements with cheap hooks and vectorized batches. An epoch
-    cursor defers the work of its moves to the next query: one pending move
-    is an in-place update, more than one a refactor, and the answers agree
-    either way. The base batch
+    cursor (facility, determinant) defers the work of its moves to the next
+    query: one pending move is an in-place update, more than one a refactor,
+    and the answers agree either way. The base batch
     queries loop over the scalar ones, so a wrapper that overrides only
     ``add_marginal``/``drop_marginal`` (a timing proxy around a family
     cursor, say) still sees every query of a batch, one at a time, and needs
@@ -214,7 +223,7 @@ class Cursor:
     marginal of each element outside the anchored set and minus the drop
     marginal of each element inside it. The base method asks the two batches
     (drops first); a cursor that overrides it must return the same numbers
-    within the tolerance of its marginals. The com and half_products cursors
+    within the tolerance of its marginals. The five vector-family cursors
     evaluate their formulas once over all n ids, with the bits of the two
     batches; the facility and determinant cursors keep the vector under
     moves; a restricted oracle's cursor reads its parent's at the free ids.
@@ -245,7 +254,11 @@ class Cursor:
         return np.array([self.drop_marginal(int(d)) for d in ids], dtype=float)
 
     def gains(self) -> np.ndarray:
-        """Flip gain of every element 1..n at index id - 1: F(i | X) or -F(i | X - i)."""
+        """Flip gain of every element 1..n at index id - 1: F(i | X) or -F(i | X - i).
+
+        Here a drop batch over the members and an add batch over the rest; the
+        family cursors override it with one vector over the n ids.
+        """
         members = self.members().to_bool_array()
         inside = np.flatnonzero(members)
         outside = np.flatnonzero(~members)
@@ -298,7 +311,8 @@ class SetFunctionOracle:
     the formula at x's one-row block. Evaluation must be deterministic, and
     a cursor's marginals must equal the value differences within relative
     1e-9. A marginal query goes through ``cursor(X)``; the oracle answers
-    none itself.
+    none itself. ``value`` and ``cursor`` raise ``CapacityMismatch`` for a
+    set whose capacity is not n.
 
     The ``fast_marginal=``/``fast_drop_marginal=`` and ``dense_table=`` kwargs
     and their attributes are read by nothing in this package. They stay only
@@ -336,9 +350,11 @@ class SetFunctionOracle:
         return self.ground.n
 
     def value(self, x: SubsetBits) -> float:
+        _require_capacity("a set", x.capacity, self.ground.n)
         return float(self.value_rows(x.to_bool_array()[None, :])[0])
 
     def cursor(self, start: SubsetBits) -> Cursor:
+        _require_capacity("a set", start.capacity, self.ground.n)
         if self._cursor_factory is not None:
             return self._cursor_factory(self, start)
         return Cursor(self, start)
@@ -445,9 +461,8 @@ class CountingOracle:
         return counted
 
     def cursor(self, start: SubsetBits) -> Cursor:
-        factory = getattr(self.inner, "_cursor_factory", None)
-        if factory is not None:
-            return _CountingCursor(self, factory(self.inner, start))
+        if getattr(self.inner, "_cursor_factory", None) is not None:
+            return _CountingCursor(self, self.inner.cursor(start))
         return Cursor(self, start)  # generic cursor; its evals route through us
 
 
@@ -463,8 +478,10 @@ def lattice_values(oracle, lattice: IntervalLattice, cap: int = DEFAULT_ENUMERAT
 
     The oracle's value formula answers row blocks of ``lattice.member_rows``,
     ``BLOCK_CELLS // n`` rows each. Over ``cap`` free elements it raises
-    ``CapExceeded`` before any evaluation.
+    ``CapExceeded`` before any evaluation, and a lattice whose capacity is not
+    ``oracle.n`` raises ``CapacityMismatch``.
     """
+    _require_capacity("a lattice", lattice.capacity, oracle.n)
     count = 1 << capped_free_count(lattice, cap)
     value_rows = oracle.value_rows
     height = max(1, BLOCK_CELLS // lattice.capacity)

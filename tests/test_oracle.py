@@ -9,12 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsopt import (
+    CapacityMismatch,
     CountingOracle,
     GroundSet,
     InternalInvariantError,
     SetFunctionOracle,
     SubsetBits,
     double_greedy,
+    exact_opt,
+    is_local_max,
+    is_local_min,
     make_com,
     make_determinant,
     make_half_products,
@@ -24,6 +28,7 @@ from qsopt import (
     make_random_qsb,
     make_tabular,
     min_lattice,
+    nested_argmin_check,
     parse_set,
     random_permutation_greedy,
     randomized_bidirectional_greedy,
@@ -471,17 +476,17 @@ def test_epoch_cursor_updates_one_pending_id_and_refactors_more():
     assert_cursor_agrees(F, cursor, x, exact=True)
 
 
-# the epoch cursors whose updates keep the bits of a refactor at the same set
-EXACT_EPOCH_INSTANCES = [
+# the cursors whose statistics over the members keep the bits of a fresh cursor's at the same set
+EXACT_STATE_INSTANCES = [
     ("half_products", lambda: make_half_products(60, 1)),
     ("perturbed_facility", lambda: make_perturbed_facility(60, 40, 1)),
 ]
 
 
-@pytest.mark.parametrize("name,build", EXACT_EPOCH_INSTANCES, ids=[f[0] for f in EXACT_EPOCH_INSTANCES])
-def test_epoch_cursor_answers_like_a_fresh_cursor_after_every_move(name, build):
-    """Single moves (updates) and batch moves (refactors), into and out of the empty set:
-    after every move the adds, drops and ``gains()`` have the bits of a fresh cursor."""
+@pytest.mark.parametrize("name,build", EXACT_STATE_INSTANCES, ids=[f[0] for f in EXACT_STATE_INSTANCES])
+def test_kept_statistics_answer_like_a_fresh_cursor_after_every_move(name, build):
+    """Single moves (facility's updates) and batch moves (its refactors), into and out of the
+    empty set: after every move the adds, drops and ``gains()`` have the bits of a fresh cursor."""
     F = build()
     n = F.n
     flip = st.integers(1, n)  # one id by add/remove
@@ -513,20 +518,41 @@ def test_epoch_cursor_answers_like_a_fresh_cursor_after_every_move(name, build):
     walk()
 
 
+#: A table of four elements with infinities and a NaN: {1,2} and {1,2,3} are +inf, {1,4} and
+#: {1,2,4} -inf, so flipping 3 at the first pair or 2 at the second subtracts two infinities.
+INF_NAN_TABLE = [0.0, 1.5, -2.0, math.inf, 0.25, 3.0, math.nan, math.inf]
+INF_NAN_TABLE += [1.0, -math.inf, 2.5, -math.inf, math.inf, -math.inf, -0.5, 4.0]
+
 # the cursors whose gains() evaluates their batch formulas once over all n ids
 ONE_READ_GAINS = [
-    (f"{name}-{n}", make, n)
-    for name, make in (("com", make_com), ("half_products", make_half_products))
-    for n in (1, 2, 60)
+    (f"{name}-{n}", build, n)
+    for name, build, sizes in (
+        ("iwata", lambda n: make_iwata(n), (1, 2, 60)),
+        ("com", lambda n: make_com(n, 3), (1, 2, 60)),
+        ("half_products", lambda n: make_half_products(n, 3), (1, 2, 60)),
+        ("cobb_douglas", lambda n: make_cobb_douglas(n, 3), (1, 2, 60)),
+        ("tabular", lambda n: make_random_qsb(n, 3), (1, 2, 8)),
+        ("inf_nan_table", lambda n: make_tabular(INF_NAN_TABLE), (4,)),
+    )
+    for n in sizes
 ]
 
 
-@pytest.mark.parametrize("name,make,n", ONE_READ_GAINS, ids=[g[0] for g in ONE_READ_GAINS])
-def test_one_read_gains_have_the_bits_of_the_two_batch_split(name, make, n):
+def _flips_and_warnings(read):
+    """``read()`` and the set of RuntimeWarning messages it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        vector = read()
+    return vector, {str(w.message) for w in caught}
+
+
+@pytest.mark.parametrize("name,build,n", ONE_READ_GAINS, ids=[g[0] for g in ONE_READ_GAINS])
+def test_one_read_gains_have_the_bits_of_the_two_batch_split(name, build, n):
     """Single and batch moves, into and out of the empty set and the full set: after
     every move ``gains()`` equals the base split into a drop and an add batch, bit
-    for bit, and neither side's formula warns at the ids on the other side."""
-    F = make(n, 3)
+    for bit with a NaN entry counted as equal, and warns exactly when the split does:
+    never but on the table with infinities, where both subtract the same two entries."""
+    F = build(n)
     flip = st.integers(1, n)  # one id by add/remove
     batch = st.sets(st.integers(1, n), min_size=1, max_size=8)  # their flips in one move
     ends = st.sampled_from(["clear", "fill"])  # every member out, every non-member in
@@ -546,18 +572,22 @@ def test_one_read_gains_have_the_bits_of_the_two_batch_split(name, make, n):
                 added = np.array(sorted(i for i in ids if not x.contains(i)), dtype=np.int64)
                 removed = np.array(sorted(i for i in ids if x.contains(i)), dtype=np.int64)
                 cursor.move(added, removed)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                got = cursor.gains()
-                want = Cursor.gains(cursor)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+            got, got_warned = _flips_and_warnings(cursor.gains)
+            want, want_warned = _flips_and_warnings(lambda: Cursor.gains(cursor))
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (got, want)
+            assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)), (got, want)
+            assert got_warned == want_warned
+            assert name.startswith("inf_nan_table") or not want_warned
 
+    if name.startswith("inf_nan_table"):  # through {1,2}, {1,4} and {1,2,3}: a flip subtracts two infinities
+        walk = example(3, [3, 3, 3])(example(9, [2, 2, 2])(example(15, [4, 4])(walk)))
     walk()
 
 
-def test_double_greedy_reads_the_half_products_mask_only_to_refactor(monkeypatch):
-    """An update writes the one entry that moved: a double greedy pass reads the member
-    mask at its cursors' few refactors, not once per move."""
+def test_double_greedy_reads_the_half_products_mask_only_in_its_cursor_constructors(monkeypatch):
+    """A move writes each entry that moved: a double greedy pass reads the member mask
+    in the constructors of its two cursors and in ``value``, never once per move."""
     F = make_half_products(60, 1)
     callers = []
     read = SubsetBits.to_bool_array
@@ -566,17 +596,9 @@ def test_double_greedy_reads_the_half_products_mask_only_to_refactor(monkeypatch
         callers.append(sys._getframe(1).f_code.co_name)
         return read(self)
 
-    refactors = []
-    refactor = functions._HalfProductsCursor._refactor
     monkeypatch.setattr(SubsetBits, "to_bool_array", spy)
-    monkeypatch.setattr(
-        functions._HalfProductsCursor, "_refactor", lambda self: (refactors.append(self), refactor(self))[1]
-    )
     double_greedy(F, list(range(1, F.n + 1)))
-    # each cursor's first query, and the inner set's first add out of the empty set
-    assert callers.count("_refactor") == len(refactors) <= 3
-    assert callers.count("value") == 1  # F of the result
-    assert len(callers) == len(refactors) + 1
+    assert callers == ["__init__", "__init__", "value"]  # S1's and S2's cursors, then F of the result
 
 
 def test_com_add_of_a_member_no_longer_corrupts_the_running_sum():
@@ -831,3 +853,56 @@ def test_nan_marginal_raises_with_replayable_witness(oracle, name, run, element,
         run(NAN_ORACLES[oracle]())
     replay = make_tabular(NAN_TABLE).cursor(parse_set(at, 3))
     assert math.isnan(getattr(replay, f"{query}_marginal")(element))
+
+
+#: Every public entry that judges a set or a lattice against the oracle, at a set x.
+CAPACITY_ENTRIES = [
+    ("value", lambda F, x: F.value(x)),
+    ("cursor", lambda F, x: F.cursor(x)),
+    ("counted_value", lambda F, x: CountingOracle(F).value(x)),
+    ("counted_cursor", lambda F, x: CountingOracle(F).cursor(x)),
+    ("uqsfmin", uqsfmin),
+    ("exact_opt", lambda F, x: exact_opt(F, "min", IntervalLattice(SubsetBits.empty(x.capacity), x))),
+    ("is_local_min", is_local_min),
+    ("is_local_max", is_local_max),
+    ("nested_argmin_check", lambda F, x: nested_argmin_check(F, SubsetBits.empty(x.capacity), x)),
+]
+
+
+def _spied(F):
+    """F with its value formula and cursor factory booking each call in the returned list."""
+    calls = []
+    rows, factory = F.value_rows, F._cursor_factory
+    F.value_rows = lambda members: (calls.append("value_rows"), rows(members))[1]
+    if factory is not None:
+        F._cursor_factory = lambda owner, start: (calls.append("cursor"), factory(owner, start))[1]
+    return F, calls
+
+
+def _counting_oracle():
+    """An oracle of 3 elements whose scalar ``eval_fn`` books each call in the returned list."""
+    calls = []
+    return SetFunctionOracle(GroundSet(3), lambda x: (calls.append(x), float(len(x)))[1]), calls
+
+
+CAPACITY_ORACLES = {
+    "counting_eval_fn": _counting_oracle,
+    # the three families seen to answer on another cube or to fail inside numpy
+    "tabular": lambda: _spied(make_tabular(list(range(8)))),
+    "com": lambda: _spied(make_com(3, 1)),
+    "iwata": lambda: _spied(make_iwata(3)),
+}
+
+
+@pytest.mark.parametrize("capacity", [2, 4])
+@pytest.mark.parametrize("oracle", sorted(CAPACITY_ORACLES))
+@pytest.mark.parametrize("name,call", CAPACITY_ENTRIES, ids=[e[0] for e in CAPACITY_ENTRIES])
+def test_a_set_of_another_capacity_is_refused_before_any_evaluation(name, call, oracle, capacity):
+    """At n - 1 and n + 1 elements on an oracle of n = 3, each entry raises naming both
+    sizes, where tabular once answered on the cube of its own n and com and iwata
+    failed inside numpy; the oracle sees no call."""
+    F, calls = CAPACITY_ORACLES[oracle]()
+    x = SubsetBits.from_members(capacity, [1, 2])
+    with pytest.raises(CapacityMismatch, match=rf"^a (set|lattice) has capacity {capacity}, but the oracle has n = 3$"):
+        call(F, x)
+    assert calls == []
