@@ -5,9 +5,10 @@ mask order, and answers from whole-array comparisons. Entry i of that array
 is F at ``lattice.member(i)``: ``exact_opt`` takes ``lattice_values`` of its
 interval, full cube or not, and the full-cube functions take ``eval_table``,
 the same over the cube of the oracle's own ``oracle.n`` elements. Every
-oracle answers those in row blocks of its value formula. A NaN entry fails
-every comparison, so it raises ``InternalInvariantError`` naming the first
-set that has one.
+oracle answers those in row blocks of its value formula, lifted by
+``IntervalLattice.member_rows``, and refuses an empty interval with
+``ValueError`` first. A NaN entry fails every comparison, so it raises
+``InternalInvariantError`` naming the first set that has one.
 
 Memory is 8 bytes per member: 8 MiB at n = 20 on the full cube, and
 256 MiB for an interval at the default enumeration cap of 25 free elements.
@@ -82,9 +83,9 @@ def exact_opt(
     Returns the optimal value and every optimizer attaining it, in ascending
     mask order, compared with exact float equality on the computed values.
     The values are ``lattice_values``: row blocks of the oracle's value
-    formula. Over ``cap`` free
-    elements it raises ``CapExceeded`` before any evaluation; a NaN value
-    raises ``InternalInvariantError`` naming the first set that has one.
+    formula. Over ``cap`` free elements it raises ``CapExceeded``, and on an
+    empty interval ``ValueError``, before any evaluation; a NaN value raises
+    ``InternalInvariantError`` naming the first set that has one.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")

@@ -122,21 +122,13 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> SetFunctionOracle:
 
     The free elements, ``lattice.free_elements()``, are relabeled 1..m
     ascending; evaluating a relabeled set T evaluates the original objective
-    at ``lattice.member(T.mask)``. The value formula lifts each row to the
-    original's: the lower bound set, with the free columns scattered in, and
-    asks ``oracle.value_rows`` for the block.
+    at ``lattice.member(T.mask)``. The value formula is the original's at the
+    rows ``lattice.member_rows`` lifts, which refuses a block of another
+    width than m. An empty or point lattice raises ValueError.
     """
     free_ids = lattice.free_elements()
-    m = len(free_ids)
-    if m == 0:
+    if not free_ids:
         raise ValueError("point lattice leaves nothing to restrict to")
-    lower = lattice.lower.to_bool_array()
-    free_columns = np.asarray(free_ids) - 1
-
-    def value_rows(members: np.ndarray) -> np.ndarray:
-        rows = np.repeat(lower[None, :], len(members), axis=0)
-        rows[:, free_columns] = members
-        return oracle.value_rows(rows)
 
     def cursor_factory(_owner, start: SubsetBits) -> Cursor:
         # a checked cursor of F names a NaN marginal in F's elements and sets, so it replays on F
@@ -144,10 +136,9 @@ def restricted_oracle(oracle, lattice: IntervalLattice) -> SetFunctionOracle:
         return _RestrictedCursor(checked, free_ids, start)
 
     return SetFunctionOracle(
-        GroundSet(m),
-        value_rows=value_rows,
+        GroundSet(len(free_ids)),
+        value_rows=lambda members: oracle.value_rows(lattice.member_rows(members)),
         cursor_factory=cursor_factory,
-        name=f"restricted({getattr(oracle, 'name', '')}, free={m})",
     )
 
 

@@ -17,11 +17,13 @@ one-row block from sets it has already factored, as long as the answer
 keeps those bits: the determinant's keeps the Cholesky factors of the last
 two sets, which its cursor then takes over. ``lattice_values`` asks the
 formula for a lattice's members in row blocks of at most ``BLOCK_CELLS``
-membership cells, and ``eval_table`` for the full cube of the oracle's own
-ground set, n = ``oracle.n``, the same way. ``value``, ``cursor`` and
-``lattice_values`` refuse a set or lattice whose capacity is not
-``oracle.n`` with ``CapacityMismatch``, naming both sizes, before any
-evaluation: no set is judged on another cube.
+membership cells, each lifted by ``IntervalLattice.member_rows`` from the
+bits of the member indices, and ``eval_table`` for the full cube of the
+oracle's own ground set, n = ``oracle.n``, the same way. ``value``,
+``cursor`` and ``lattice_values`` refuse a set or lattice whose capacity is
+not ``oracle.n`` with ``CapacityMismatch``, naming both sizes, before any
+evaluation: no set is judged on another cube. An empty lattice is refused
+as early, with ``ValueError``.
 
 A cursor is an incremental view anchored at a working set: it answers
 add/drop marginal queries against that set and moves, one element or one
@@ -434,10 +436,6 @@ class CountingOracle:
         self.marginal_calls = 0
 
     @property
-    def ground(self) -> GroundSet:
-        return self.inner.ground
-
-    @property
     def n(self) -> int:
         return self.inner.n
 
@@ -476,19 +474,20 @@ BLOCK_CELLS = 1 << 13
 def lattice_values(oracle, lattice: IntervalLattice, cap: int = DEFAULT_ENUMERATION_CAP) -> np.ndarray:
     """F at every member of ``lattice``: entry i is F at ``lattice.member(i)``.
 
-    The oracle's value formula answers row blocks of ``lattice.member_rows``,
-    ``BLOCK_CELLS // n`` rows each. Over ``cap`` free elements it raises
-    ``CapExceeded`` before any evaluation, and a lattice whose capacity is not
-    ``oracle.n`` raises ``CapacityMismatch``.
+    The oracle's value formula answers row blocks of ``BLOCK_CELLS // n``
+    rows each, which ``lattice.member_rows`` lifts from the bits of the member
+    indices. Over ``cap`` free elements it raises ``CapExceeded``, an empty
+    lattice ``ValueError`` and a lattice whose capacity is not ``oracle.n``
+    ``CapacityMismatch``, each before any evaluation.
     """
     _require_capacity("a lattice", lattice.capacity, oracle.n)
-    count = 1 << capped_free_count(lattice, cap)
+    bits = 1 << np.arange(capped_free_count(lattice, cap))
     value_rows = oracle.value_rows
     height = max(1, BLOCK_CELLS // lattice.capacity)
-    out = np.empty(count)
-    for start in range(0, count, height):
-        stop = min(start + height, count)
-        out[start:stop] = value_rows(lattice.member_rows(np.arange(start, stop)))
+    out = np.empty(1 << len(bits))
+    for start in range(0, len(out), height):
+        stop = min(start + height, len(out))
+        out[start:stop] = value_rows(lattice.member_rows((np.arange(start, stop)[:, None] & bits) != 0))
     return out
 
 

@@ -212,6 +212,9 @@ class IntervalLattice:
         return self.lower.is_subset(x) and x.is_subset(self.upper)
 
     def free_mask(self) -> int:
+        """The undecided elements' mask; the one emptiness check, so an empty lattice raises here."""
+        if self.is_empty():
+            raise ValueError("empty lattice has no free count")
         return self.upper.mask & ~self.lower.mask
 
     def free_elements(self) -> list[int]:
@@ -236,22 +239,18 @@ class IntervalLattice:
             index >>= 1
         return SubsetBits(self.capacity, mask)
 
-    def member_rows(self, indices: np.ndarray) -> np.ndarray:
-        """``member`` of each index as one membership row: a (len(indices), capacity) bool matrix.
+    def member_rows(self, free_rows: np.ndarray) -> np.ndarray:
+        """Lift (k, m) bool rows over the m free elements to the members' (k, capacity) rows.
 
-        The same rule on an index array: row r is
-        ``member(indices[r]).to_bool_array()``, so bit j of an index sets the
-        (j+1)-th smallest free element. Indices are int64, below 2**63.
+        Column j is the (j+1)-th smallest free element, the rule of ``member``:
+        the row of the bits of ``index`` lifts to ``member(index)``, ``lower``
+        with those elements added. A width other than m raises ValueError.
         """
-        indices = np.asarray(indices, dtype=np.int64)
-        lower = self.lower.to_bool_array()
-        free = np.flatnonzero(self.upper.to_bool_array() & ~lower)
-        bad = (indices < 0) | (indices >> len(free) != 0)
-        if bad.any():
-            raise ValueError(f"member index {indices[bad.argmax()]} out of range for {len(free)} free elements")
-        rows = np.repeat(lower[None, :], len(indices), axis=0)
-        for j, element in enumerate(free):
-            rows[:, element] = (indices >> j) & 1
+        free = np.flatnonzero(_in_range(self.capacity, self.free_mask()).to_bool_array())
+        if np.shape(free_rows)[1:] != (len(free),):
+            raise ValueError(f"free rows of shape {np.shape(free_rows)} for {len(free)} free elements")
+        rows = np.repeat(self.lower.to_bool_array()[None, :], len(free_rows), axis=0)
+        rows[:, free] = free_rows
         return rows
 
     def __repr__(self) -> str:
@@ -259,9 +258,7 @@ class IntervalLattice:
 
 
 def lattice_free_count(lattice: IntervalLattice) -> int:
-    """Number of elements left undecided by the lattice; its size is 2**count."""
-    if lattice.is_empty():
-        raise ValueError("empty lattice has no free count")
+    """Number of elements left undecided by the lattice, whose size is 2**count; ``free_mask`` refuses an empty one."""
     return lattice.free_mask().bit_count()
 
 
@@ -271,28 +268,6 @@ def capped_free_count(lattice: IntervalLattice, cap: int) -> int:
     if free > cap:
         raise CapExceeded(f"lattice has {free} free elements, cap is {cap}")
     return free
-
-
-def enumerate_lattice(
-    lattice: IntervalLattice, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[SubsetBits]:
-    """An iterator over every member of the lattice, each once, 2**free_count in total.
-
-    Members come in ascending mask order, the order of ``lattice.member(i)``
-    for i = 0, 1, ...: the walk visits the submasks of the free mask upward.
-    Over ``cap`` free elements it raises CapExceeded at the call, not at the first ``next``.
-    """
-    capped_free_count(lattice, cap)
-    return _submask_walk(lattice.capacity, lattice.lower.mask, lattice.free_mask())
-
-
-def _submask_walk(n: int, base: int, free_mask: int) -> Iterator[SubsetBits]:
-    sub = 0
-    while True:
-        yield SubsetBits(n, base | sub)
-        sub = (sub - free_mask) & free_mask
-        if sub == 0:
-            return
 
 
 def _check_element(capacity: int, i: int) -> int:

@@ -121,6 +121,17 @@ class TestCellSpecs:
             if row.family == "perturbed_facility" and row.algorithm == "uqsfmax":
                 assert_uqsfmax_row_of(row, FunctionSpec(row.family, row.n, row.seed, {"d": 400}))
 
+    def test_readme_python_examples_run(self, capsys):
+        """Every python block of the README runs, and the second prints what its comments say."""
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        assert len(blocks) >= 2
+        printed = []
+        for block in blocks:
+            exec(block, {})
+            printed.append(capsys.readouterr().out.splitlines())
+        commented = [line.split("# ", 1)[1] for line in blocks[1].splitlines() if line.startswith("print(")]
+        assert printed[1] == commented
+
 
 class TestReductionExperiment:
     def test_rows_and_rates(self):

@@ -6,11 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qsopt import (
-    CapExceeded,
     CapacityMismatch,
     IntervalLattice,
     SubsetBits,
-    enumerate_lattice,
     format_set,
     lattice_free_count,
     parse_set,
@@ -179,14 +177,6 @@ class TestIntervalLattice:
         with pytest.raises(ValueError):
             lattice_free_count(empty)
 
-    def test_enumerate_small(self):
-        lat = IntervalLattice(SubsetBits.empty(1), SubsetBits.full(1))
-        assert list(enumerate_lattice(lat)) == [SubsetBits(1, 0), SubsetBits(1, 1)]
-        point = IntervalLattice(bits(3, 1), bits(3, 1))
-        assert list(enumerate_lattice(point)) == [bits(3, 1)]
-        quad = IntervalLattice(SubsetBits.empty(2), SubsetBits.full(2))
-        assert len(list(enumerate_lattice(quad))) == 4
-
     def test_member_sets_free_elements_ascending(self):
         lat = IntervalLattice(bits(4, 2), bits(4, 1, 2, 4))
         assert [lat.member(i) for i in range(4)] == [
@@ -198,12 +188,6 @@ class TestIntervalLattice:
             with pytest.raises(ValueError):
                 lat.member(index)
 
-    def test_enumerate_cap(self):
-        """The cap raises at the call, before the iterator exists."""
-        lat = IntervalLattice(SubsetBits.empty(6), SubsetBits.full(6))
-        with pytest.raises(CapExceeded, match=r"^lattice has 6 free elements, cap is 5$"):
-            enumerate_lattice(lat, cap=5)
-
     @given(st.integers(min_value=1, max_value=8).flatmap(
         lambda n: st.tuples(
             st.just(n),
@@ -211,18 +195,16 @@ class TestIntervalLattice:
             st.integers(min_value=0, max_value=(1 << n) - 1),
         )
     ))
-    def test_enumeration_exact_and_distinct(self, case):
+    def test_members_exact_and_distinct(self, case):
+        """The 2**free members are distinct, inside the lattice, and ascend in mask order."""
         n, am, bm = case
-        lower = SubsetBits(n, am & bm)
-        upper = SubsetBits(n, am | bm)
-        lat = IntervalLattice(lower, upper)
-        out = list(enumerate_lattice(lat))
-        assert len(out) == 1 << lattice_free_count(lat)
-        assert len({s.mask for s in out}) == len(out)
-        assert all(lat.contains(s) for s in out)
+        lat = IntervalLattice(SubsetBits(n, am & bm), SubsetBits(n, am | bm))
+        out = [lat.member(i) for i in range(1 << lattice_free_count(lat))]
         masks = [s.mask for s in out]
+        assert len(set(masks)) == len(out)
+        assert all(lat.contains(s) for s in out)
         assert masks == sorted(masks)
-        assert out == [lat.member(i) for i in range(len(out))]
+        assert (out[0], out[-1]) == (lat.lower, lat.upper)
 
 
 def test_ground_set():

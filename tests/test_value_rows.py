@@ -261,13 +261,50 @@ def lattices(draw):
 @settings(max_examples=200, deadline=None)
 @given(lattices())
 def test_member_rows_is_member(lattice):
-    count = 1 << len(lattice.free_elements())
-    rows = lattice.member_rows(np.arange(count))
-    assert rows.dtype == bool and rows.shape == (count, lattice.capacity)
-    assert [SubsetBits.from_bool_array(r) for r in rows] == [lattice.member(i) for i in range(count)]
-    for index in (-1, count):
-        with pytest.raises(ValueError, match=f"member index {index} out of range"):
-            lattice.member_rows(np.array([0, index]))
+    """The row that ``member_rows`` lifts from the bits of index i is ``member(i)``."""
+    m = len(lattice.free_elements())
+    bits = (np.arange(1 << m)[:, None] >> np.arange(m)) & 1 == 1
+    rows = lattice.member_rows(bits)
+    assert rows.dtype == bool and rows.shape == (1 << m, lattice.capacity)
+    assert [SubsetBits.from_bool_array(r) for r in rows] == [lattice.member(i) for i in range(1 << m)]
+    for width in (m - 1, m + 1):
+        if width >= 0:
+            with pytest.raises(ValueError, match=f"for {m} free elements"):
+                lattice.member_rows(np.zeros((2, width), dtype=bool))
+
+
+def counting_com(n: int):
+    """com over a scalar ``eval_fn``, with the list of sets it was called at."""
+    F = make_com(n, 1)
+    seen = []
+    return SetFunctionOracle(F.ground, lambda x: seen.append(x) or F.value(x)), seen
+
+
+def test_an_empty_lattice_is_refused_before_any_evaluation():
+    G, seen = counting_com(4)
+    lat = IntervalLattice(SubsetBits.from_members(4, [1, 2]), SubsetBits.from_members(4, [2, 3]))
+    refusals = (
+        lambda: lat.member(1),
+        lat.free_elements,
+        lambda: lat.member_rows(np.zeros((1, 1), dtype=bool)),
+        lambda: oracle.lattice_values(G, lat),
+        lambda: exact_opt(G, "max", lat),
+        lambda: restricted_oracle(G, lat),
+    )
+    for refused in refusals:
+        with pytest.raises(ValueError, match="^empty lattice has no free count$"):
+            refused()
+    assert seen == []
+
+
+def test_a_restricted_block_of_another_width_is_refused_before_any_evaluation():
+    G, seen = counting_com(6)
+    lattice = IntervalLattice(SubsetBits.from_members(6, [2]), SubsetBits.from_members(6, [1, 2, 4, 6]))
+    sub = restricted_oracle(G, lattice)
+    for width in (1, 2, 4):
+        with pytest.raises(ValueError, match="for 3 free elements"):
+            sub.value_rows(np.ones((2, width), dtype=bool))
+    assert seen == []
 
 
 def peak_bytes(call) -> int:
