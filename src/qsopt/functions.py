@@ -665,7 +665,8 @@ _KERNEL_PARAMS = {
 }
 
 #: Smallest determinant an update may produce: below the normal range a
-#: product of pivots loses digits and, once 0, never recovers.
+#: product of pivots loses digits and, once 0, never recovers. A refactor
+#: that finds det 0.0 keeps no inverse: every marginal there is 0.0 * x.
 _DET_FLOOR = float(np.finfo(float).tiny)
 
 
@@ -722,6 +723,13 @@ class _DeterminantCursor(_EpochCursor):
     dpotri turns that factor into the inverse in place, and X is not factored
     again.
 
+    Where det K_X has underflowed to 0.0, every marginal is 0.0 times a
+    finite ratio, so the refactor skips dpotri and keeps no inverse: both
+    batches and ``gains()`` answer +0.0, and the next move refactors, as an
+    update from det 0.0 would (det * pivot stays 0.0). The reductions and
+    the baselines test only strict signs or >= 0.0, which do not tell +0.0
+    from the -0.0 that the products gave.
+
     Once ``gains()`` has been read, the cursor also keeps the Schur vector
     c_j = k_jj - v_j^T K_X^{-1} v_j of every non-member j (the add marginal is
     det * (c_j - 1)), updated with one product over K[X, :], O(nk), per move:
@@ -752,6 +760,9 @@ class _DeterminantCursor(_EpochCursor):
             self._det = 1.0
             return
         chol, self._det = self._factors.take(idx)
+        if self._det == 0.0:  # no answer reads the inverse: skip dpotri
+            self._inv = None
+            return
         self._inv, info = self._la.dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise InternalInvariantError(f"Cholesky factor is singular (dpotri info={info})")
@@ -771,6 +782,9 @@ class _DeterminantCursor(_EpochCursor):
             self._schur = None
 
     def _insert(self, u: int) -> None:
+        if self._inv is None:  # det 0.0: no inverse to update
+            self._refactor()
+            return
         idx, inv = self._idx, self._inv
         k = len(idx)
         kuu = float(self._kernel[u - 1, u - 1])
@@ -796,6 +810,9 @@ class _DeterminantCursor(_EpochCursor):
         self._inv = new
 
     def _delete(self, d: int) -> None:
+        if self._inv is None:
+            self._refactor()
+            return
         idx, inv = self._idx, self._inv
         k = len(idx)
         p = int(idx.searchsorted(d - 1))
@@ -832,16 +849,22 @@ class _DeterminantCursor(_EpochCursor):
 
     def add_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
+        if self._inv is None:
+            return np.zeros(len(ids))
         return self._det * (self._schur_of(ids) - 1.0)
 
     def drop_marginals(self, ids: np.ndarray) -> np.ndarray:
         self._sync()
+        if self._inv is None:
+            return np.zeros(len(ids))
         pos = self._idx.searchsorted(ids - 1)
         # det(K_{X-d}) = det(K_X) * (K_X^{-1})_{dd}
         return self._det * (1.0 - self._inv.diagonal()[pos])
 
     def gains(self) -> np.ndarray:
         self._sync()
+        if self._inv is None:
+            return np.zeros(len(self._kernel))
         outside = np.flatnonzero(~self._current.to_bool_array())
         if self._schur is None:
             self._schur = np.zeros(len(self._kernel))
@@ -962,11 +985,13 @@ class _DeterminantFactors:
     and the lower Cholesky factor. The set's cursor then takes that factor
     over (``take``): dpotri overwrites it, so the memo keeps only the det.
     At a set with no recorded factor the refactor factors K_X itself and
-    records the det. Any other block is ``principal_determinant``'s stack
-    path and leaves the memo alone. Two entries, the least recently used
-    dropped first, because ``uqsfmax`` reads F at both of its working sets
-    before its cursors refactor there: one would thrash between X and Y.
-    Both paths factor the same C-ordered gather of K_X with
+    records the det. A set whose det is 0.0 keeps no factor at all: its
+    cursor needs no inverse, so ``take`` answers it from the det alone, and
+    the set is factored once however many cursors refactor there. Any other
+    block is ``principal_determinant``'s stack path and leaves the memo
+    alone. Two entries, the least recently used dropped first, because
+    ``uqsfmax`` reads F at both of its working sets before its cursors
+    refactor there: one would thrash between X and Y. Both paths factor the same C-ordered gather of K_X with
     ``_cholesky_det``, so an answer from the memo has the bits of a fresh
     factorization, and a failed factorization records nothing.
     """
@@ -990,11 +1015,15 @@ class _DeterminantFactors:
             return np.array([det])
         return np.array([entry[0]])
 
-    def take(self, idx: np.ndarray) -> tuple[np.ndarray, float]:
-        """The lower Cholesky factor of K at the sorted 0-based ``idx`` and its det; the caller may overwrite it."""
+    def take(self, idx: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """The lower Cholesky factor of K at the sorted 0-based ``idx`` and its det; the caller may overwrite it.
+
+        A set recorded with det 0.0 answers (None, 0.0) without factoring:
+        its cursor needs no inverse.
+        """
         key = idx.tobytes()
         entry = self._entry(key)
-        if entry is not None and entry[1] is not None:
+        if entry is not None and (entry[1] is not None or entry[0] == 0.0):
             chol, entry[1] = entry[1], None
             return chol, entry[0]
         chol, det = self._factor(idx)
@@ -1013,7 +1042,7 @@ class _DeterminantFactors:
         return entry
 
     def _record(self, key: bytes, det: float, chol) -> None:
-        self._entries[key] = [det, chol]
+        self._entries[key] = [det, None if det == 0.0 else chol]
         if len(self._entries) > 2:
             del self._entries[next(iter(self._entries))]
 

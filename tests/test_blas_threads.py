@@ -5,8 +5,11 @@ order with one OpenBLAS thread than with two, so determinant values can
 differ in their last bits between the two settings. The sign tests of the
 reductions and of double greedy must not flip: each child process below runs
 ``min_lattice``, ``uqsfmax`` and ``double_greedy`` on determinant instances
-and prints every decision it made, and the two thread settings must print
-the same. Values are left out on purpose.
+at n = 300, and both reductions at n = 1000, where F(N) has underflowed to
+0.0 and the cursors there answer zeros without an inverse. It prints every
+decision it made, and the two thread settings must print the same: whether
+a set's det rounds to exactly 0.0 is a decision too. Values are left out on
+purpose.
 """
 
 import json
@@ -16,24 +19,27 @@ import sys
 
 CHILD = """
 import json
-from qsopt import FunctionSpec, double_greedy, instantiate, min_lattice, uqsfmax
+from qsopt import FunctionSpec, SubsetBits, double_greedy, instantiate, min_lattice, uqsfmax
 
 def steps(trace):
     return [[s.added.mask, s.removed.mask, s.eval_calls] for s in trace.steps]
 
 out = []
-for seed in (1, 2):
-    F = instantiate(FunctionSpec("determinant", 300, seed))
+for n, seed in ((300, 1), (300, 2), (1000, 1)):
+    F = instantiate(FunctionSpec("determinant", n, seed))
     low, traces = min_lattice(F)
     high, trace = uqsfmax(F)
-    greedy = double_greedy(F, list(range(1, F.n + 1)))
-    out.append({
+    run = {
         "min_lattice": [low.lower.mask, low.upper.mask],
         "min_traces": [[steps(t), t.eval_calls, t.marginal_calls] for t in traces],
         "uqsfmax": [high.lower.mask, high.upper.mask],
         "max_trace": [steps(trace), trace.eval_calls, trace.marginal_calls],
-        "double_greedy": [greedy.set.mask, greedy.oracle_calls],
-    })
+        "zero_ground_set": F.value(SubsetBits.full(n)) == 0.0,
+    }
+    if n == 300:  # double greedy at n = 1000 takes about a second per setting
+        greedy = double_greedy(F, list(range(1, F.n + 1)))
+        run["double_greedy"] = [greedy.set.mask, greedy.oracle_calls]
+    out.append(run)
 print(json.dumps(out))
 """
 
@@ -50,3 +56,4 @@ def test_thread_count_changes_no_decision():
     assert one == two
     # every run moved elements, so the comparison covers real decisions
     assert all(len(run["max_trace"][0]) > 1 for run in one)
+    assert [run["zero_ground_set"] for run in one] == [False, False, True]

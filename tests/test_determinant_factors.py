@@ -6,7 +6,9 @@ the factor over instead of factoring again. These tests pin that this
 changes no bit (every ``value`` equals the block formula, which never reads
 the memo, and every batch a fresh cursor's), that each set of a reduction is
 factored once, that a failed factorization records nothing, and that the
-memo holds at most two factors, none of them taken over by a cursor.
+memo holds at most two factors, none of them taken over by a cursor. A set
+whose det has underflowed to 0.0 keeps no factor and no inverse: its
+marginals are zeros, and it is factored once however many cursors visit it.
 """
 
 import hashlib
@@ -19,6 +21,11 @@ from hypothesis import strategies as st
 
 from qsopt import InternalInvariantError, SubsetBits, make_determinant, min_lattice, principal_determinant, uqsfmax
 from qsopt import functions
+from test_oracle import walk_move_patterns
+
+#: At n = 10, seed 3, the kernel times this has a normal det at every set of
+#: at most five members and det 0.0 at every larger one.
+ZERO_DET_SCALE = 1e-60
 
 
 def block_value(F, x: SubsetBits) -> str:
@@ -182,3 +189,76 @@ def test_repeated_reductions_retain_no_more_memory():
     assert second <= first + (16 << 10)
     assert first <= 2 * factor_bytes + (64 << 10)
     assert sum(chol.nbytes for chol in held_factors(F)) <= 2 * factor_bytes
+
+
+@pytest.fixture
+def scaled(monkeypatch):
+    """make_determinant(10, 3) over the kernel scaled by ``ZERO_DET_SCALE``."""
+    kernel = functions._determinant_kernel
+    monkeypatch.setattr(functions, "_determinant_kernel", lambda n, seed: kernel(n, seed) * ZERO_DET_SCALE)
+    return make_determinant(10, 3)
+
+
+def spy_on(monkeypatch, owner, name: str) -> list:
+    """Record the arguments of every call to ``owner.name``, which still answers; an array by its shape."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append([getattr(arg, "shape", arg) for arg in args])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+SIX = SubsetBits.from_members(10, range(1, 7))  # det 0.0 under the scaled kernel
+
+
+def test_a_zero_det_set_answers_zeros_without_an_inverse(scaled, monkeypatch):
+    assert scaled.value(SIX) == 0.0
+    inverted = spy_on(monkeypatch, scaled.value_rows.la, "dpotri")
+    cursor = scaled.cursor(SIX)
+    assert cursor.add_marginals(np.arange(7, 11)).tobytes() == np.zeros(4).tobytes()
+    assert cursor.drop_marginals(np.arange(1, 7)).tobytes() == np.zeros(6).tobytes()
+    assert cursor.gains().tobytes() == np.zeros(10).tobytes()
+    assert inverted == []
+    cursor.remove(6)  # five members: the det is normal, and the refactor inverts
+    assert (cursor.drop_marginals(np.arange(1, 6)) < 0.0).all()
+    assert len(inverted) == 1
+    cursor.add(6)  # back at det 0.0: the update refactors, and the memo answers without a factor
+    assert cursor.gains().tobytes() == np.zeros(10).tobytes()
+    assert len(inverted) == 1
+
+
+def test_the_cursor_agrees_with_fresh_cursors_across_zero_det_sets(scaled, monkeypatch):
+    """Walks of single moves and bursts into and out of det-0.0 sets agree with fresh cursors."""
+    inverses = []
+    refactor = functions._DeterminantCursor._refactor
+
+    def spy(cursor):
+        refactor(cursor)
+        inverses.append(cursor._inv is not None)
+
+    monkeypatch.setattr(functions._DeterminantCursor, "_refactor", spy)
+    walk_move_patterns(scaled, det_scaled=True)
+    assert not all(inverses) and any(inverses)  # the walks reached both kinds of set
+
+
+def test_a_zero_det_set_keeps_no_factor(scaled, monkeypatch):
+    assert scaled.value(SIX) == 0.0
+    assert held_factors(scaled) == []
+    factored = spy_on(monkeypatch, functions, "_cholesky_det")
+    scaled.cursor(SIX).gains()  # the refactor takes (None, 0.0) from the memo
+    assert scaled.value(SIX) == 0.0
+    assert factored == []
+
+
+def test_both_reductions_factor_a_zero_det_ground_set_once(monkeypatch):
+    """At n = 1000, F(N) is 0.0: ``min_lattice`` and then ``uqsfmax`` refactor at N, from one factorization."""
+    factored = spy_on(monkeypatch, functions, "_cholesky_det")
+    F = make_determinant(1000, 1)
+    min_lattice(F)
+    uqsfmax(F)
+    assert [shape for _la, shape in factored].count((1000, 1000)) == 1
+    assert F.value(SubsetBits.full(1000)) == 0.0
